@@ -47,28 +47,59 @@ def bipolar_length_multiplier(v):
     return (1.0 + v) / v
 
 
+def _minimal_length(variance, target_rms, rms_error):
+    """Smallest integer ``n >= 1`` with ``rms_error(n) <= target_rms``.
+
+    ``ceil(variance / target_rms**2)`` rounds twice, so it can land one
+    off the true minimum (``0.09 / 2.5e-5`` evaluates just above 3600).
+    The RMS error is monotone in ``n``, so stepping that estimate up
+    while it misses the target and down while one bit less still meets
+    it ends at the minimum.  Non-finite estimates (NaN values) are left
+    to the clamp.
+    """
+    if not np.all(np.asarray(target_rms) > 0):
+        raise ValueError("target_rms must be positive")
+    estimate = variance / np.square(target_rms)
+    finite = np.isfinite(estimate)
+    n = np.ceil(np.where(finite, estimate, 1.0)).clip(min=1)
+    n = n.astype(np.int64)
+    while True:
+        up = finite & (rms_error(n) > target_rms)
+        if not up.any():
+            break
+        n = n + up
+    while True:
+        down = finite & (n > 1) & (
+            rms_error(np.maximum(n - 1, 1)) <= target_rms)
+        if not down.any():
+            return n
+        n = n - down
+
+
 def length_for_rms_unipolar(v, target_rms):
     """Minimum unipolar stream length for a target RMS error.
 
+    The smallest ``n`` with ``rms_error_unipolar(v, n) <= target_rms``.
     Clamped to at least 1: the variance vanishes at ``v = 0`` and
     ``v = 1`` (the stream is constant), but a zero-length stream cannot
     be clocked, so the exactly-representable endpoints still need one
     bit.
     """
     v = np.asarray(v, dtype=np.float64)
-    n = np.ceil(v * (1.0 - v) / (target_rms**2)).astype(np.int64)
-    return np.maximum(n, 1)
+    return _minimal_length(v * (1.0 - v), target_rms,
+                           lambda n: rms_error_unipolar(v, n))
 
 
 def length_for_rms_bipolar(v, target_rms):
     """Minimum bipolar stream length for a target RMS error.
 
-    Clamped to at least 1 (the variance vanishes at ``v = +-1``, cf.
+    The smallest ``n`` with ``rms_error_bipolar(v, n) <= target_rms``,
+    clamped to at least 1 (the variance vanishes at ``v = +-1``, cf.
     :func:`length_for_rms_unipolar`).
     """
     v = np.asarray(v, dtype=np.float64)
-    n = np.ceil((1.0 - v * v) / (target_rms**2)).astype(np.int64)
-    return np.maximum(n, 1)
+    return _minimal_length(1.0 - v * v, target_rms,
+                           lambda n: rms_error_bipolar(v, n))
 
 
 def decision_margin_bound(phase_length, z: float = 2.0,

@@ -13,11 +13,12 @@
   :class:`~repro.simulator.engine.SplitMatmulPlan` folds all-zero
   weight-lane masks into the plan: skipped lanes are never encoded,
   packed, ANDed, or popcounted (ACOUSTIC's or-unipolar *skipped* SC).
-- **Autotuned block schedules** — each layer's channel-block working
-  set (``block_kib``) is picked by a small compile-time measurement
-  pass under :data:`AUTOTUNE` candidates and a total time budget,
-  replacing the single global ``SCConfig.block_kib``.  Tiling is
-  value-neutral, so any choice is bit-identical.
+- **Autotuned tile budgets** — each layer's tile working set
+  (``block_kib``, the budget the engine plans size their row x channel
+  tiles from) is picked by a small compile-time measurement pass under
+  :data:`AUTOTUNE_CANDIDATES_KIB` and a total time budget, replacing
+  the single global ``SCConfig.block_kib``.  Tiling is value-neutral,
+  so any choice is bit-identical.
 - **Optional jit** — the OR/MUX inner loop can run through
   :mod:`repro.simulator.jit` when numba is installed and self-checks
   clean; the pure-numpy path stays canonical.
@@ -486,30 +487,30 @@ def _build_matmul(layer, weights_2d, index, config):
 def _autotune(matmul, positions, config, deadline) -> tuple:
     """Measure candidate block budgets; returns ``(block_kib, tuned)``.
 
-    Any tiling is bit-identical (channel blocks partition independent
+    Any tiling is bit-identical (tiles partition independent
     popcounts), so this is purely a throughput decision.  Probes run
     with ``record=False`` so they never pollute the kernel counters,
     and the whole pass is bounded by the caller's deadline.  Layers
-    where every candidate resolves to the same channel-block size (all
-    small layers) skip measurement outright.
+    where every candidate cuts the probe into the same number of tiles
+    (all small layers) skip measurement outright.
     """
     default_kib = config.block_kib
     if matmul.fan_in == 0 or matmul.n_chan == 0:
         return default_kib, False
-    # Fast path: if the partition is insensitive to the budget range,
+    rows = min(_PROBE_POSITIONS, max(1, positions))
+    # Fast path: if the tiling is insensitive to the budget range,
     # there is nothing to tune.
-    blocks = {matmul.retile(kib * 1024).channel_block
-              for kib in (min(AUTOTUNE_CANDIDATES_KIB),
-                          max(AUTOTUNE_CANDIDATES_KIB))}
-    if len(blocks) == 1:
+    tiles = {matmul.retile(kib * 1024).tile_count(rows)
+             for kib in (min(AUTOTUNE_CANDIDATES_KIB),
+                         max(AUTOTUNE_CANDIDATES_KIB))}
+    if len(tiles) == 1:
         matmul.retile(default_kib * 1024)
         return default_kib, False
     if time.perf_counter() >= deadline:
         matmul.retile(default_kib * 1024)
         return default_kib, False
     rng = np.random.default_rng(0xB10C)
-    sample = rng.random((min(_PROBE_POSITIONS, max(1, positions)),
-                         matmul.fan_in))
+    sample = rng.random((rows, matmul.fan_in))
     candidates = [default_kib] + [k for k in AUTOTUNE_CANDIDATES_KIB
                                   if k != default_kib]
     matmul.retile(candidates[0] * 1024)

@@ -51,9 +51,10 @@ class SCConfig:
     #: ``REPRO_SC_KERNEL`` environment variable (default ``"word"``).
     #: Both kernels return bit-identical counts.
     kernel: str = None
-    #: Working-set budget (KiB) for one channel-blocked intermediate of
-    #: the word kernel; ~L2/L3-sized keeps the broadcast AND/OR tiles
-    #: cache-resident.
+    #: Working-set budget (KiB) for one product intermediate of the
+    #: word kernels: ``rows x channels x words x lanes`` uint64 AND
+    #: products, tiled so each stays inside it; ~L2/L3-sized keeps the
+    #: broadcast AND/OR tiles cache-resident.
     block_kib: int = 4096
     #: Use the global activation value -> packed-stream table cache
     #: (bit-identical either way; purely a speed knob).

@@ -25,10 +25,14 @@ a per-``(scheme, bits, seed, lanes, length)`` value -> packed-stream
 table once and every later forward pass *gathers* packed words instead
 of re-running the comparator and ``np.packbits`` over every position.
 
-**Channel blocking.**  The matmul kernels tile output channels so the
-``(positions, channels, fan-in, words)`` intermediate stays inside a
-configurable working-set budget (``block_bytes``) instead of looping
-over channels one at a time in Python.
+**Tiling.**  The matmul kernels keep their broadcast ``(rows, channels,
+words, lanes)`` product intermediate inside a configurable working-set
+budget (``block_bytes``) instead of looping over channels one at a time
+in Python.  The generic kernels block channels for a full chunk of
+rows; the planned matmuls (:class:`SplitMatmulPlan`,
+:class:`BipolarMatmulPlan`) cut each weight plane into channel blocks
+once and tile every call over the rows it actually carries, forming
+products in per-call scratch.
 
 Per-kernel wall time is recorded once, in the observability layer's
 :data:`~repro.obs.KERNEL_COUNTERS` store (``KERNEL_STATS`` here is an
@@ -62,7 +66,7 @@ __all__ = ["popcount_packed", "encode_packed", "split_or_matmul_counts",
 #: uint64 path, ``"byte"`` the uint8 per-channel-loop reference.
 KERNELS = ("word", "byte")
 
-#: Default working-set budget for one channel-blocked intermediate.
+#: Default working-set budget for one product intermediate.
 DEFAULT_BLOCK_BYTES = 4 << 20
 
 # Consolidated popcount lives in repro.core.bitstream (bitwise_count
@@ -724,8 +728,119 @@ class _NullSection:
 _NULL_SECTION = _NullSection()
 
 
-class _SplitPhase:
-    """One split-unipolar phase of a :class:`SplitMatmulPlan`."""
+def _lane_span(active, c0: int, c1: int, n_lanes: int) -> tuple:
+    """``(first, one past the last)`` lane any of channels ``c0:c1`` is
+    active on; ``(0, n_lanes)`` when ``active`` is ``None``, ``(0, 0)``
+    when none is."""
+    if active is None:
+        return 0, n_lanes
+    used = np.flatnonzero(active[c0:c1].any(axis=0))
+    if used.size == 0:
+        return 0, 0
+    return int(used[0]), int(used[-1]) + 1
+
+
+def _plane_blocks(active, n_lanes: int, n_chan: int, n_words: int,
+                  block_bytes: int, channel_groups: int) -> list:
+    """Cut one phase's (channel, lane) weight plane into channel blocks.
+
+    ``active`` is the ``(C, n_lanes)`` mask of nonzero weight words over
+    the lanes the activation words carry, or ``None`` when every lane
+    counts (the bipolar XNOR, where a zero weight is a half-density
+    stream, not silence).  Blocks are cut inside each of
+    ``channel_groups`` equal channel groups, in equal widths no wider
+    than one activation row times the group's lane span fits
+    ``block_bytes`` (``channels x W x lanes x 8``); the rows a call
+    carries are tiled at run time (:func:`_row_step`).  Each block ANDs
+    a view of the span from its first to its last active lane: the
+    whole union for a dense block, the group's span for a grouped conv.
+    Inactive lanes inside the span hold all-zero weight words, exact
+    no-ops for the OR and APC reductions.
+
+    Returns ``[(c0, c1, lanes)]`` with ``lanes`` a ``slice``; the weight
+    words are sliced at run time, so a plan never holds (or pickles) a
+    second copy.  Blocks without an active lane contribute nothing and
+    are dropped.
+    """
+    blocks = []
+    for g0, g1 in _group_channel_bounds(n_chan, channel_groups):
+        lo, hi = _lane_span(active, g0, g1, n_lanes)
+        if g1 == g0 or hi == lo:
+            continue
+        width = _balanced(g1 - g0, _row_fit(n_words * (hi - lo),
+                                            block_bytes))
+        for c0 in range(g0, g1, width):
+            c1 = min(c0 + width, g1)
+            b0, b1 = _lane_span(active, c0, c1, n_lanes)
+            if b1 > b0:
+                blocks.append((c0, c1, slice(b0, b1)))
+    return blocks
+
+
+def _row_fit(row_words: int, block_bytes: int) -> int:
+    """How many ``row_words``-word rows fit ``block_bytes`` (at least
+    one)."""
+    return max(1, block_bytes // (8 * row_words))
+
+
+def _balanced(total: int, most: int) -> int:
+    """Part size that splits ``total`` into the fewest parts of at most
+    ``most``, as equal as possible (the last may be smaller)."""
+    parts = -(-total // most)
+    return -(-total // parts)
+
+
+def _row_step(rows: int, row_words: int, block_bytes: int) -> int:
+    """Rows per tile of a block whose one-row product is ``row_words``
+    words: as many as fit the budget, balanced over ``rows``."""
+    return _balanced(rows, _row_fit(row_words, block_bytes))
+
+
+def _run_tiles(out, a_words, w_words, blocks, *, op: str, sign: int,
+               block_bytes: int, scratch: np.ndarray, jit_or=None) -> int:
+    """Accumulate one chunk's activation words into ``out`` (``(R, C)``).
+
+    ``a_words`` is the chunk's ``(R, W, lanes)`` time-major activation
+    words and ``w_words`` the phase's ``(C, W, lanes)`` weight words.
+    Every block is tiled over the chunk's rows (:func:`_row_step`) and
+    each tile's products are formed in ``scratch`` (``out=``), so no
+    tile allocates its intermediate.  ``op`` is ``"or"`` (AND, OR over
+    lanes, popcount), ``"apc"`` (AND, popcount over lanes and words) or
+    ``"xnor"`` (the bipolar gated XNOR, formed as XOR against
+    pre-inverted weights, then OR and popcount).  ``jit_or`` replaces
+    the ``"or"`` reduction with a fused loop.  Returns the tiles run.
+    """
+    rows = a_words.shape[0]
+    combine = np.bitwise_xor if op == "xnor" else np.bitwise_and
+    tiles = 0
+    for c0, c1, lanes in blocks:
+        ww = w_words[c0:c1, :, lanes]
+        step = _row_step(rows, ww.size, block_bytes)
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            aw = a_words[r0:r1, :, lanes]
+            if jit_or is not None:
+                counts = jit_or(aw, ww)
+            else:
+                prods = scratch[:(r1 - r0) * ww.size].reshape(
+                    (r1 - r0,) + ww.shape)
+                combine(aw[:, None], ww[None], out=prods)
+                if op == "apc":
+                    counts = popcount_words(prods, axis=(-2, -1))
+                else:
+                    counts = popcount_words(
+                        np.bitwise_or.reduce(prods, axis=-1), axis=-1)
+            if sign > 0:
+                out[r0:r1, c0:c1] += counts
+            else:
+                out[r0:r1, c0:c1] -= counts
+            tiles += 1
+    return tiles
+
+
+class _Phase:
+    """One temporal phase of a planned matmul: its weight plane and the
+    channel blocks the plane is cut into."""
 
     __slots__ = ("phase", "sign", "active", "union", "w_words",
                  "select_words", "blocks")
@@ -733,20 +848,235 @@ class _SplitPhase:
     def __init__(self, phase, sign, active, union, w_words, select_words):
         self.phase = phase
         self.sign = sign
-        self.active = active          # (C, K) bool, for retiling
-        self.union = union            # sorted active-lane indices
-        self.w_words = w_words        # (C, W, |union|) time-major
-        self.select_words = select_words
+        self.active = active          # (C, |union|) bool; None: all lanes
+        self.union = union            # encoded fan-in lanes; None: all
+        self.w_words = w_words        # (C, W, lanes) time-major
+        self.select_words = select_words    # (W, lanes) MUX gate or None
         self.blocks = []
 
 
-class SplitMatmulPlan:
-    """Precompiled split-unipolar matmul: gather/mask/block plan baked in.
+class _TiledMatmulPlan:
+    """Row x channel tiler and executor shared by the planned matmuls.
+
+    A subclass fills ``phases`` and sets ``_op`` (see :func:`_run_tiles`)
+    and ``_section`` (the kernel-counter name).  Each call encodes its
+    activations chunk by chunk (``chunk_positions`` rows share one SNG
+    seed) and runs every phase's channel blocks (:func:`_plane_blocks`)
+    over the rows the chunk actually carries, so a 2-row call runs a
+    few wide tiles where a full chunk runs many.
+    """
+
+    def __init__(self, shape: tuple, *, length, bits, scheme, seed,
+                 chunk_positions, encode_cache, bit_offset,
+                 channel_groups):
+        if len(shape) != 2:
+            raise ValueError("weights must be (C, K)")
+        if bit_offset < 0:
+            raise ValueError("bit_offset must be non-negative")
+        if channel_groups < 1 or shape[0] % channel_groups:
+            raise ValueError(
+                f"channel_groups={channel_groups} must divide "
+                f"n_chan={shape[0]}")
+        self.channel_groups = channel_groups
+        self.length = length
+        self.bits = bits
+        self.scheme = scheme
+        self.seed = seed
+        self.chunk_positions = chunk_positions
+        self.encode_cache = encode_cache
+        #: Absolute clock the plan's window starts at: the plan counts
+        #: bits ``[bit_offset, bit_offset + length)`` of the conceptual
+        #: streams.  A segment plan of a resumable evaluation; 0 for the
+        #: ordinary from-zero case.  Pre-supplied weight streams must be
+        #: encoded at the same offset.
+        self.bit_offset = bit_offset
+        self.n_chan, self.fan_in = shape
+        self.n_words = (length + 63) // 64
+
+    # -- tiling -------------------------------------------------------
+
+    def retile(self, block_bytes: int = None):
+        """(Re)cut the channel blocks for the ``block_bytes`` budget.
+
+        ``block_bytes`` bounds one tile's product intermediate
+        (``rows x channels x W x lanes x 8`` bytes; a single row of a
+        single channel may exceed it).  Tiling never changes an output
+        bit — popcounts are exact integers and channels independent —
+        so the autotuner is free to measure any budget.  Returns
+        ``self``.
+        """
+        self.block_bytes = (block_bytes if block_bytes is not None
+                            else DEFAULT_BLOCK_BYTES)
+        for ph in self.phases:
+            ph.blocks = _plane_blocks(
+                ph.active, ph.w_words.shape[-1], self.n_chan, self.n_words,
+                self.block_bytes, self.channel_groups)
+        self.active_product_lanes = sum(
+            (c1 - c0) * (lanes.stop - lanes.start)
+            for ph in self.phases for c0, c1, lanes in ph.blocks)
+        return self
+
+    def _row_words(self) -> list:
+        """One activation row's product words in each block, all
+        phases."""
+        return [(c1 - c0) * self.n_words * (lanes.stop - lanes.start)
+                for ph in self.phases for c0, c1, lanes in ph.blocks]
+
+    def tile_count(self, rows: int) -> int:
+        """Tiles a call of ``rows`` rows (one chunk) runs, all phases."""
+        return sum(len(range(0, rows, _row_step(rows, words,
+                                                self.block_bytes)))
+                   for words in self._row_words())
+
+    # -- skip accounting ----------------------------------------------
+
+    @property
+    def encode_lanes_skipped(self) -> int:
+        """Fan-in lanes never encoded, summed over phases."""
+        return sum(self.fan_in - ph.union.size for ph in self.phases
+                   if ph.union is not None)
+
+    @property
+    def dense_product_lanes(self) -> int:
+        """(channel, lane) AND pairs a dense kernel would clock."""
+        return len(self.phases) * self.n_chan * self.fan_in
+
+    @property
+    def lanes_skipped_fraction(self) -> float:
+        """Share of the dense (channel, lane) pairs the tiles never AND
+        (``active_product_lanes``, set by :meth:`retile`, counts the
+        pairs they do)."""
+        dense = self.dense_product_lanes
+        if not dense:
+            return 0.0
+        return 1.0 - self.active_product_lanes / dense
+
+    # -- encode-table publication -------------------------------------
+
+    def encode_table_keys(self, n_positions: int) -> list:
+        """Every :data:`ENCODE_CACHE` key a call of up to ``n_positions``
+        activation rows will touch.
+
+        The per-chunk SNG seed is a pure function of (phase, chunk
+        start), so the tables a worker would build are enumerable at
+        compile time — this is what lets the parent pre-build them once
+        and publish them through shared memory
+        (:mod:`repro.runtime.shm`) instead of paying the build in every
+        pool process.  Keys match the cache-eligibility conditions of
+        ``_encode_chunk_words`` exactly (cache on, ``bits <= 8``,
+        non-empty fan-in, a phase with blocks to run).
+        """
+        keys = []
+        if not self.encode_cache or self.bits > 8 or self.fan_in == 0:
+            return keys
+        for ph in self.phases:
+            if not ph.blocks:
+                continue
+            for start in range(0, n_positions, self.chunk_positions):
+                keys.append((self.scheme, self.bits,
+                             self.seed + 15_485_863 * (ph.phase + 1)
+                             + 104_651 * start,
+                             self.fan_in, self.length, self.bit_offset))
+        return keys
+
+    # -- execution ----------------------------------------------------
+
+    def _values(self, acts: np.ndarray) -> np.ndarray:
+        """Activation values as the SNGs encode them."""
+        return acts
+
+    def _execute(self, acts, jit_or, record) -> np.ndarray:
+        acts = np.asarray(acts, dtype=np.float64)
+        if acts.ndim != 2 or acts.shape[1] != self.fan_in:
+            raise ValueError(
+                f"acts must be (P, {self.fan_in}), got {acts.shape}")
+        n_pos = acts.shape[0]
+        chunks = [(slice(start, min(start + self.chunk_positions, n_pos)),
+                   start, None)
+                  for start in range(0, n_pos, self.chunk_positions)]
+        return self._run(acts, chunks, jit_or, record)
+
+    def _execute_rows(self, acts, rows, jit_or, record) -> np.ndarray:
+        acts = np.asarray(acts, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.int64)
+        if acts.ndim != 2 or acts.shape[1] != self.fan_in:
+            raise ValueError(
+                f"acts must be (R, {self.fan_in}), got {acts.shape}")
+        if rows.ndim != 1 or rows.shape[0] != acts.shape[0]:
+            raise ValueError("rows must be 1-D and match acts rows")
+        if rows.size and (rows[0] < 0 or np.any(np.diff(rows) <= 0)):
+            raise ValueError("rows must be strictly increasing and >= 0")
+        # Each row joins its original chunk, so it sees the exact
+        # per-chunk SNG seed and in-chunk lane rotation a full run gives.
+        chunk_ids = rows // self.chunk_positions
+        bounds = [0, *(np.flatnonzero(np.diff(chunk_ids)) + 1), rows.size]
+        chunks = []
+        for i0, i1 in zip(bounds[:-1], bounds[1:]):
+            if i1 > i0:
+                start = int(chunk_ids[i0]) * self.chunk_positions
+                chunks.append((slice(i0, i1), start, rows[i0:i1] - start))
+        return self._run(acts, chunks, jit_or, record)
+
+    def _scratch(self, rows: int) -> np.ndarray:
+        """Product scratch for one call: the largest tile any chunk of
+        at most ``rows`` rows runs.  Per call, never stored on the
+        plan, because thread workers share one plan object."""
+        need = max((words * min(rows, _row_fit(words, self.block_bytes))
+                    for words in self._row_words()), default=0)
+        return np.empty(need, dtype=np.uint64)
+
+    def _run(self, acts, chunks, jit_or, record) -> np.ndarray:
+        """Encode and tile ``chunks`` (``(rows of acts, chunk start,
+        in-chunk positions or None)``) into ``(R, C)`` counts."""
+        n_rows = acts.shape[0]
+        counts = np.zeros((n_rows, self.n_chan), dtype=np.int64)
+        if self.fan_in == 0 or n_rows == 0 or self.n_chan == 0:
+            return counts
+        values = self._values(acts)
+        scratch = self._scratch(min(n_rows, self.chunk_positions))
+        section = _Timed(self._section) if record else _NULL_SECTION
+        with section:
+            tiles = 0
+            for ph in self.phases:
+                if not ph.blocks:
+                    continue
+                subset = (ph.union if ph.union is not None
+                          and ph.union.size < self.fan_in else None)
+                for sel, start, positions in chunks:
+                    a_words = _encode_chunk_words(
+                        values[sel], self.length, self.bits, self.scheme,
+                        seed=(self.seed + 15_485_863 * (ph.phase + 1)
+                              + 104_651 * start),
+                        use_cache=self.encode_cache, lane_subset=subset,
+                        offset=self.bit_offset, positions=positions,
+                    )
+                    if ph.select_words is not None:
+                        np.bitwise_and(a_words, ph.select_words,
+                                       out=a_words)
+                    tiles += _run_tiles(
+                        counts[sel], a_words, ph.w_words, ph.blocks,
+                        op=self._op, sign=ph.sign,
+                        block_bytes=self.block_bytes, scratch=scratch,
+                        jit_or=jit_or)
+            active = self.active_product_lanes
+            section.add_counter("positions", n_rows)
+            section.add_counter("channels", self.n_chan)
+            section.add_counter("product_bits",
+                                n_rows * active * self.length)
+            section.add_counter(
+                "product_bits_skipped",
+                n_rows * (self.dense_product_lanes - active) * self.length)
+            section.add_counter("tiles", tiles)
+        return counts
+
+
+class SplitMatmulPlan(_TiledMatmulPlan):
+    """Precompiled split-unipolar matmul: lane masks and tiling baked in.
 
     Compiles everything :func:`split_or_matmul_counts` re-derives on
     every call — time-major weight words, zero-weight lane masks, the
-    channel-block partition — into a reusable plan for one fixed
-    ``(weights, length, bits, scheme, seed, accumulator)``.
+    channel blocks of each phase's weight plane — into a reusable plan
+    for one fixed ``(weights, length, bits, scheme, seed, accumulator)``.
     :meth:`execute` is then bit-identical to the generic word kernel by
     construction (asserted across the zoo in
     ``tests/test_plan_specialization.py``) while doing strictly less
@@ -755,10 +1085,12 @@ class SplitMatmulPlan:
     - lanes whose weight phase component is zero everywhere are dropped
       at *encode* time (``lane_subset``), not just at the AND: the
       "skipped" of ACOUSTIC's or-unipolar skipped SC;
-    - per channel block, the active-lane union and the pre-sliced weight
-      words are compile-time constants;
-    - the block partition is retilable (:meth:`retile`) so a per-layer
-      autotuner can pick ``block_bytes`` from measurement.
+    - each channel block ANDs a view of its active-lane span
+      (:func:`_plane_blocks`); the zero-weight words a span keeps are
+      exact no-ops for the OR, APC and MUX reductions;
+    - tiles are sized from the rows a call carries, within the
+      ``block_bytes`` budget, which :meth:`retile` lets a per-layer
+      autotuner pick from measurement.
 
     The optional ``jit_or`` argument to :meth:`execute` is a drop-in
     fused AND/OR/popcount inner loop (see :mod:`repro.simulator.jit`);
@@ -766,11 +1098,11 @@ class SplitMatmulPlan:
 
     ``channel_groups > 1`` declares the weight plane block-diagonal over
     that many equal channel groups (a lowered grouped convolution): the
-    channel-block partition is then derived *within* group boundaries,
-    so every block's active-lane union stays confined to its own group's
-    fan-in lanes and the AND stage clocks at most ``1/groups`` of the
-    dense lanes.  Tiling is value-neutral — the grouping changes which
-    channels share a block, never a single output bit.
+    channel blocks are then cut *within* group boundaries, so every
+    block's lane span stays confined to its own group's fan-in lanes
+    and the AND stage clocks at most ``1/groups`` of the dense lanes.
+    Tiling is value-neutral — the grouping changes which channels share
+    a block, never a single output bit.
     """
 
     def __init__(self, weights: np.ndarray, *, length: int, bits: int,
@@ -779,32 +1111,16 @@ class SplitMatmulPlan:
                  weight_streams: tuple = None, encode_cache: bool = True,
                  bit_offset: int = 0, channel_groups: int = 1):
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ValueError("weights must be (C, K)")
         if accumulator not in ("or", "apc", "mux"):
             raise ValueError(f"unknown accumulator {accumulator!r}")
-        if bit_offset < 0:
-            raise ValueError("bit_offset must be non-negative")
-        if channel_groups < 1 or weights.shape[0] % channel_groups:
-            raise ValueError(
-                f"channel_groups={channel_groups} must divide "
-                f"n_chan={weights.shape[0]}")
-        self.channel_groups = channel_groups
-        self.length = length
-        self.bits = bits
-        self.scheme = scheme
-        self.seed = seed
+        super().__init__(
+            weights.shape, length=length, bits=bits, scheme=scheme,
+            seed=seed, chunk_positions=chunk_positions,
+            encode_cache=encode_cache, bit_offset=bit_offset,
+            channel_groups=channel_groups)
         self.accumulator = accumulator
-        self.chunk_positions = chunk_positions
-        self.encode_cache = encode_cache
-        #: Absolute clock the plan's window starts at: the plan counts
-        #: bits ``[bit_offset, bit_offset + length)`` of the conceptual
-        #: streams.  A segment plan of a resumable evaluation; 0 for the
-        #: ordinary from-zero case.  Pre-supplied ``weight_streams``
-        #: must be encoded at the same offset.
-        self.bit_offset = bit_offset
-        self.n_chan, self.fan_in = weights.shape
-        self.n_words = (length + 63) // 64
+        self._op = "apc" if accumulator == "apc" else "or"
+        self._section = f"plan:{accumulator}"
         if weight_streams is None:
             weight_streams = encode_split_weight_streams(
                 weights, length=length, bits=bits, scheme=scheme, seed=seed,
@@ -822,113 +1138,14 @@ class SplitMatmulPlan:
                                        offset=bit_offset)))
             if union.size < self.fan_in:
                 w_words = np.ascontiguousarray(w_words[:, :, union])
+                active = np.ascontiguousarray(active[:, union])
                 if select_words is not None:
                     select_words = np.ascontiguousarray(
                         select_words[:, union])
-            self.phases.append(_SplitPhase(
+            self.phases.append(_Phase(
                 phase, 1 if phase == 0 else -1, active, union, w_words,
                 select_words))
         self.retile(block_bytes)
-
-    # -- tiling -------------------------------------------------------
-
-    def retile(self, block_bytes: int = None) -> "SplitMatmulPlan":
-        """(Re)derive the channel-block partition for ``block_bytes``.
-
-        The partition never changes a single output bit — popcounts are
-        exact integers and channels are independent — so the autotuner
-        is free to measure any candidate.  Returns ``self``.
-        """
-        self.block_bytes = (block_bytes if block_bytes is not None
-                            else DEFAULT_BLOCK_BYTES)
-        cb = _channel_block(self.n_chan, self.chunk_positions, self.fan_in,
-                            self.n_words, self.block_bytes)
-        self.channel_block = cb
-        for ph in self.phases:
-            ph.blocks = []
-            for g0, g1 in _group_channel_bounds(self.n_chan,
-                                                self.channel_groups):
-                for c0 in range(g0, g1, cb):
-                    c1 = min(c0 + cb, g1)
-                    if self.accumulator == "mux":
-                        # MUX gates with the select stream once per
-                        # chunk; lane skipping happens at the union
-                        # level only.
-                        ph.blocks.append((c0, c1, None,
-                                          np.ascontiguousarray(
-                                              ph.w_words[c0:c1])))
-                        continue
-                    lanes = np.flatnonzero(ph.active[c0:c1].any(axis=0))
-                    if lanes.size == 0:
-                        continue    # all-zero block: contributes nothing
-                    rel = np.searchsorted(ph.union, lanes)
-                    if rel.size == ph.union.size:
-                        rel = None  # block spans every encoded lane
-                        ww = np.ascontiguousarray(ph.w_words[c0:c1])
-                    else:
-                        ww = np.ascontiguousarray(
-                            ph.w_words[c0:c1][:, :, rel])
-                    ph.blocks.append((c0, c1, rel, ww))
-        return self
-
-    # -- skip accounting ----------------------------------------------
-
-    @property
-    def encode_lanes_skipped(self) -> int:
-        """Fan-in lanes never encoded, summed over phases."""
-        return sum(self.fan_in - ph.union.size for ph in self.phases)
-
-    @property
-    def dense_product_lanes(self) -> int:
-        """(channel, lane) AND pairs a dense kernel would clock."""
-        return len(self.phases) * self.n_chan * self.fan_in
-
-    @property
-    def active_product_lanes(self) -> int:
-        """(channel, lane) AND pairs this plan actually clocks."""
-        total = 0
-        for ph in self.phases:
-            for c0, c1, rel, _ in ph.blocks:
-                lanes = ph.union.size if rel is None else rel.size
-                total += (c1 - c0) * lanes
-        return total
-
-    @property
-    def lanes_skipped_fraction(self) -> float:
-        dense = self.dense_product_lanes
-        if not dense:
-            return 0.0
-        return 1.0 - self.active_product_lanes / dense
-
-    # -- encode-table publication -------------------------------------
-
-    def encode_table_keys(self, n_positions: int) -> list:
-        """Every :data:`ENCODE_CACHE` key :meth:`execute` will touch for
-        up to ``n_positions`` activation rows.
-
-        The per-chunk SNG seed is a pure function of (phase, chunk
-        start), so the tables a worker would build are enumerable at
-        compile time — this is what lets the parent pre-build them once
-        and publish them through shared memory
-        (:mod:`repro.runtime.shm`) instead of paying the build in every
-        pool process.  Keys match the cache-eligibility conditions of
-        ``_encode_chunk_words`` exactly (cache on, ``bits <= 8``,
-        non-empty fan-in, non-empty phase union).
-        """
-        keys = []
-        if not self.encode_cache or self.bits > 8 or self.fan_in == 0:
-            return keys
-        for ph in self.phases:
-            if ph.union.size == 0:
-                continue
-            for start in range(0, n_positions, self.chunk_positions):
-                keys.append((self.scheme, self.bits,
-                             self.seed + 15_485_863 * (ph.phase + 1)
-                             + 104_651 * start,
-                             self.fan_in, self.length, self.bit_offset))
-        return keys
-
-    # -- execution ----------------------------------------------------
 
     def execute(self, acts: np.ndarray, *, jit_or=None,
                 record: bool = True) -> np.ndarray:
@@ -936,72 +1153,11 @@ class SplitMatmulPlan:
         :func:`split_or_matmul_counts` on the same operands.
 
         ``jit_or`` is an optional ``(aw, ww) -> (P, C) popcount`` fused
-        inner loop for the OR accumulator; ``record=False`` skips the
-        kernel-counter accounting (autotune probes must not pollute the
-        serving metrics).
+        inner loop for the OR and MUX accumulators; ``record=False``
+        skips the kernel-counter accounting (autotune probes must not
+        pollute the serving metrics).
         """
-        acts = np.asarray(acts, dtype=np.float64)
-        if acts.ndim != 2 or acts.shape[1] != self.fan_in:
-            raise ValueError(
-                f"acts must be (P, {self.fan_in}), got {acts.shape}")
-        n_pos = acts.shape[0]
-        counts = np.zeros((n_pos, self.n_chan), dtype=np.int64)
-        if self.fan_in == 0 or n_pos == 0 or self.n_chan == 0:
-            return counts
-        section = (_Timed(f"plan:{self.accumulator}") if record
-                   else _NULL_SECTION)
-        with section:
-            section.add_counter("positions", n_pos)
-            section.add_counter("channels", self.n_chan)
-            section.add_counter(
-                "product_bits",
-                n_pos * self.active_product_lanes * self.length)
-            section.add_counter(
-                "product_bits_skipped",
-                n_pos * (self.dense_product_lanes
-                         - self.active_product_lanes) * self.length)
-            for ph in self.phases:
-                if ph.union.size == 0:
-                    continue
-                self._execute_phase(ph, acts, counts, jit_or)
-        return counts
-
-    def _execute_phase(self, ph, acts, counts, jit_or) -> None:
-        subset = ph.union if ph.union.size < self.fan_in else None
-        for start in range(0, acts.shape[0], self.chunk_positions):
-            sl = slice(start, min(start + self.chunk_positions,
-                                  acts.shape[0]))
-            a_words = _encode_chunk_words(
-                acts[sl], self.length, self.bits, self.scheme,
-                seed=(self.seed + 15_485_863 * (ph.phase + 1)
-                      + 104_651 * start),
-                use_cache=self.encode_cache, lane_subset=subset,
-                offset=self.bit_offset,
-            )
-            self._apply_blocks(ph, a_words, counts, sl, jit_or)
-
-    def _apply_blocks(self, ph, a_words, counts, sel, jit_or) -> None:
-        """Accumulate one chunk's encoded words into ``counts[sel]``.
-
-        ``sel`` is either a contiguous slice (full-chunk execution) or
-        an integer-array row index (subset re-execution); the math is
-        identical either way.
-        """
-        if self.accumulator == "mux":
-            a_words = a_words & ph.select_words[None, :, :]
-        for c0, c1, rel, ww in ph.blocks:
-            aw = a_words if rel is None else a_words[:, :, rel]
-            if self.accumulator == "apc":
-                prods = aw[:, None, :, :] & ww[None, :, :, :]
-                counts[sel, c0:c1] += ph.sign * popcount_words(
-                    prods, axis=(-2, -1))
-            elif jit_or is not None:
-                counts[sel, c0:c1] += ph.sign * jit_or(aw, ww)
-            else:
-                prods = aw[:, None, :, :] & ww[None, :, :, :]
-                acc = np.bitwise_or.reduce(prods, axis=-1)
-                counts[sel, c0:c1] += ph.sign * popcount_words(
-                    acc, axis=-1)
+        return self._execute(acts, self._jit(jit_or), record)
 
     def execute_rows(self, acts: np.ndarray, rows: np.ndarray, *,
                      jit_or=None, record: bool = True) -> np.ndarray:
@@ -1016,54 +1172,24 @@ class SplitMatmulPlan:
         what lets a resumable extension recompute only the rows whose
         inputs changed.
         """
-        acts = np.asarray(acts, dtype=np.float64)
-        rows = np.asarray(rows, dtype=np.int64)
-        if acts.ndim != 2 or acts.shape[1] != self.fan_in:
-            raise ValueError(
-                f"acts must be (R, {self.fan_in}), got {acts.shape}")
-        if rows.ndim != 1 or rows.shape[0] != acts.shape[0]:
-            raise ValueError("rows must be 1-D and match acts rows")
-        if rows.size and (rows[0] < 0 or np.any(np.diff(rows) <= 0)):
-            raise ValueError("rows must be strictly increasing and >= 0")
-        counts = np.zeros((rows.size, self.n_chan), dtype=np.int64)
-        if self.fan_in == 0 or rows.size == 0 or self.n_chan == 0:
-            return counts
-        chunk_ids = rows // self.chunk_positions
-        bounds = np.flatnonzero(np.diff(chunk_ids)) + 1
-        groups = np.split(np.arange(rows.size), bounds)
-        section = (_Timed(f"plan:{self.accumulator}") if record
-                   else _NULL_SECTION)
-        with section:
-            section.add_counter("positions", rows.size)
-            section.add_counter("channels", self.n_chan)
-            section.add_counter(
-                "product_bits",
-                rows.size * self.active_product_lanes * self.length)
-            for ph in self.phases:
-                if ph.union.size == 0:
-                    continue
-                subset = ph.union if ph.union.size < self.fan_in else None
-                for g in groups:
-                    start = int(chunk_ids[g[0]]) * self.chunk_positions
-                    a_words = _encode_chunk_words(
-                        acts[g], self.length, self.bits, self.scheme,
-                        seed=(self.seed + 15_485_863 * (ph.phase + 1)
-                              + 104_651 * start),
-                        use_cache=self.encode_cache, lane_subset=subset,
-                        offset=self.bit_offset, positions=rows[g] - start,
-                    )
-                    self._apply_blocks(ph, a_words, counts, g, jit_or)
-        return counts
+        return self._execute_rows(acts, rows, self._jit(jit_or), record)
+
+    def _jit(self, jit_or):
+        return None if self.accumulator == "apc" else jit_or
 
 
-class BipolarMatmulPlan:
+class BipolarMatmulPlan(_TiledMatmulPlan):
     """Precompiled bipolar XNOR/MUX matmul (prior-work datapath).
 
     Bakes the select-gated weight operand ``~w & sel`` and the channel
-    partition at compile time; no lane skipping — a zero bipolar weight
-    encodes to a half-density stream, not silence.  :meth:`execute` is
-    bit-identical to :func:`bipolar_mux_matmul_counts`.
+    blocks at compile time; no lane skipping — a zero bipolar weight
+    encodes to a half-density stream, not silence — so every block
+    spans every lane.  :meth:`execute` is bit-identical to
+    :func:`bipolar_mux_matmul_counts`.
     """
+
+    _op = "xnor"
+    _section = "plan:bipolar"
 
     def __init__(self, weights: np.ndarray, *, length: int, bits: int,
                  scheme: str, seed: int, block_bytes: int = None,
@@ -1072,147 +1198,41 @@ class BipolarMatmulPlan:
                  encode_cache: bool = True, bit_offset: int = 0,
                  channel_groups: int = 1):
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ValueError("weights must be (C, K)")
-        if bit_offset < 0:
-            raise ValueError("bit_offset must be non-negative")
-        if channel_groups < 1 or weights.shape[0] % channel_groups:
-            raise ValueError(
-                f"channel_groups={channel_groups} must divide "
-                f"n_chan={weights.shape[0]}")
-        # No lane skipping on the bipolar path, so group-aligned tiling
-        # buys nothing — accepted for API symmetry with the split plan.
-        self.channel_groups = channel_groups
-        self.length = length
-        self.bits = bits
-        self.scheme = scheme
-        self.seed = seed
-        self.chunk_positions = chunk_positions
-        self.encode_cache = encode_cache
-        #: See :attr:`SplitMatmulPlan.bit_offset`.
-        self.bit_offset = bit_offset
-        self.n_chan, self.fan_in = weights.shape
-        self.n_words = (length + 63) // 64
+        super().__init__(
+            weights.shape, length=length, bits=bits, scheme=scheme,
+            seed=seed, chunk_positions=chunk_positions,
+            encode_cache=encode_cache, bit_offset=bit_offset,
+            channel_groups=channel_groups)
         if weight_stream is None:
             weight_stream = encode_bipolar_weight_stream(
                 weights, length=length, bits=bits, scheme=scheme, seed=seed,
                 offset=bit_offset)
         select = _mux_select_matrix(self.fan_in, length, seed + 104_729,
                                     offset=bit_offset)
-        self.select_words = _time_major(words_from_bytes(select))
-        self.w_sel = (~_time_major(words_from_bytes(weight_stream))
-                      & self.select_words[None, :, :])
+        select_words = _time_major(words_from_bytes(select))
+        w_sel = (~_time_major(words_from_bytes(weight_stream))
+                 & select_words[None, :, :])
+        # One phase, seeded like the split plan's first: the generic
+        # kernel's bipolar chunk seed is the split up-phase formula.
+        self.phases = [_Phase(0, 1, None, None, w_sel, select_words)]
         self.retile(block_bytes)
 
-    def retile(self, block_bytes: int = None) -> "BipolarMatmulPlan":
-        self.block_bytes = (block_bytes if block_bytes is not None
-                            else DEFAULT_BLOCK_BYTES)
-        cb = _channel_block(self.n_chan, self.chunk_positions, self.fan_in,
-                            self.n_words, self.block_bytes)
-        self.channel_block = cb
-        self.blocks = [(c0, min(c0 + cb, g1))
-                       for g0, g1 in _group_channel_bounds(
-                           self.n_chan, self.channel_groups)
-                       for c0 in range(g0, g1, cb)]
-        return self
-
-    encode_lanes_skipped = 0
-    lanes_skipped_fraction = 0.0
-
-    @property
-    def dense_product_lanes(self) -> int:
-        return self.n_chan * self.fan_in
-
-    active_product_lanes = dense_product_lanes
-
-    def encode_table_keys(self, n_positions: int) -> list:
-        """See :meth:`SplitMatmulPlan.encode_table_keys` (the bipolar
-        datapath has a single temporal phase)."""
-        keys = []
-        if not self.encode_cache or self.bits > 8 or self.fan_in == 0:
-            return keys
-        for start in range(0, n_positions, self.chunk_positions):
-            keys.append((self.scheme, self.bits,
-                         self.seed + 15_485_863 + 104_651 * start,
-                         self.fan_in, self.length, self.bit_offset))
-        return keys
+    def _values(self, acts: np.ndarray) -> np.ndarray:
+        return (acts + 1.0) / 2.0
 
     def execute(self, acts: np.ndarray, *,
                 record: bool = True) -> np.ndarray:
         """Planned bipolar matmul over ``acts`` in [0, 1] (the plan
         applies the ``(v + 1) / 2`` bipolar encoding itself, exactly
         like the generic kernel)."""
-        acts = np.asarray(acts, dtype=np.float64)
-        if acts.ndim != 2 or acts.shape[1] != self.fan_in:
-            raise ValueError(
-                f"acts must be (P, {self.fan_in}), got {acts.shape}")
-        n_pos = acts.shape[0]
-        counts = np.zeros((n_pos, self.n_chan), dtype=np.int64)
-        if self.fan_in == 0 or n_pos == 0 or self.n_chan == 0:
-            return counts
-        section = _Timed("plan:bipolar") if record else _NULL_SECTION
-        with section:
-            section.add_counter("positions", n_pos)
-            section.add_counter("channels", self.n_chan)
-            section.add_counter(
-                "product_bits",
-                n_pos * self.n_chan * self.fan_in * self.length)
-            for start in range(0, n_pos, self.chunk_positions):
-                sl = slice(start, min(start + self.chunk_positions, n_pos))
-                a_words = _encode_chunk_words(
-                    (acts[sl] + 1.0) / 2.0, self.length, self.bits,
-                    self.scheme, seed=self.seed + 15_485_863
-                    + 104_651 * start,
-                    use_cache=self.encode_cache, offset=self.bit_offset,
-                )
-                self._apply_blocks(a_words, counts, sl)
-        return counts
-
-    def _apply_blocks(self, a_words, counts, sel) -> None:
-        a_sel = a_words & self.select_words[None, :, :]
-        for c0, c1 in self.blocks:
-            gated = a_sel[:, None, :, :] ^ self.w_sel[None, c0:c1]
-            acc = np.bitwise_or.reduce(gated, axis=-1)
-            counts[sel, c0:c1] += popcount_words(acc, axis=-1)
+        return self._execute(acts, None, record)
 
     def execute_rows(self, acts: np.ndarray, rows: np.ndarray, *,
                      record: bool = True) -> np.ndarray:
         """Subset-of-positions variant of :meth:`execute`; bit-identical
         to ``self.execute(full_acts)[rows]`` (see
         :meth:`SplitMatmulPlan.execute_rows`)."""
-        acts = np.asarray(acts, dtype=np.float64)
-        rows = np.asarray(rows, dtype=np.int64)
-        if acts.ndim != 2 or acts.shape[1] != self.fan_in:
-            raise ValueError(
-                f"acts must be (R, {self.fan_in}), got {acts.shape}")
-        if rows.ndim != 1 or rows.shape[0] != acts.shape[0]:
-            raise ValueError("rows must be 1-D and match acts rows")
-        if rows.size and (rows[0] < 0 or np.any(np.diff(rows) <= 0)):
-            raise ValueError("rows must be strictly increasing and >= 0")
-        counts = np.zeros((rows.size, self.n_chan), dtype=np.int64)
-        if self.fan_in == 0 or rows.size == 0 or self.n_chan == 0:
-            return counts
-        chunk_ids = rows // self.chunk_positions
-        bounds = np.flatnonzero(np.diff(chunk_ids)) + 1
-        groups = np.split(np.arange(rows.size), bounds)
-        section = _Timed("plan:bipolar") if record else _NULL_SECTION
-        with section:
-            section.add_counter("positions", rows.size)
-            section.add_counter("channels", self.n_chan)
-            section.add_counter(
-                "product_bits",
-                rows.size * self.n_chan * self.fan_in * self.length)
-            for g in groups:
-                start = int(chunk_ids[g[0]]) * self.chunk_positions
-                a_words = _encode_chunk_words(
-                    (acts[g] + 1.0) / 2.0, self.length, self.bits,
-                    self.scheme,
-                    seed=self.seed + 15_485_863 + 104_651 * start,
-                    use_cache=self.encode_cache, offset=self.bit_offset,
-                    positions=rows[g] - start,
-                )
-                self._apply_blocks(a_words, counts, g)
-        return counts
+        return self._execute_rows(acts, rows, None, record)
 
 
 def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import (
@@ -93,6 +93,7 @@ class TestLengthForRms:
             np.integer)
 
     @given(st.floats(0.01, 0.99), st.floats(0.005, 0.2))
+    @example(0.1, 0.005)    # float ceil of 0.09 / 2.5e-5 gave 3601
     @settings(max_examples=50, deadline=None)
     def test_returned_length_always_suffices(self, v, target):
         n = int(length_for_rms_unipolar(v, target))
@@ -101,6 +102,22 @@ class TestLengthForRms:
         # already at the 1-bit clamp).
         if n > 1:
             assert rms_error_unipolar(v, n - 1) > target
+
+    @pytest.mark.parametrize("target", [0.0, -0.1, float("nan")])
+    def test_rejects_non_positive_target(self, target):
+        with pytest.raises(ValueError, match="target_rms"):
+            length_for_rms_unipolar(0.5, target)
+        with pytest.raises(ValueError, match="target_rms"):
+            length_for_rms_bipolar(0.5, target)
+
+    @given(st.floats(-0.99, 0.99), st.floats(0.005, 0.2))
+    @example(0.83, 0.01)    # float ceil gave 3112; 3111 meets the target
+    @settings(max_examples=50, deadline=None)
+    def test_returned_bipolar_length_always_suffices(self, v, target):
+        n = int(length_for_rms_bipolar(v, target))
+        assert rms_error_bipolar(v, n) <= target
+        if n > 1:
+            assert rms_error_bipolar(v, n - 1) > target
 
 
 class TestDecisionMarginBound:

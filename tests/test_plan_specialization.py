@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.ir.passes import group_facts, lower
 from repro.runtime import (BENCH_NETWORKS, ExecutionPlan, InferenceRuntime,
                            RuntimeConfig, clear_specialization_cache,
@@ -118,6 +119,139 @@ class TestPlannedMatmuls:
             plan = SplitMatmulPlan(weights, accumulator=accumulator,
                                    **kwargs)
             assert np.array_equal(ref, plan.execute(acts))
+
+
+# --------------------------------------------------------------------
+# Row x channel tiler
+# --------------------------------------------------------------------
+
+def _zero_lanes(weights, pattern, groups, rng):
+    """Apply one zero-weight pattern to a ``(C, K)`` weight plane."""
+    n_chan, fan_in = weights.shape
+    if pattern == "group_spans":
+        # Block-diagonal: each channel group keeps only its own
+        # contiguous span of fan-in lanes (a lowered grouped conv).
+        span, per = fan_in // groups, n_chan // groups
+        mask = np.zeros_like(weights, dtype=bool)
+        for g in range(groups):
+            mask[g * per:(g + 1) * per, g * span:(g + 1) * span] = True
+        return np.where(mask, weights, 0.0)
+    if pattern == "scattered":
+        return np.where(rng.random(weights.shape) < 0.7, 0.0, weights)
+    if pattern == "all_zero":
+        return np.zeros_like(weights)
+    return weights
+
+
+def _traced_counters(run) -> dict:
+    """Counters of the one ``kernel:plan:*`` span ``run()`` records."""
+    was_enabled = obs.enabled()
+    obs.reset()
+    obs.enable()
+    try:
+        with obs.span("test") as root:
+            run()
+    finally:
+        if not was_enabled:
+            obs.disable()
+        obs.reset()
+    spans = [sp for sp in obs.walk_spans([root])
+             if sp.name.startswith("kernel:plan:")]
+    assert len(spans) == 1
+    return spans[0].counters
+
+
+class TestRowChannelTiler:
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_rows=st.integers(1, 19),
+           length=st.sampled_from([7, 65, 100, 130]),
+           groups=st.sampled_from([1, 2, 3]),
+           pattern=st.sampled_from(["none", "group_spans", "scattered",
+                                    "all_zero"]),
+           block_bytes=st.integers(0, 24).map(lambda e: 1 << e),
+           variant=st.sampled_from(["or", "apc", "mux", "bipolar"]))
+    @settings(max_examples=60, deadline=None)
+    def test_tiles_match_generic(self, seed, n_rows, length, groups,
+                                 pattern, block_bytes, variant):
+        """``execute`` and ``execute_rows`` equal the generic kernels for
+        1 row up to more than two chunks (a ragged last chunk and
+        tile), any budget from one byte to 16 MiB, channel groups and
+        every zero-lane pattern."""
+        rng = np.random.default_rng(seed)
+        chunk = 8
+        n_chan, fan_in = 3 * groups, 5 * groups
+        acts = rng.random((n_rows, fan_in))
+        weights = _zero_lanes(rng.uniform(-1.0, 1.0, (n_chan, fan_in)),
+                              pattern, groups, rng)
+        kwargs = dict(length=length, bits=8, scheme="lfsr", seed=5,
+                      chunk_positions=chunk)
+        if variant == "bipolar":
+            ref = bipolar_mux_matmul_counts(acts, weights, kernel="word",
+                                            **kwargs)
+            plan = BipolarMatmulPlan(weights, block_bytes=block_bytes,
+                                     channel_groups=groups, **kwargs)
+        else:
+            ref = split_or_matmul_counts(acts, weights, kernel="word",
+                                         accumulator=variant, **kwargs)
+            plan = SplitMatmulPlan(weights, accumulator=variant,
+                                   block_bytes=block_bytes,
+                                   channel_groups=groups, **kwargs)
+        assert np.array_equal(ref, plan.execute(acts))
+        rows = np.flatnonzero(rng.random(n_rows) < 0.6)
+        assert np.array_equal(ref[rows],
+                              plan.execute_rows(acts[rows], rows))
+
+    def test_small_call_runs_few_wide_tiles(self):
+        # mnist_mlp's 784 -> 256 layer at its served phase length: a
+        # 2-row call fits each phase in at most 4 tiles at the default
+        # budget (a full-chunk schedule would cut it into 128 blocks).
+        sc, shape = _network("mnist_mlp", phase_length=16)
+        plan = ExecutionPlan(sc, shape, autotune_budget_s=0)
+        kp = plan.specialization.plans[1]
+        assert (kp.matmul.n_chan, kp.matmul.fan_in) == (256, 784)
+        assert kp.block_kib == SCConfig().block_kib
+        acts = np.random.default_rng(0).random((2, 784))
+        counters = _traced_counters(lambda: kp.matmul.execute(acts))
+        phases = sum(1 for ph in kp.matmul.phases if ph.blocks)
+        assert phases == 2
+        assert 0 < counters["tiles"] <= 4 * phases
+        assert counters["tiles"] == kp.matmul.tile_count(2)
+
+    def test_execute_rows_records_skipped_bits(self):
+        weights = np.full((4, 10), 0.5)
+        weights[:, ::2] = 0.0
+        plan = SplitMatmulPlan(weights, length=64, bits=8, scheme="lfsr",
+                               seed=1)
+        rows = np.array([0, 3, 300])
+        acts = np.random.default_rng(1).random((3, 10))
+        counters = _traced_counters(
+            lambda: plan.execute_rows(acts, rows))
+        assert counters["product_bits"] == \
+            3 * plan.active_product_lanes * 64
+        assert counters["product_bits_skipped"] == \
+            3 * (plan.dense_product_lanes - plan.active_product_lanes) * 64
+
+    def test_dense_blocks_and_their_whole_union(self):
+        # Random-sign dense weights: every wide block spans its phase
+        # union, so the only skipped pairs are never-encoded lanes.
+        weights = np.random.default_rng(2).uniform(-1.0, 1.0, (64, 576))
+        plan = SplitMatmulPlan(weights, length=32, bits=8, scheme="lfsr",
+                               seed=1)
+        assert plan.active_product_lanes == sum(
+            plan.n_chan * ph.union.size for ph in plan.phases)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_zero_channel_plans_return_empty_counts(self, groups):
+        weights = np.zeros((0, 6))
+        acts = np.random.default_rng(4).random((3, 6))
+        kwargs = dict(length=64, bits=8, scheme="lfsr", seed=1,
+                      channel_groups=groups)
+        for plan in (SplitMatmulPlan(weights, **kwargs),
+                     BipolarMatmulPlan(weights, **kwargs)):
+            assert plan.tile_count(3) == 0
+            assert plan.execute(acts).shape == (3, 0)
+            assert plan.execute_rows(acts[:2], np.array([0, 5])).shape \
+                == (2, 0)
 
 
 # --------------------------------------------------------------------
