@@ -196,6 +196,11 @@ class InferenceRuntime:
         return False
 
     def _check_input(self, x) -> None:
+        """Validate a request at the one boundary :meth:`infer`,
+        :meth:`submit` and :meth:`infer_progressive` share: an open
+        runtime, a batched array of the plan's per-sample shape, finite
+        values.  A bad array raises ``ValueError``, which serve answers
+        as ``bad_request``."""
         if self._closed:
             raise BatcherClosedError("runtime is closed")
         x = np.asarray(x)
@@ -210,3 +215,8 @@ class InferenceRuntime:
                 f"per-sample shape {tuple(x.shape[1:])} does not match "
                 f"the plan's input shape {self.plan.input_shape}"
             )
+        if x.dtype.kind in "fc":
+            bad = x.size - int(np.count_nonzero(np.isfinite(x)))
+            if bad:
+                raise ValueError(
+                    f"input holds {bad} non-finite value(s) (NaN or inf)")

@@ -10,7 +10,13 @@ built to make it merely slow:
 simulated clocks.  A byte-packed reference path (8 clocks per op, the
 original implementation style) is kept selectable via ``kernel="byte"``
 or the ``REPRO_SC_KERNEL`` environment variable; both paths are
-bit-identical by construction and asserted so in tests.
+bit-identical by construction and asserted so in tests.  A planned
+split-unipolar matmul whose phase length ``L`` leaves a word at most
+half full (``1 <= L mod 64 <= 32``) and whose two phases encode the
+same lanes lays both phases end to end in one stream of ``2L`` clocks
+(:class:`SplitMatmulPlan`): one AND/OR/popcount pass and one encode
+gather serve both, and the down phase's bits are counted negatively by
+flipping them before the popcount.
 
 **Shared-lane activation encoding.**  One SNG lane per fan-in element,
 time-multiplexed across the output positions of a chunk — exactly how
@@ -116,7 +122,7 @@ def _quantize_targets(values: np.ndarray, bits: int) -> np.ndarray:
     return np.round(values * levels).astype(np.uint32)
 
 
-def _build_encode_table(scheme: str, bits: int, seed: int, lanes: int,
+def _build_encode_table(scheme: str, bits: int, seed, lanes: int,
                         length: int, offset: int = 0) -> np.ndarray:
     """Value -> word-packed stream table, ``(lanes, 2**bits + 1, W)``.
 
@@ -124,16 +130,19 @@ def _build_encode_table(scheme: str, bits: int, seed: int, lanes: int,
     emits for target ``v`` — identical bits to encoding ``v / 2**bits``
     directly, for every representable value at once.  ``offset`` builds
     the table for clock window ``[offset, offset + length)`` — the
-    continuation segment of a resumable evaluation.
+    continuation segment of a resumable evaluation.  A tuple ``seed``
+    builds the windows of its seeds end to end along time (see
+    :func:`_act_thresholds`).
     """
     with _Timed("encode:table"):
-        source = make_source(scheme, bits=bits, seed=seed)
-        thresholds = source.thresholds(lanes, length, offset=offset)
+        thresholds = _act_thresholds(scheme, bits, seed, lanes, length,
+                                     offset=offset)
+        span = thresholds.shape[-1]
         levels = 1 << bits
-        n_words = (length + 63) // 64
+        n_words = (span + 63) // 64
         table = np.empty((lanes, levels + 1, n_words), dtype=np.uint64)
         # Build in value slabs so the 0/1 temporary stays bounded.
-        slab = max(1, (16 << 20) // max(1, lanes * length))
+        slab = max(1, (16 << 20) // max(1, lanes * span))
         for v0 in range(0, levels + 1, slab):
             v = np.arange(v0, min(v0 + slab, levels + 1), dtype=np.uint32)
             table[:, v0:v0 + v.size] = pack_words(
@@ -146,7 +155,9 @@ class ActivationEncodeCache:
     """LRU cache of :func:`_build_encode_table` results.
 
     Keyed by ``(scheme, bits, seed, lanes, length, offset)`` —
-    everything the table is a pure function of.  The clock-window
+    everything the table is a pure function of; ``seed`` is a tuple of
+    phase seeds for the table of a packed split-unipolar plane, whose
+    streams carry one ``length``-clock window per seed.  The clock-window
     ``offset`` in the key keeps a continuation segment of a resumable
     run from ever aliasing the table of a from-zero run with the same
     length.  The per-chunk activation seed is part of the key, so a
@@ -171,7 +182,7 @@ class ActivationEncodeCache:
         self._pinned = set()
         self._lock = threading.Lock()
 
-    def table(self, scheme: str, bits: int, seed: int, lanes: int,
+    def table(self, scheme: str, bits: int, seed, lanes: int,
               length: int, offset: int = 0) -> np.ndarray:
         key = (scheme, bits, seed, lanes, length, offset)
         with self._lock:
@@ -257,10 +268,20 @@ class ActivationEncodeCache:
 ENCODE_CACHE = ActivationEncodeCache()
 
 
-def _act_thresholds(scheme: str, bits: int, seed: int, lanes: int,
+def _act_thresholds(scheme: str, bits: int, seed, lanes: int,
                     length: int, offset: int = 0) -> np.ndarray:
-    return make_source(scheme, bits=bits, seed=seed).thresholds(
-        lanes, length, offset=offset)
+    """Comparator thresholds of the activation SNG bank, ``(lanes,
+    n * length)``.
+
+    ``seed`` is one seed (``n = 1``) or a tuple of ``n`` phase seeds,
+    whose windows ``[offset, offset + length)`` are laid end to end
+    along time: the streams of a packed split-unipolar plane.
+    """
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    windows = [make_source(scheme, bits=bits, seed=s).thresholds(
+        lanes, length, offset=offset) for s in seeds]
+    return windows[0] if len(windows) == 1 else np.concatenate(windows,
+                                                               axis=-1)
 
 
 _ROTATION_MEMO = OrderedDict()
@@ -369,6 +390,11 @@ def _encode_chunk_words(values: np.ndarray, length: int, bits: int,
     holds only a subset of a chunk's rows — row ``i`` gets the exact
     lane assignment it would have at position ``positions[i]`` of a
     full-chunk encode.
+
+    A tuple ``seed`` encodes one ``length``-clock window per seed, end
+    to end along time (a packed split-unipolar plane; see
+    :func:`_act_thresholds`), so ``W`` covers ``len(seed) * length``
+    clocks.
     """
     lanes = values.shape[1]
     if lane_subset is not None and lane_subset.size == lanes:
@@ -742,7 +768,7 @@ def _lane_span(active, c0: int, c1: int, n_lanes: int) -> tuple:
 
 def _plane_blocks(active, n_lanes: int, n_chan: int, n_words: int,
                   block_bytes: int, channel_groups: int) -> list:
-    """Cut one phase's (channel, lane) weight plane into channel blocks.
+    """Cut one (channel, lane) weight plane into channel blocks.
 
     ``active`` is the ``(C, n_lanes)`` mask of nonzero weight words over
     the lanes the activation words carry, or ``None`` when every lane
@@ -796,41 +822,52 @@ def _row_step(rows: int, row_words: int, block_bytes: int) -> int:
     return _balanced(rows, _row_fit(row_words, block_bytes))
 
 
-def _run_tiles(out, a_words, w_words, blocks, *, op: str, sign: int,
-               block_bytes: int, scratch: np.ndarray, jit_or=None) -> int:
+def _run_tiles(out, a_words, plane, *, op: str, block_bytes: int,
+               scratch: np.ndarray, jit_or=None) -> int:
     """Accumulate one chunk's activation words into ``out`` (``(R, C)``).
 
     ``a_words`` is the chunk's ``(R, W, lanes)`` time-major activation
-    words and ``w_words`` the phase's ``(C, W, lanes)`` weight words.
-    Every block is tiled over the chunk's rows (:func:`_row_step`) and
-    each tile's products are formed in ``scratch`` (``out=``), so no
-    tile allocates its intermediate.  ``op`` is ``"or"`` (AND, OR over
-    lanes, popcount), ``"apc"`` (AND, popcount over lanes and words) or
-    ``"xnor"`` (the bipolar gated XNOR, formed as XOR against
-    pre-inverted weights, then OR and popcount).  ``jit_or`` replaces
-    the ``"or"`` reduction with a fused loop.  Returns the tiles run.
+    words for ``plane`` (a :class:`_Plane`).  Every block is tiled over
+    the chunk's rows (:func:`_row_step`) and each tile's products are
+    formed in ``scratch`` (``out=``), so no tile allocates its
+    intermediate.  ``op`` is ``"or"`` (AND, OR over lanes, popcount),
+    ``"apc"`` (AND, popcount over lanes and words) or ``"xnor"`` (the
+    bipolar gated XNOR, formed as XOR against pre-inverted weights, then
+    OR and popcount).  The counts enter ``out`` with the plane's
+    ``sign``; a packed plane's ``flip`` clocks (its down phase) are
+    inverted before the popcount instead, which then over-counts by
+    ``bias`` per reduced word row (per lane for APC), subtracted per
+    tile.  ``jit_or`` replaces the ``"or"`` reduction with a fused loop
+    that applies ``flip`` itself.  Returns the tiles run.
     """
     rows = a_words.shape[0]
     combine = np.bitwise_xor if op == "xnor" else np.bitwise_and
+    flip, bias = plane.flip, plane.bias
     tiles = 0
-    for c0, c1, lanes in blocks:
-        ww = w_words[c0:c1, :, lanes]
+    for c0, c1, lanes in plane.blocks:
+        ww = plane.w_words[c0:c1, :, lanes]
         step = _row_step(rows, ww.size, block_bytes)
         for r0 in range(0, rows, step):
             r1 = min(r0 + step, rows)
             aw = a_words[r0:r1, :, lanes]
             if jit_or is not None:
-                counts = jit_or(aw, ww)
+                counts = jit_or(aw, ww, flip)
             else:
                 prods = scratch[:(r1 - r0) * ww.size].reshape(
                     (r1 - r0,) + ww.shape)
                 combine(aw[:, None], ww[None], out=prods)
                 if op == "apc":
+                    if bias:
+                        np.bitwise_xor(prods, flip[:, None], out=prods)
                     counts = popcount_words(prods, axis=(-2, -1))
                 else:
-                    counts = popcount_words(
-                        np.bitwise_or.reduce(prods, axis=-1), axis=-1)
-            if sign > 0:
+                    acc = np.bitwise_or.reduce(prods, axis=-1)
+                    if bias:
+                        np.bitwise_xor(acc, flip, out=acc)
+                    counts = popcount_words(acc, axis=-1)
+            if bias:
+                counts -= bias * (ww.shape[-1] if op == "apc" else 1)
+            if plane.sign > 0:
                 out[r0:r1, c0:c1] += counts
             else:
                 out[r0:r1, c0:c1] -= counts
@@ -838,32 +875,70 @@ def _run_tiles(out, a_words, w_words, blocks, *, op: str, sign: int,
     return tiles
 
 
-class _Phase:
-    """One temporal phase of a planned matmul: its weight plane and the
-    channel blocks the plane is cut into."""
+def _window_words(packed: list, length: int) -> np.ndarray:
+    """Word-pack byte-packed ``length``-clock streams laid end to end
+    along time: stream ``i`` of ``packed`` fills clocks ``[i * length,
+    (i + 1) * length)``.  One stream, or streams of whole bytes,
+    concatenate byte-wise; others bit by bit."""
+    if len(packed) == 1 or length % 8 == 0:
+        return words_from_bytes(np.concatenate(packed, axis=-1))
+    return pack_words(np.concatenate(
+        [np.unpackbits(p, axis=-1, count=length) for p in packed],
+        axis=-1))
 
-    __slots__ = ("phase", "sign", "active", "union", "w_words",
-                 "select_words", "blocks")
 
-    def __init__(self, phase, sign, active, union, w_words, select_words):
-        self.phase = phase
-        self.sign = sign
+class _Plane:
+    """One weight plane of a planned matmul: the phases it lays along
+    time, its weight words and the channel blocks they are cut into.
+
+    ``windows`` names the phases whose ``length``-clock windows the
+    plane's streams carry end to end — ``(0,)`` or ``(1,)`` for one
+    phase, ``(0, 1)`` for a packed split-unipolar pair.  A lone phase
+    adds its counts with its ``sign`` (-1 for the down phase).  A packed
+    pair counts its down phase negatively within the one popcount:
+    ``flip`` (``(W,)`` words) marks the down-phase clocks, and with them
+    inverted the popcount reads ``up - down + bias``, ``bias`` being the
+    number of flipped clocks (``L``).  ``flip`` is all zero otherwise.
+    """
+
+    __slots__ = ("windows", "active", "union", "w_words", "select_words",
+                 "sign", "flip", "bias", "blocks")
+
+    def __init__(self, windows, active, union, w_words, select_words,
+                 length):
+        self.windows = windows
         self.active = active          # (C, |union|) bool; None: all lanes
         self.union = union            # encoded fan-in lanes; None: all
         self.w_words = w_words        # (C, W, lanes) time-major
         self.select_words = select_words    # (W, lanes) MUX gate or None
+        packed = len(windows) > 1
+        self.sign = -1 if windows == (1,) else 1
+        self.flip = pack_words(np.repeat(
+            [packed and phase == 1 for phase in windows], length))
+        self.bias = length if packed else 0
         self.blocks = []
+
+    def chunk_seed(self, seed: int, start: int):
+        """Activation SNG seed of the chunk starting at row ``start``:
+        one int per phase window, a tuple for a packed pair (the
+        :data:`ENCODE_CACHE` key of its concatenated table)."""
+        seeds = tuple(seed + 15_485_863 * (phase + 1) + 104_651 * start
+                      for phase in self.windows)
+        return seeds[0] if len(seeds) == 1 else seeds
 
 
 class _TiledMatmulPlan:
     """Row x channel tiler and executor shared by the planned matmuls.
 
-    A subclass fills ``phases`` and sets ``_op`` (see :func:`_run_tiles`)
-    and ``_section`` (the kernel-counter name).  Each call encodes its
-    activations chunk by chunk (``chunk_positions`` rows share one SNG
-    seed) and runs every phase's channel blocks (:func:`_plane_blocks`)
-    over the rows the chunk actually carries, so a 2-row call runs a
-    few wide tiles where a full chunk runs many.
+    A subclass fills ``phases`` with the weight planes it runs
+    (:class:`_Plane`; one per phase, or one carrying both phases of a
+    packed split-unipolar pass) and sets ``_op`` (see
+    :func:`_run_tiles`) and ``_section`` (the kernel-counter name).
+    Each call encodes its activations chunk by chunk
+    (``chunk_positions`` rows share one SNG seed per phase) and runs
+    every plane's channel blocks (:func:`_plane_blocks`) over the rows
+    the chunk actually carries, so a 2-row call runs a few wide tiles
+    where a full chunk runs many.
     """
 
     def __init__(self, shape: tuple, *, length, bits, scheme, seed,
@@ -891,7 +966,6 @@ class _TiledMatmulPlan:
         #: encoded at the same offset.
         self.bit_offset = bit_offset
         self.n_chan, self.fan_in = shape
-        self.n_words = (length + 63) // 64
 
     # -- tiling -------------------------------------------------------
 
@@ -909,21 +983,22 @@ class _TiledMatmulPlan:
                             else DEFAULT_BLOCK_BYTES)
         for ph in self.phases:
             ph.blocks = _plane_blocks(
-                ph.active, ph.w_words.shape[-1], self.n_chan, self.n_words,
-                self.block_bytes, self.channel_groups)
+                ph.active, ph.w_words.shape[-1], self.n_chan,
+                ph.w_words.shape[1], self.block_bytes, self.channel_groups)
+        # A packed plane ANDs each (channel, lane) pair for both phases.
         self.active_product_lanes = sum(
-            (c1 - c0) * (lanes.stop - lanes.start)
+            len(ph.windows) * (c1 - c0) * (lanes.stop - lanes.start)
             for ph in self.phases for c0, c1, lanes in ph.blocks)
         return self
 
     def _row_words(self) -> list:
         """One activation row's product words in each block, all
-        phases."""
-        return [(c1 - c0) * self.n_words * (lanes.stop - lanes.start)
+        planes."""
+        return [(c1 - c0) * ph.w_words.shape[1] * (lanes.stop - lanes.start)
                 for ph in self.phases for c0, c1, lanes in ph.blocks]
 
     def tile_count(self, rows: int) -> int:
-        """Tiles a call of ``rows`` rows (one chunk) runs, all phases."""
+        """Tiles a call of ``rows`` rows (one chunk) runs, all planes."""
         return sum(len(range(0, rows, _row_step(rows, words,
                                                 self.block_bytes)))
                    for words in self._row_words())
@@ -933,13 +1008,14 @@ class _TiledMatmulPlan:
     @property
     def encode_lanes_skipped(self) -> int:
         """Fan-in lanes never encoded, summed over phases."""
-        return sum(self.fan_in - ph.union.size for ph in self.phases
-                   if ph.union is not None)
+        return sum(len(ph.windows) * (self.fan_in - ph.union.size)
+                   for ph in self.phases if ph.union is not None)
 
     @property
     def dense_product_lanes(self) -> int:
-        """(channel, lane) AND pairs a dense kernel would clock."""
-        return len(self.phases) * self.n_chan * self.fan_in
+        """(phase, channel, lane) AND pairs a dense kernel would clock."""
+        return (sum(len(ph.windows) for ph in self.phases)
+                * self.n_chan * self.fan_in)
 
     @property
     def lanes_skipped_fraction(self) -> float:
@@ -964,7 +1040,8 @@ class _TiledMatmulPlan:
         (:mod:`repro.runtime.shm`) instead of paying the build in every
         pool process.  Keys match the cache-eligibility conditions of
         ``_encode_chunk_words`` exactly (cache on, ``bits <= 8``,
-        non-empty fan-in, a phase with blocks to run).
+        non-empty fan-in, a plane with blocks to run); a packed plane's
+        key carries the tuple of its phase seeds.
         """
         keys = []
         if not self.encode_cache or self.bits > 8 or self.fan_in == 0:
@@ -974,8 +1051,7 @@ class _TiledMatmulPlan:
                 continue
             for start in range(0, n_positions, self.chunk_positions):
                 keys.append((self.scheme, self.bits,
-                             self.seed + 15_485_863 * (ph.phase + 1)
-                             + 104_651 * start,
+                             ph.chunk_seed(self.seed, start),
                              self.fan_in, self.length, self.bit_offset))
         return keys
 
@@ -1045,8 +1121,7 @@ class _TiledMatmulPlan:
                 for sel, start, positions in chunks:
                     a_words = _encode_chunk_words(
                         values[sel], self.length, self.bits, self.scheme,
-                        seed=(self.seed + 15_485_863 * (ph.phase + 1)
-                              + 104_651 * start),
+                        seed=ph.chunk_seed(self.seed, start),
                         use_cache=self.encode_cache, lane_subset=subset,
                         offset=self.bit_offset, positions=positions,
                     )
@@ -1054,8 +1129,7 @@ class _TiledMatmulPlan:
                         np.bitwise_and(a_words, ph.select_words,
                                        out=a_words)
                     tiles += _run_tiles(
-                        counts[sel], a_words, ph.w_words, ph.blocks,
-                        op=self._op, sign=ph.sign,
+                        counts[sel], a_words, ph, op=self._op,
                         block_bytes=self.block_bytes, scratch=scratch,
                         jit_or=jit_or)
             active = self.active_product_lanes
@@ -1090,7 +1164,20 @@ class SplitMatmulPlan(_TiledMatmulPlan):
       exact no-ops for the OR, APC and MUX reductions;
     - tiles are sized from the rows a call carries, within the
       ``block_bytes`` budget, which :meth:`retile` lets a per-layer
-      autotuner pick from measurement.
+      autotuner pick from measurement;
+    - when both phases encode the same lanes and the phase length
+      leaves a word at most half full (``1 <= L mod 64 <= 32``, e.g. a
+      pooled conv's 32-clock pass), the two phases share one plane:
+      weight, MUX-select and activation words carry the up phase in
+      clocks ``[0, L)`` and the down phase in ``[L, 2L)``, so each chunk
+      is encoded with one gather (a table keyed by both phase seeds)
+      and one tile pass ANDs and reduces both.  The signed OR count is
+      ``popcount(acc ^ M) - L`` with ``M`` the down-phase clocks (APC:
+      the products are flipped, and ``L`` is subtracted per span lane).
+      Every other plan keeps one plane per phase, so lanes active in
+      one phase only are still skipped for the other.  The layout
+      follows from the weights and ``L`` alone; the counts are the same
+      either way.
 
     The optional ``jit_or`` argument to :meth:`execute` is a drop-in
     fused AND/OR/popcount inner loop (see :mod:`repro.simulator.jit`);
@@ -1125,26 +1212,32 @@ class SplitMatmulPlan(_TiledMatmulPlan):
             weight_streams = encode_split_weight_streams(
                 weights, length=length, bits=bits, scheme=scheme, seed=seed,
                 offset=bit_offset)
+        actives = [w_part > 0 for w_part, _ in weight_streams]
+        unions = [np.flatnonzero(a.any(axis=0)) for a in actives]
+        # One plane for both phases when 2L clocks fit fewer words than
+        # two L-clock windows and both phases encode the same lanes.
+        packed = 1 <= length % 64 <= 32 and np.array_equal(*unions)
         self.phases = []
-        for phase, (w_part, w_packed) in enumerate(weight_streams):
-            active = w_part > 0
-            union = np.flatnonzero(active.any(axis=0))
-            w_words = _time_major(words_from_bytes(w_packed))
+        for windows in ([(0, 1)] if packed else [(0,), (1,)]):
+            active = np.logical_or.reduce([actives[p] for p in windows])
+            union = unions[windows[0]]
+            w_words = _time_major(_window_words(
+                [weight_streams[p][1] for p in windows], length))
             select_words = None
             if accumulator == "mux":
-                select_words = _time_major(words_from_bytes(
-                    _mux_select_matrix(self.fan_in, length,
-                                       seed + 104_729 * (phase + 1),
-                                       offset=bit_offset)))
+                select_words = _time_major(_window_words(
+                    [_mux_select_matrix(self.fan_in, length,
+                                        seed + 104_729 * (p + 1),
+                                        offset=bit_offset)
+                     for p in windows], length))
             if union.size < self.fan_in:
                 w_words = np.ascontiguousarray(w_words[:, :, union])
                 active = np.ascontiguousarray(active[:, union])
                 if select_words is not None:
                     select_words = np.ascontiguousarray(
                         select_words[:, union])
-            self.phases.append(_Phase(
-                phase, 1 if phase == 0 else -1, active, union, w_words,
-                select_words))
+            self.phases.append(_Plane(windows, active, union, w_words,
+                                      select_words, length))
         self.retile(block_bytes)
 
     def execute(self, acts: np.ndarray, *, jit_or=None,
@@ -1152,8 +1245,10 @@ class SplitMatmulPlan(_TiledMatmulPlan):
         """Run the planned matmul; bit-identical to
         :func:`split_or_matmul_counts` on the same operands.
 
-        ``jit_or`` is an optional ``(aw, ww) -> (P, C) popcount`` fused
-        inner loop for the OR and MUX accumulators; ``record=False``
+        ``jit_or`` is an optional ``(aw, ww, flip) -> (P, C)`` fused
+        inner loop for the OR and MUX accumulators (the popcount of the
+        fan-in OR, ``flip`` XORed in; see :mod:`repro.simulator.jit`);
+        ``record=False``
         skips the kernel-counter accounting (autotune probes must not
         pollute the serving metrics).
         """
@@ -1212,9 +1307,10 @@ class BipolarMatmulPlan(_TiledMatmulPlan):
         select_words = _time_major(words_from_bytes(select))
         w_sel = (~_time_major(words_from_bytes(weight_stream))
                  & select_words[None, :, :])
-        # One phase, seeded like the split plan's first: the generic
+        # One plane, seeded like the split plan's up phase: the generic
         # kernel's bipolar chunk seed is the split up-phase formula.
-        self.phases = [_Phase(0, 1, None, None, w_sel, select_words)]
+        self.phases = [_Plane((0,), None, None, w_sel, select_words,
+                              length)]
         self.retile(block_bytes)
 
     def _values(self, acts: np.ndarray) -> np.ndarray:

@@ -16,9 +16,13 @@ numba-compiled version.  Everything here is strictly optional:
 
 The fused loop computes, for time-major word operands ``aw: (P, W, K)``
 and ``ww: (C, W, K)`` (both ``uint64``), the ``(P, C)`` popcount of the
-fan-in OR of the lane-wise ANDs — one output element per (position,
-channel) without materializing the ``(P, C, W, K)`` product tensor the
-numpy path broadcasts.
+fan-in OR of the lane-wise ANDs, XORed with the ``(W,)`` word mask
+``flip`` first — one output element per (position, channel) without
+materializing the ``(P, C, W, K)`` product tensor the numpy path
+broadcasts.  ``flip`` marks the down-phase clocks of a plane that
+packs both split-unipolar phases (all zero for any other plane; see
+:class:`~repro.simulator.engine.SplitMatmulPlan`), which the caller
+turns into a signed count by subtracting their number.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ def numba_available() -> bool:
     return True
 
 
-def _reference_or_popcount(aw: np.ndarray, ww: np.ndarray) -> np.ndarray:
+def _reference_or_popcount(aw: np.ndarray, ww: np.ndarray,
+                           flip: np.ndarray) -> np.ndarray:
     """The numpy inner loop the jitted one must reproduce bit for bit."""
     prods = aw[:, None, :, :] & ww[None, :, :, :]
-    acc = np.bitwise_or.reduce(prods, axis=-1)
+    acc = np.bitwise_or.reduce(prods, axis=-1) ^ flip
     return popcount_words(acc, axis=-1)
 
 
@@ -71,7 +76,7 @@ def _build_or_popcount():
     s56 = np.uint64(56)
 
     @numba.njit(cache=False, nogil=True)
-    def _or_popcount(aw, ww):  # pragma: no cover - needs numba
+    def _or_popcount(aw, ww, flip):  # pragma: no cover - needs numba
         n_pos, n_words, n_lanes = aw.shape
         n_chan = ww.shape[0]
         out = np.zeros((n_pos, n_chan), dtype=np.int64)
@@ -82,6 +87,7 @@ def _build_or_popcount():
                     acc = np.uint64(0)
                     for k in range(n_lanes):
                         acc |= aw[i, w, k] & ww[c, w, k]
+                    acc ^= flip[w]
                     # SWAR popcount of one 64-bit word.
                     acc -= (acc >> one) & m1
                     acc = (acc & m2) + ((acc >> two) & m2)
@@ -98,10 +104,12 @@ def _self_check(fn) -> bool:
     rng = np.random.default_rng(0x5EED)
     aw = rng.integers(0, 2**63, size=(5, 3, 17), dtype=np.uint64)
     ww = rng.integers(0, 2**63, size=(4, 3, 17), dtype=np.uint64)
+    flip = rng.integers(0, 2**63, size=3, dtype=np.uint64)
     # Include an all-ones word so the popcount's high bits are exercised.
     aw[0, 0, :] = np.uint64(0xFFFFFFFFFFFFFFFF)
     ww[0, 0, :] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.array_equal(fn(aw, ww), _reference_or_popcount(aw, ww))
+    return np.array_equal(fn(aw, ww, flip),
+                          _reference_or_popcount(aw, ww, flip))
 
 
 def or_popcount_loop():

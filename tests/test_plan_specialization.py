@@ -24,7 +24,9 @@ from repro.runtime import (BENCH_NETWORKS, ExecutionPlan, InferenceRuntime,
 from repro.runtime.specialize import GatherPlan
 from repro.simulator import SCConfig, SCNetwork
 from repro.simulator import jit as scjit
-from repro.simulator.engine import (BipolarMatmulPlan, SplitMatmulPlan,
+from repro.core.bitstream import unpack_words
+from repro.simulator.engine import (ActivationEncodeCache, BipolarMatmulPlan,
+                                    SplitMatmulPlan,
                                     bipolar_mux_matmul_counts,
                                     split_or_matmul_counts)
 from repro.training.im2col import im2col
@@ -140,6 +142,12 @@ def _zero_lanes(weights, pattern, groups, rng):
         return np.where(rng.random(weights.shape) < 0.7, 0.0, weights)
     if pattern == "all_zero":
         return np.zeros_like(weights)
+    if pattern == "one_signed":
+        # Every third lane carries positive weights only: it is encoded
+        # for the up phase and skipped for the down phase.
+        weights = weights.copy()
+        weights[:, ::3] = np.abs(weights[:, ::3])
+        return weights
     return weights
 
 
@@ -202,9 +210,10 @@ class TestRowChannelTiler:
                               plan.execute_rows(acts[rows], rows))
 
     def test_small_call_runs_few_wide_tiles(self):
-        # mnist_mlp's 784 -> 256 layer at its served phase length: a
-        # 2-row call fits each phase in at most 4 tiles at the default
-        # budget (a full-chunk schedule would cut it into 128 blocks).
+        # mnist_mlp's 784 -> 256 layer at its served phase length: both
+        # 16-clock phases share one packed plane, and a 2-row call fits
+        # it in at most 4 tiles at the default budget (a full-chunk
+        # schedule would cut each phase into 128 blocks).
         sc, shape = _network("mnist_mlp", phase_length=16)
         plan = ExecutionPlan(sc, shape, autotune_budget_s=0)
         kp = plan.specialization.plans[1]
@@ -212,9 +221,9 @@ class TestRowChannelTiler:
         assert kp.block_kib == SCConfig().block_kib
         acts = np.random.default_rng(0).random((2, 784))
         counters = _traced_counters(lambda: kp.matmul.execute(acts))
-        phases = sum(1 for ph in kp.matmul.phases if ph.blocks)
-        assert phases == 2
-        assert 0 < counters["tiles"] <= 4 * phases
+        planes = sum(1 for ph in kp.matmul.phases if ph.blocks)
+        assert planes == 1
+        assert 0 < counters["tiles"] <= 4 * planes
         assert counters["tiles"] == kp.matmul.tile_count(2)
 
     def test_execute_rows_records_skipped_bits(self):
@@ -232,13 +241,15 @@ class TestRowChannelTiler:
             3 * (plan.dense_product_lanes - plan.active_product_lanes) * 64
 
     def test_dense_blocks_and_their_whole_union(self):
-        # Random-sign dense weights: every wide block spans its phase
-        # union, so the only skipped pairs are never-encoded lanes.
+        # Random-sign dense weights: every wide block spans its plane's
+        # union (one packed plane at L=32 counts for both phases), so
+        # the only skipped pairs are never-encoded lanes.
         weights = np.random.default_rng(2).uniform(-1.0, 1.0, (64, 576))
         plan = SplitMatmulPlan(weights, length=32, bits=8, scheme="lfsr",
                                seed=1)
         assert plan.active_product_lanes == sum(
-            plan.n_chan * ph.union.size for ph in plan.phases)
+            len(ph.windows) * plan.n_chan * ph.union.size
+            for ph in plan.phases)
 
     @pytest.mark.parametrize("groups", [1, 2])
     def test_zero_channel_plans_return_empty_counts(self, groups):
@@ -252,6 +263,92 @@ class TestRowChannelTiler:
             assert plan.execute(acts).shape == (3, 0)
             assert plan.execute_rows(acts[:2], np.array([0, 5])).shape \
                 == (2, 0)
+
+
+# --------------------------------------------------------------------
+# Phase packing
+# --------------------------------------------------------------------
+
+class TestPhasePacking:
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_rows=st.integers(1, 19),
+           length=st.sampled_from([1, 7, 16, 31, 32, 33, 64, 65, 96, 100,
+                                   130]),
+           bit_offset=st.sampled_from([0, 5, 64]),
+           encode_cache=st.booleans(),
+           bits=st.sampled_from([8, 10]),
+           groups=st.sampled_from([1, 2]),
+           pattern=st.sampled_from(["none", "group_spans", "scattered",
+                                    "all_zero", "one_signed"]),
+           accumulator=st.sampled_from(["or", "apc", "mux"]))
+    @settings(max_examples=80, deadline=None)
+    def test_planes_match_generic(self, seed, n_rows, length, bit_offset,
+                                  encode_cache, bits, groups, pattern,
+                                  accumulator):
+        """Packed or not, ``execute`` and ``execute_rows`` equal the
+        per-phase generic kernel: every phase length around the word
+        and half-word edges, offset windows, cached and comparator
+        (bits > 8) encodes, row subsets across chunks, channel groups
+        and zero-lane patterns.  Both phases share one plane exactly
+        when they encode the same lanes and ``1 <= L mod 64 <= 32``."""
+        rng = np.random.default_rng(seed)
+        n_chan, fan_in = 3 * groups, 5 * groups
+        acts = rng.random((n_rows, fan_in))
+        weights = _zero_lanes(rng.uniform(-1.0, 1.0, (n_chan, fan_in)),
+                              pattern, groups, rng)
+        kwargs = dict(length=length, bits=bits, scheme="lfsr", seed=5,
+                      accumulator=accumulator, chunk_positions=8,
+                      encode_cache=encode_cache)
+        ref = split_or_matmul_counts(acts, weights, kernel="word",
+                                     start_bit=bit_offset, **kwargs)
+        plan = SplitMatmulPlan(weights, bit_offset=bit_offset,
+                               channel_groups=groups, **kwargs)
+        up, down = (np.flatnonzero((sign * weights > 0).any(axis=0))
+                    for sign in (1, -1))
+        packed = 1 <= length % 64 <= 32 and np.array_equal(up, down)
+        assert [ph.windows for ph in plan.phases] == \
+            ([(0, 1)] if packed else [(0,), (1,)])
+        if pattern == "one_signed":
+            assert len(plan.phases) == 2
+        assert np.array_equal(ref, plan.execute(acts))
+        rows = np.flatnonzero(rng.random(n_rows) < 0.6)
+        assert np.array_equal(ref[rows],
+                              plan.execute_rows(acts[rows], rows))
+
+    @pytest.mark.parametrize("length", [7, 32, 33, 100])
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_pair_table_concatenates_seed_tables(self, length, offset):
+        # The table a packed plane gathers from, keyed by its two phase
+        # seeds, holds each seed's window laid end to end along time.
+        cache = ActivationEncodeCache()
+        seeds = (11, 29)
+        pair = cache.table("lfsr", 8, seeds, 5, length, offset=offset)
+        assert pair.shape == (5, 257, (2 * length + 63) // 64)
+        parts = [unpack_words(cache.table("lfsr", 8, s, 5, length,
+                                          offset=offset), length)
+                 for s in seeds]
+        bits = unpack_words(pair, 64 * pair.shape[-1])
+        assert np.array_equal(bits[..., :2 * length],
+                              np.concatenate(parts, axis=-1))
+        assert not bits[..., 2 * length:].any()
+        assert cache.counters() == (0, 3)
+        assert cache.table("lfsr", 8, seeds, 5, length,
+                           offset=offset) is pair
+
+    def test_dense_pair_runs_one_plane_and_one_encode_per_chunk(self):
+        # Random-sign dense weights at L=32: both phases share one plane
+        # of one word, so a call gathers each chunk's activations once.
+        rng = np.random.default_rng(3)
+        weights = rng.uniform(-1.0, 1.0, (16, 40))
+        plan = SplitMatmulPlan(weights, length=32, bits=8, scheme="lfsr",
+                               seed=1, chunk_positions=8)
+        assert len(plan.phases) == 1
+        assert plan.phases[0].w_words.shape == (16, 1, 40)
+        assert plan.lanes_skipped_fraction == 0.0
+        acts = rng.random((20, 40))                 # three chunks
+        with obs.KERNEL_COUNTERS.scope() as scope:
+            plan.execute(acts)
+        assert scope.delta()["encode:act"][0] == 3
 
 
 # --------------------------------------------------------------------
@@ -451,3 +548,15 @@ class TestJitLayer:
         ref = plan.execute(acts)
         assert np.array_equal(
             ref, plan.execute(acts, jit_or=scjit._reference_or_popcount))
+        # Every lane carrying both signs, L=70 packs both phases into
+        # one plane (the fused loop applies the down-phase flip); L=100
+        # keeps one plane per phase.
+        mixed = np.abs(weights)
+        mixed[1::2] *= -1.0
+        for length, windows in ((70, [(0, 1)]), (100, [(0,), (1,)])):
+            plan = SplitMatmulPlan(mixed, length=length, bits=8,
+                                   scheme="lfsr", seed=2)
+            assert [ph.windows for ph in plan.phases] == windows
+            assert np.array_equal(
+                plan.execute(acts),
+                plan.execute(acts, jit_or=scjit._reference_or_popcount))

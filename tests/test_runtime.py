@@ -163,6 +163,24 @@ class TestInferenceRuntime:
         with pytest.raises(RuntimeError):
             runtime.infer(rng.uniform(0, 1, (1,) + SHAPE))   # closed
 
+    def test_non_finite_input_rejected(self, rng):
+        # A NaN pixel used to reach the encode-table gather and fail as
+        # an IndexError; every entry point now rejects it up front.
+        builder, shape = BENCH_NETWORKS["mnist_mlp"]
+        sc = SCNetwork.from_trained(builder(seed=0),
+                                    SCConfig(phase_length=8))
+        x = rng.uniform(0, 1, (2,) + shape)
+        x[1, 0, 5, 5] = np.nan
+        with InferenceRuntime(sc, shape) as runtime:
+            for entry in (runtime.infer, runtime.submit,
+                          runtime.infer_progressive):
+                with pytest.raises(ValueError, match="1 non-finite"):
+                    entry(x)
+            x[0, 0, 0, :3] = [np.inf, -np.inf, np.nan]
+            with pytest.raises(ValueError, match="4 non-finite"):
+                runtime.infer(x)
+            assert runtime.snapshot().requests == 0
+
     def test_metrics_snapshot(self, rng):
         _, sc = tiny_network()
         x = rng.uniform(0, 1, (4,) + SHAPE)

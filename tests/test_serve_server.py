@@ -87,6 +87,30 @@ class TestPredict:
         assert not response["ok"]
         assert response["error"] == "bad_request"
 
+    def test_nan_input_is_bad_request(self):
+        # NaN survives the JSON frame; the runtime's input boundary
+        # turns it into a typed bad_request, plain or progressive.
+        x = _x(2)
+        x[1, 0, 5, 5] = np.nan
+
+        async def run():
+            async with Server(_config()) as server:
+                async with Client("127.0.0.1", server.port) as client:
+                    plain = await client.predict_raw("mnist_mlp", x)
+                    prog = await client.predict_raw(
+                        "mnist_mlp", x,
+                        progressive={"start_phase_length": 2})
+                    metrics = await client.metrics()
+                    return plain, prog, metrics
+
+        plain, prog, metrics = asyncio.run(run())
+        for response in (plain, prog):
+            assert not response["ok"]
+            assert response["error"] == "bad_request"
+            assert "1 non-finite" in response["detail"]
+        assert metrics["server"]["bad_requests"] == 2
+        assert metrics["server"]["errors"] == 0
+
     def test_unknown_message_type_is_bad_request(self):
         async def run():
             async with Server(_config()) as server:
