@@ -587,9 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--shard", type=int, default=4,
                            help="samples per worker shard")
     serve_cmd.add_argument("--max-batch", type=int, default=16,
-                           help="dynamic batcher flush size")
+                           help="most samples in one batcher wave; a "
+                                "wave flushes once every worker has a "
+                                "full shard")
     serve_cmd.add_argument("--max-wait", type=float, default=0.002,
-                           help="dynamic batcher flush window [s]")
+                           help="longest batcher wait for a wave that "
+                                "does not fill the workers [s]")
     serve_cmd.add_argument("--progressive-start", type=int, default=16,
                            help="default anytime-inference starting "
                                 "length for 'progressive: true' requests")

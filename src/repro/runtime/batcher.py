@@ -2,9 +2,13 @@
 
 Callers submit ``(n, C, H, W)`` arrays and get a
 :class:`concurrent.futures.Future` back.  A collector thread drains the
-queue and flushes a wave when either ``max_batch`` samples are pending
+queue and flushes a wave when either ``flush_at`` samples are pending
 or the oldest request has waited ``max_wait_s`` — the classic
-latency/throughput window of serving systems.
+latency/throughput window of serving systems; a wave stops taking
+requests once it holds ``max_batch`` samples.
+:class:`~repro.runtime.InferenceRuntime` sets ``flush_at`` to the
+samples that give every worker one full shard: shards never span
+requests, so a wave that already does gains nothing by waiting.
 
 Coalescing is a *scheduling* decision only: the processor receives the
 original per-request arrays (the worker pool shards each request
@@ -54,20 +58,24 @@ class DynamicBatcher:
         ``process(list_of_arrays) -> list_of_results``; called on the
         collector thread with one array per coalesced request.
     max_batch:
-        Flush as soon as this many samples are queued.
+        A wave stops taking requests once it holds this many samples.
     max_wait_s:
         Flush a non-empty queue after the oldest request has waited this
-        long, even if the batch is not full.
+        long, even if fewer than ``flush_at`` samples are pending.
+    flush_at:
+        Flush as soon as this many samples are queued; defaults to
+        ``max_batch``.
     metrics:
         Optional :class:`RuntimeMetrics`; records queue depth, waits and
         batch counts.
     """
 
     def __init__(self, process, max_batch: int, max_wait_s: float,
-                 metrics: RuntimeMetrics = None):
+                 metrics: RuntimeMetrics = None, flush_at: int = None):
         self._process = process
         self._max_batch = max_batch
         self._max_wait_s = max_wait_s
+        self.flush_at = max_batch if flush_at is None else flush_at
         self._metrics = metrics
         self._queue = deque()
         self._lock = threading.Lock()
@@ -137,7 +145,7 @@ class DynamicBatcher:
                     pending = sum(r.x.shape[0] for r in self._queue)
                     oldest = self._queue[0].enqueued_at
                     now = time.perf_counter()
-                    if (self._closed or pending >= self._max_batch
+                    if (self._closed or pending >= self.flush_at
                             or now - oldest >= self._max_wait_s):
                         wave = []
                         samples = 0

@@ -43,10 +43,14 @@ class RuntimeConfig:
         and the SC configuration, so any worker count — or the serial
         backend — produces bit-identical results for the same input.
     max_batch:
-        Dynamic batcher window: flush once this many samples are queued.
+        Dynamic batcher window: a wave stops taking requests once it
+        holds this many samples.  The batcher flushes as soon as
+        ``min(max_batch, workers * shard_size)`` samples are queued (the
+        serial backend counts one worker): that gives every worker a
+        full shard, so waiting for more would only add queue time.
     max_wait_s:
         Dynamic batcher window: flush a non-empty queue after this long
-        even if ``max_batch`` was not reached.
+        even if it holds fewer samples than the flush threshold above.
     fallback:
         One of :data:`FALLBACKS`.
     trace:

@@ -75,11 +75,15 @@ class InferenceRuntime:
             )
         self.pool = WorkerPool(self.plan, self.config, self.metrics,
                                reference=reference, name=name)
+        # One full shard per worker is the most a wave can use at once.
+        workers = 1 if self.config.backend == "serial" else self.config.workers
         self.batcher = DynamicBatcher(
             self.pool.execute_many,
             max_batch=self.config.max_batch,
             max_wait_s=self.config.max_wait_s,
             metrics=self.metrics,
+            flush_at=min(self.config.max_batch,
+                         workers * self.config.shard_size),
         )
         self._closed = False
 
@@ -99,9 +103,11 @@ class InferenceRuntime:
     def submit(self, x: np.ndarray):
         """Asynchronous inference; returns a Future of the logits.
 
-        Requests are coalesced by the dynamic batcher into waves of at
-        most ``max_batch`` samples (or after ``max_wait_s``), then
-        sharded per request — coalescing never changes a request's bits.
+        Requests are coalesced by the dynamic batcher into waves
+        (capped at ``max_batch`` samples), flushed once every worker has
+        a full shard (``workers * shard_size`` samples) or after
+        ``max_wait_s``, then sharded per request — coalescing never
+        changes a request's bits.
         """
         self._check_input(x)
         return self.batcher.submit(x)

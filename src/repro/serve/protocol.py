@@ -9,10 +9,9 @@ concern: open more connections).
 Request types (the ``type`` field):
 
 ``predict``
-    ``{"type": "predict", "model": name, "x": nested lists or
-    encode_array() dict, "id": opt, "client": opt, "deadline_s": opt,
-    "progressive": opt}``
-    -> ``{"ok": true, "id": ..., "logits": [...], "argmax": [...],
+    ``{"type": "predict", "model": name, "x": array, "id": opt,
+    "client": opt, "deadline_s": opt, "progressive": opt}``
+    -> ``{"ok": true, "id": ..., "logits": array, "argmax": [...],
     "latency_s": ...}`` or a shed/error response (below).
     ``progressive`` opts into anytime inference: ``true`` for the
     server's default policy or an object overriding
@@ -28,6 +27,13 @@ Request types (the ``type`` field):
 ``ping``
     -> ``{"ok": true, "type": "pong"}`` — liveness / drain probe.
 
+Arrays travel as ``{"shape": [...], "b64": ...}`` (:func:`encode_array`):
+the base64 text of the row-major little-endian float64 bytes.  A
+request's ``x`` may instead be nested lists of numbers, the form to
+write by hand; every response array uses the object form.  A malformed
+array or frame raises :class:`ProtocolError`, which the server answers
+with ``bad_request``.
+
 Failure responses carry ``"ok": false`` plus ``"error"``: ``"shed"``
 (with ``"reason"``: ``queue_full`` / ``quota`` / ``draining``),
 ``"deadline"``, ``"bad_request"``, or ``"internal"``.  Shed and
@@ -38,7 +44,9 @@ stays usable and the client is expected to back off.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
+import math
 import struct
 
 import numpy as np
@@ -52,38 +60,67 @@ _HEADER = struct.Struct(">I")
 #: as corrupt (or hostile) framing rather than an allocation request.
 MAX_MESSAGE_BYTES = 32 << 20
 
+#: Array shape limits: numpy 2's rank limit and its signed 64-bit
+#: extent.  They also keep ``math.prod`` of a hostile shape, and the
+#: error text that prints it, small.
+_MAX_DIMS = 64
+_MAX_EXTENT = 2**63 - 1
+
 
 class ProtocolError(RuntimeError):
-    """Malformed framing or JSON on the wire."""
+    """Malformed framing, JSON or array on the wire."""
 
 
-def encode_array(x: np.ndarray) -> dict:
-    """JSON-encodable ``{"shape": [...], "data": flat list}`` form.
+def encode_array(x) -> dict:
+    """JSON-encodable ``{"shape": [...], "b64": ...}`` form of ``x``.
 
-    Flat row-major data avoids the deep nesting of ``tolist()`` for
-    high-rank activation tensors and round-trips exactly for float64.
+    ``b64`` is the base64 text of the array's row-major little-endian
+    float64 bytes: exact for every float64 (NaN payloads, -0.0 and
+    subnormals included) and, unlike a JSON float list, cheap to
+    produce and parse.  Other dtypes travel as their float64 values.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return {"shape": list(x.shape), "data": x.reshape(-1).tolist()}
+    x = np.asarray(x, dtype="<f8")
+    return {"shape": list(x.shape),
+            "b64": base64.b64encode(x.tobytes()).decode("ascii")}
 
 
 def decode_array(obj) -> np.ndarray:
-    """Inverse of :func:`encode_array`; nested lists also accepted."""
+    """Inverse of :func:`encode_array`; nested lists also accepted.
+
+    Returns a writable C-contiguous float64 array.  Any malformed input
+    raises :class:`ProtocolError`.
+    """
     if isinstance(obj, dict):
-        try:
-            shape = tuple(int(d) for d in obj["shape"])
-            data = obj["data"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed array object: {exc}") from exc
-        arr = np.asarray(data, dtype=np.float64)
-        try:
-            return arr.reshape(shape)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
+        return _decode_array_object(obj)
     try:
         return np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"not an array: {exc}") from exc
+
+
+def _decode_array_object(obj: dict) -> np.ndarray:
+    shape, text = obj.get("shape"), obj.get("b64")
+    if not (isinstance(shape, list) and len(shape) <= _MAX_DIMS and all(
+            type(d) is int and 0 <= d <= _MAX_EXTENT for d in shape)):
+        raise ProtocolError(
+            f"array 'shape' must be a list of at most {_MAX_DIMS} "
+            f"integers in [0, 2**63)")
+    if not isinstance(text, str):
+        raise ProtocolError("array object needs a base64 'b64' string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ProtocolError(f"array 'b64' is not base64: {exc}") from exc
+    count = math.prod(shape)
+    if len(raw) != 8 * count:
+        raise ProtocolError(
+            f"array 'b64' holds {len(raw)} bytes; shape {shape} needs "
+            f"{8 * count}")
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    try:
+        return values.reshape(shape)
+    except ValueError as exc:
+        raise ProtocolError(f"bad array shape {shape}: {exc}") from exc
 
 
 async def read_message(reader: asyncio.StreamReader) -> dict:
@@ -101,6 +138,8 @@ async def read_message(reader: asyncio.StreamReader) -> dict:
         message = json.loads(payload)
     except ValueError as exc:
         raise ProtocolError(f"invalid JSON frame: {exc}") from exc
+    except RecursionError as exc:
+        raise ProtocolError("JSON frame nests too deeply") from exc
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
     return message

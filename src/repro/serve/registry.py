@@ -135,6 +135,26 @@ class ModelRegistry:
                           for name, runtime in items}
         return info
 
+    def resident(self, name: str):
+        """The runtime for ``name`` if it is loaded, else ``None``.
+
+        Never compiles, so an event loop may call it: it takes the same
+        lock, LRU touch and closed check as :meth:`get`, which remains
+        the path for a miss.  Raises ``RuntimeError`` once the registry
+        is closed.
+        """
+        with self._lock:
+            return self._touch(name)
+
+    def _touch(self, name: str):
+        """Resident lookup with LRU refresh; the caller holds the lock."""
+        if self._closed:
+            raise RuntimeError("model registry is closed")
+        runtime = self._loaded.get(name)
+        if runtime is not None:
+            self._loaded.move_to_end(name)
+        return runtime
+
     def get(self, name: str) -> InferenceRuntime:
         """The runtime for ``name``, compiling and/or evicting as needed.
 
@@ -148,11 +168,8 @@ class ModelRegistry:
             )
         while True:
             with self._lock:
-                if self._closed:
-                    raise RuntimeError("model registry is closed")
-                runtime = self._loaded.get(name)
+                runtime = self._touch(name)
                 if runtime is not None:
-                    self._loaded.move_to_end(name)
                     return runtime
                 pending = self._building.get(name)
                 if pending is None:

@@ -7,15 +7,20 @@ bound) and an ``asyncio.start_server`` front end speaking the
 length-prefixed JSON protocol.  Request flow::
 
     conn -> read_message -> admission (draining/quota/depth)
-         -> registry.get(model) -> runtime.submit(x)   [DynamicBatcher]
-         -> await Future (deadline => cancel)          [WorkerPool]
-         -> write_message(logits | shed | error)
+         -> decode_array(x)                           [base64 float64]
+         -> registry.resident(model)                  [on the loop]
+            | to_thread(registry.get(model))          [miss: compile]
+         -> runtime.submit(x)                         [DynamicBatcher]
+         -> await Future (deadline => cancel)         [WorkerPool]
+         -> write_message(encode_array(logits) | shed | error)
 
-Everything compute-bound stays on the runtime's worker threads; the
-event loop only frames messages and awaits futures, so thousands of
-idle connections are cheap.  Deadlines cancel the queued request — when
-cancellation wins the race to the batcher flush, the samples are never
-computed (see ``DynamicBatcher._flush``).
+Everything compute-bound stays on the runtime's worker threads, and a
+plan compile (a registry miss) on a helper thread.  The event loop only
+frames messages, converts base64 arrays, looks up resident models and
+awaits futures, so thousands of idle connections are cheap.  Deadlines
+cancel the queued request — when cancellation wins the race to the
+batcher flush, the samples are never computed (see
+``DynamicBatcher._flush``).
 
 Graceful drain (:meth:`Server.drain`): stop accepting connections, shed
 every new ``predict`` with reason ``"draining"``, wait for the admitted
@@ -208,7 +213,11 @@ class Server:
             return {"ok": False, "error": "bad_request", "id": rid,
                     "detail": str(exc)}
         try:
-            runtime = await asyncio.to_thread(self.registry.get, model)
+            # A resident model is a dict lookup; only a miss compiles a
+            # plan, which must stay off the event loop.
+            runtime = self.registry.resident(model)
+            if runtime is None:
+                runtime = await asyncio.to_thread(self.registry.get, model)
         except (KeyError, TypeError) as exc:
             self.counters["bad_requests"] += 1
             return {"ok": False, "error": "bad_request", "id": rid,

@@ -116,7 +116,8 @@ _Timed = obs.kernel_section
 def _quantize_targets(values: np.ndarray, bits: int) -> np.ndarray:
     """Comparator targets (integer thresholds-to-beat) for ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size and (values.min() < 0 or values.max() > 1):
+    # Written so NaN fails it: every comparison with NaN is False.
+    if values.size and not (values.min() >= 0 and values.max() <= 1):
         raise ValueError("probabilities must lie in [0, 1]")
     levels = 1 << bits
     return np.round(values * levels).astype(np.uint32)

@@ -312,6 +312,41 @@ class TestDynamicBatcher:
         assert snap.stage_seconds["queue"] >= 0
 
 
+class TestFlushThreshold:
+    """The runtime's batcher flushes as soon as every worker has a full
+    shard; ``max_wait_s`` only bounds the waves that do not."""
+
+    def test_full_shard_per_worker_flushes_at_once(self, rng):
+        _, sc = tiny_network()
+        config = RuntimeConfig(workers=2, shard_size=2, max_wait_s=60)
+        x = rng.uniform(0, 1, (4,) + SHAPE)
+        with InferenceRuntime(sc, SHAPE, config=config) as runtime:
+            logits = runtime.submit(x).result(timeout=10)
+            assert np.array_equal(logits, runtime.infer(x))
+
+    def test_short_wave_still_waits(self, rng):
+        _, sc = tiny_network()
+        config = RuntimeConfig(workers=2, shard_size=2, max_wait_s=60)
+        runtime = InferenceRuntime(sc, SHAPE, config=config)
+        future = runtime.submit(rng.uniform(0, 1, (1,) + SHAPE))
+        time.sleep(0.2)
+        assert not future.done()
+        runtime.close()   # close flushes the parked request
+        assert future.result(timeout=10).shape == (1, 4)
+
+    def test_threshold_per_backend(self, rng):
+        _, sc = tiny_network()
+        cases = [({"backend": "serial", "workers": 4}, 2),
+                 ({"backend": "thread", "workers": 4}, 8),
+                 ({"backend": "thread", "workers": 4, "max_batch": 6}, 6)]
+        for kwargs, flush_at in cases:
+            config = RuntimeConfig(shard_size=2, max_wait_s=60, **kwargs)
+            with InferenceRuntime(sc, SHAPE, config=config) as runtime:
+                assert runtime.batcher.flush_at == flush_at
+                x = rng.uniform(0, 1, (flush_at,) + SHAPE)
+                runtime.submit(x).result(timeout=10)
+
+
 class TestBench:
     def test_registry_networks_exist(self):
         assert set(BENCH_NETWORKS) == {

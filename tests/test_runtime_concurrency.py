@@ -6,6 +6,7 @@ in-flight waves, respawn racing traffic) actually occur rather than
 being timing lottery wins.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -174,6 +175,46 @@ class TestRegistryConcurrency:
             assert not errors
             for out in outputs:
                 np.testing.assert_array_equal(out, expected)
+
+    def test_resident_lookups_race_loads_and_evictions(self, fast_zoo):
+        """The server's event-loop lookup (``resident``) racing
+        ``get``'s loads and LRU evictions on other threads: no
+        exception, and the load/eviction books balance."""
+        n_threads, iterations = 4, 12
+        start = threading.Barrier(n_threads)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ModelRegistry(warm=(), max_loaded=1, phase_length=4,
+                               runtime_config=RuntimeConfig(
+                                   backend="serial", autotune_budget_s=0),
+                               ) as registry:
+                def hammer(i):
+                    try:
+                        start.wait(timeout=60)
+                        for step in range(iterations):
+                            name = fast_zoo[(i + step) % len(fast_zoo)]
+                            for _ in range(20):
+                                registry.resident(name)
+                            if i % 2 == 0:
+                                registry.get(name)
+                    except Exception as exc:  # noqa: BLE001 - collected
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=hammer, args=(i,))
+                           for i in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors
+                assert registry.evictions > 0
+                assert (registry.loads - registry.evictions
+                        == len(registry.loaded()) == 1)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.slow
     def test_stress_threads_and_process_pool(self, fast_zoo):

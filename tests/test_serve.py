@@ -6,11 +6,15 @@ live in ``tests/test_serve_server.py``.
 """
 
 import asyncio
+import base64
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.runtime import RuntimeConfig
 from repro.serve import (AdmissionController, ModelRegistry, ProtocolError,
@@ -19,12 +23,88 @@ from repro.serve import (AdmissionController, ModelRegistry, ProtocolError,
 from repro.serve import registry as registry_mod
 
 
+#: Bit patterns the codec must carry exactly: both zeros, the smallest
+#: and largest subnormals, +-max, +-inf, a quiet and a signalling NaN
+#: with payloads, and a sign-set NaN.
+_SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x0000000000000001,
+    0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF,
+    0xFFEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000001, 0x7FF0000000000DEF, 0xFFF8000000000000,
+]
+
+_float64_bits = hnp.arrays(
+    np.uint64,
+    hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+    elements=st.one_of(st.sampled_from(_SPECIAL_BITS),
+                       st.integers(0, 2**64 - 1)),
+)
+
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False) | st.text(max_size=8))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=12,
+)
+#: Objects shaped like the array form (or the removed float-list form),
+#: so most draws reach the decoder past the key lookup.
+_array_objects = st.fixed_dictionaries({
+    "shape": st.lists(st.integers(-2, 2**66) | _json_scalars, max_size=4)
+             | st.lists(st.integers(0, 10**4200), max_size=4)
+             | _json_values,
+    "b64": st.binary(max_size=24).map(
+               lambda b: base64.b64encode(b).decode("ascii"))
+           | st.text("ABCDEFabcdef0123456789+/=\n -", max_size=24)
+           | _json_values,
+}, optional={"data": _json_values})
+
+
+def _wire(obj):
+    return json.loads(json.dumps(obj))
+
+
 class TestArrayCodec:
     def test_round_trip_exact(self):
         x = np.random.default_rng(0).uniform(-1, 1, (3, 1, 4, 4))
         out = decode_array(json.loads(json.dumps(encode_array(x))))
         np.testing.assert_array_equal(out, x)
         assert out.dtype == np.float64
+
+    @given(_float64_bits)
+    def test_round_trip_is_bit_exact(self, bits):
+        x = bits.view(np.float64)
+        out = decode_array(_wire(encode_array(x)))
+        assert out.shape == x.shape
+        assert out.dtype == np.float64
+        assert out.flags.c_contiguous and out.flags.writeable
+        np.testing.assert_array_equal(out.view(np.uint64), bits)
+
+    def test_wire_form_is_base64_little_endian(self):
+        x = np.array([[1.0, -2.5]])
+        assert encode_array(x) == {
+            "shape": [1, 2],
+            "b64": base64.b64encode(
+                struct.pack("<2d", 1.0, -2.5)).decode("ascii"),
+        }
+
+    @pytest.mark.parametrize("x", [
+        np.arange(6, dtype=np.float32).reshape(2, 3) / 3,
+        np.arange(-3, 3, dtype=np.int64),
+        np.array([True, False, True]),
+        np.arange(12.0).reshape(3, 4).T,            # not C-contiguous
+        np.arange(4.0).astype(">f8"),               # big-endian
+        [[0.5, 0.25], [1.0, 0.0]],
+        7.5,
+    ])
+    def test_other_inputs_encode_as_float64_values(self, x):
+        expected = np.asarray(x, dtype=np.float64)
+        out = decode_array(_wire(encode_array(x)))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      expected.view(np.uint64))
 
     def test_nested_lists_accepted(self):
         np.testing.assert_array_equal(
@@ -40,6 +120,40 @@ class TestArrayCodec:
             decode_array({"shape": "nope"})
         with pytest.raises(ProtocolError):
             decode_array("just a string")
+
+    @pytest.mark.parametrize("obj", [
+        {"shape": [1e400], "data": []},             # removed float-list form
+        {"shape": [784], "data": "ab"},
+        {"shape": [1e400], "b64": ""},              # overflowing dim
+        {"shape": [2**70, 0], "b64": ""},
+        {"shape": [2**63], "b64": ""},
+        {"shape": [10**4000, 10**4000], "b64": ""},  # 8001-digit product
+        {"shape": [784.0], "b64": ""},              # non-integer dims
+        {"shape": ["3"], "b64": ""},
+        {"shape": [True], "b64": ""},
+        {"shape": [-1], "b64": ""},                 # negative dim
+        {"shape": [1] * 65, "b64": "AAAAAAAAAAA="},  # rank beyond numpy's
+        {"shape": [784], "b64": "ab"},              # bad padding
+        {"shape": [2], "b64": "AAAAAAAAAAA="},      # 8 bytes, needs 16
+        {"shape": [1], "b64": "AAAA AAAAAAA="},     # non-base64 characters
+        {"shape": [1], "b64": "AAAAAAAAAAé="},
+        {"shape": [1], "b64": 5},
+        {"shape": [1]},
+        [[1.0], [1.0, 2.0]],                        # ragged
+        [10**400],                                  # overflows float64
+        [{"a": 1}],
+    ])
+    def test_malformed_arrays_are_protocol_errors(self, obj):
+        with pytest.raises(ProtocolError):
+            decode_array(obj)
+
+    @given(_json_values | _array_objects)
+    def test_fuzz_only_protocol_errors_escape(self, obj):
+        try:
+            out = decode_array(obj)
+        except ProtocolError:
+            return
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
 
 
 class _CollectingWriter:
@@ -64,6 +178,21 @@ def _feed_reader(data: bytes) -> asyncio.StreamReader:
     reader.feed_data(data)
     reader.feed_eof()
     return reader
+
+
+def _frame(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+_json_like = st.text('[]{}":,0123456789eE.-+ nulltruefalseé\\',
+                     max_size=48).map(str.encode)
+_nested = st.integers(0, 3000).flatmap(lambda n: st.sampled_from([
+    b"[" * n + b"]" * n,
+    b'{"a":' * n + b"1" + b"}" * n,
+    b"[" * n,
+]))
+_frames = (st.binary(max_size=48)
+           | st.builds(_frame, _json_like | _nested | st.binary(max_size=48)))
 
 
 class TestFraming:
@@ -98,6 +227,25 @@ class TestFraming:
             frame = struct.pack(">I", len(payload)) + payload
             with pytest.raises(ProtocolError, match="object"):
                 await read_message(_feed_reader(frame))
+
+        asyncio.run(run())
+
+    def test_deeply_nested_frame_rejected(self):
+        # 100 KB of '[' overflows the JSON parser's recursion limit.
+        async def run():
+            with pytest.raises(ProtocolError, match="nests too deeply"):
+                await read_message(_feed_reader(_frame(b"[" * 100_000)))
+
+        asyncio.run(run())
+
+    @given(_frames)
+    def test_fuzz_only_protocol_errors_escape(self, data):
+        async def run():
+            try:
+                message = await read_message(_feed_reader(data))
+            except (ProtocolError, asyncio.IncompleteReadError):
+                return
+            assert isinstance(message, dict)
 
         asyncio.run(run())
 
@@ -220,6 +368,21 @@ class TestModelRegistry:
             registry.get("zoo_b")
             with pytest.raises(BatcherClosedError):
                 first.infer(np.zeros((1, 1, 28, 28)))
+
+    def test_resident_never_loads_but_refreshes_lru(self, fast_zoo):
+        with ModelRegistry(warm=(), max_loaded=2,
+                           phase_length=4) as registry:
+            assert registry.resident("zoo_a") is None
+            assert registry.loaded() == ()
+            first = registry.get("zoo_a")
+            registry.get("zoo_b")
+            assert registry.resident("zoo_a") is first   # zoo_a now MRU
+            assert registry.resident("not_a_network") is None
+            registry.get("zoo_c")                        # evicts zoo_b
+            assert set(registry.loaded()) == {"zoo_a", "zoo_c"}
+            assert registry.loads == 3
+        with pytest.raises(RuntimeError, match="closed"):
+            registry.resident("zoo_a")
 
     def test_unknown_model_raises_keyerror(self):
         registry = ModelRegistry(warm=(), max_loaded=1)

@@ -7,13 +7,16 @@ protocol, exactly as production traffic would.
 """
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
 
 from repro.networks import mnist_mlp
 from repro.runtime import InferenceRuntime, RuntimeConfig
-from repro.serve import Client, ServeConfig, Server
+from repro.serve import (Client, ModelRegistry, ServeConfig, Server,
+                         decode_array, read_message)
+from repro.serve import registry as registry_mod
 from repro.simulator import SCConfig, SCNetwork
 
 PHASE = 4
@@ -133,6 +136,90 @@ class TestPredict:
 
         responses = asyncio.run(run())
         assert all(r["ok"] for r in responses)
+
+
+class TestMalformedInput:
+    """Malformed arrays and frames answer ``bad_request``; none may
+    escape as an exception that kills the connection handler."""
+
+    @pytest.mark.parametrize("x", [
+        {"shape": [1e400], "data": []},
+        {"shape": [784], "data": "ab"},
+        {"shape": [1e400], "b64": ""},
+        {"shape": [784], "b64": "ab"},
+    ])
+    def test_bad_array_then_same_connection_serves(self, x):
+        async def run():
+            async with Server(_config()) as server:
+                async with Client("127.0.0.1", server.port) as client:
+                    bad = await client.request(
+                        {"type": "predict", "model": "mnist_mlp", "x": x})
+                    good = await client.predict_raw("mnist_mlp", _x(1))
+                    metrics = await client.metrics()
+                    return bad, good, metrics
+
+        bad, good, metrics = asyncio.run(run())
+        assert bad["ok"] is False and bad["error"] == "bad_request"
+        assert good["ok"], good
+        assert metrics["server"]["bad_requests"] == 1
+        assert metrics["server"]["errors"] == 0
+
+    def test_deeply_nested_frame_is_bad_request(self):
+        async def run():
+            async with Server(_config()) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                payload = b"[" * 100_000
+                writer.write(struct.pack(">I", len(payload)) + payload)
+                response = await read_message(reader)
+                eof = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                async with Client("127.0.0.1", server.port) as client:
+                    metrics = await client.metrics()
+                return response, eof, metrics
+
+        response, eof, metrics = asyncio.run(run())
+        assert response["ok"] is False
+        assert response["error"] == "bad_request"
+        assert eof == b""   # framing is lost: the server hangs up
+        assert metrics["server"]["bad_requests"] == 1
+
+
+class TestRegistryLookup:
+    def test_warm_model_skips_get_and_cold_model_loads(self, monkeypatch):
+        # A resident model is taken on the event loop; only a miss goes
+        # through ModelRegistry.get (and its worker-thread compile).
+        monkeypatch.setitem(registry_mod.BENCH_NETWORKS, "cold_mlp",
+                            registry_mod.BENCH_NETWORKS["mnist_mlp"])
+        calls = []
+        real_get = ModelRegistry.get
+
+        def counting_get(registry, name):
+            calls.append(name)
+            return real_get(registry, name)
+
+        monkeypatch.setattr(ModelRegistry, "get", counting_get)
+
+        async def run():
+            async with Server(_config()) as server:
+                calls.clear()   # warm_up() compiled mnist_mlp via get
+                async with Client("127.0.0.1", server.port) as client:
+                    warm = [await client.predict_raw("mnist_mlp", _x(n))
+                            for n in (1, 2)]
+                    after_warm = list(calls)
+                    cold = [await client.predict_raw("cold_mlp", _x(1))
+                            for _ in range(2)]
+                    return (warm, after_warm, cold, list(calls),
+                            server.registry.loaded())
+
+        warm, after_warm, cold, after_cold, loaded = asyncio.run(run())
+        assert all(r["ok"] for r in warm + cold)
+        assert after_warm == []
+        assert after_cold == ["cold_mlp"]   # the second hit is resident
+        assert loaded == ("mnist_mlp", "cold_mlp")
+        np.testing.assert_array_equal(decode_array(cold[0]["logits"]),
+                                      decode_array(warm[0]["logits"]))
 
 
 class TestAdmission:
@@ -354,9 +441,8 @@ class TestProgressive:
         assert info["early_exit"] is False
         assert info["history"][0] == 2
         assert info["extensions"] == len(info["history"]) - 1
-        np.testing.assert_array_equal(
-            np.asarray(prog["logits"]["data"]),
-            np.asarray(plain["logits"]["data"]))
+        np.testing.assert_array_equal(decode_array(prog["logits"]),
+                                      decode_array(plain["logits"]))
         snap = metrics["models"]["mnist_mlp"]
         assert snap["progressive_requests"] == 1
         assert snap["progressive_mean_final_length"] == float(PHASE)

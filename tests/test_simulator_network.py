@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.networks import mnist_mlp
+from repro.runtime import ExecutionPlan
 from repro.simulator import (FixedPointNetwork, SCAvgPool, SCConfig, SCConv2d,
                              SCFlatten, SCLinear, SCNetwork, SCReLU)
 from repro.training import (AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d,
@@ -331,3 +333,24 @@ class TestWeightStreamCaching:
         assert cache.get_or_encode("c", lambda: "?") == "C"   # hit
         assert cache.get_or_encode("a", lambda: "A2") == "A2"  # evicted
         assert cache.hits == 1 and cache.misses == 4
+
+
+class TestNaNInput:
+    """A NaN pixel fails the engine's [0, 1] range check on every path
+    below the runtime's input boundary, instead of being cast to an
+    out-of-range encode-table index."""
+
+    @pytest.mark.parametrize("path", ["forward", "forward_partial", "plan"])
+    def test_nan_pixel_raises_value_error(self, path):
+        sc = SCNetwork.from_trained(mnist_mlp(seed=0),
+                                    SCConfig(phase_length=4))
+        x = np.random.default_rng(0).uniform(0, 1, (2, 1, 28, 28))
+        x[1, 0, 5, 5] = np.nan
+        run = {
+            "forward": lambda: sc.forward(x),
+            "forward_partial": lambda: sc.forward_partial(x, 2),
+            "plan": lambda: ExecutionPlan(
+                sc, (1, 28, 28), autotune_budget_s=0).run(x),
+        }[path]
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            run()
