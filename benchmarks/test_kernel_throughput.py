@@ -118,7 +118,6 @@ def run_suite():
         "kernel": "word",
         "serial_img_per_s": e2e.throughput(e2e.planned_s),
         "pool_img_per_s": e2e.throughput(e2e.parallel_s),
-        "uncached_img_per_s": e2e.throughput(e2e.uncached_s),
         "identical": bool(e2e.identical),
     }
     return micro, end_to_end

@@ -2,19 +2,12 @@
 
 Not a paper artifact — the paper's own evaluation notes that "SC is
 extremely slow to accurately simulate in software", and this bench
-quantifies what the ``repro.runtime`` subsystem recovers: the
-weight-stream plan cache removes the constant-bitstream encoding that a
-naive ``SCNetwork.forward`` redoes on every call, and the worker pool
+records the ``repro.runtime`` subsystem's planned serial and planned
+parallel modes on an MLP and a conv workload (LeNet-5): the worker pool
 shards batches across cores with bit-identical results.
 
-The MLP workload is the stress case: FC weight lanes outnumber
-activation lanes by ~25x at batch 8, so encoding constants dominates
-the naive forward pass (the same weight-reuse argument the paper makes
-for FC batching in Sec. IV-C).  The conv workload (LeNet-5) bounds the
-win from below — activation encoding dominates there.
-
-Run on a multi-core host, the parallel row adds a further ~workers-x;
-on the single-core CI box it only proves bit-identity at ~1x.
+Run on a multi-core host, the parallel row adds up to ~workers-x; on a
+single-core box it only proves bit-identity at ~1x.
 """
 
 from repro.runtime import format_bench, run_bench
@@ -36,19 +29,3 @@ def test_runtime_throughput(benchmark, report):
 
     # Hard guarantee: the runtime never changes a single bit.
     assert mlp.identical and conv.identical
-    # The plan cache alone must beat the naive serial path decisively on
-    # the weight-bound workload (measured ~5x here; asserted loosely so
-    # a loaded CI box does not flake).
-    assert mlp.cache_speedup > 1.5
-    assert mlp.total_speedup > 1.5
-    # Steady-state inference never re-encodes constants: generic plans
-    # run almost entirely out of the weight-stream cache, specialized
-    # plans embed the packed streams in their kernel plans and stop
-    # consulting the cache at inference time altogether.
-    if mlp.specialization and mlp.specialization.get("enabled"):
-        assert mlp.specialization["totals"]["specialized_layers"] > 0
-    else:
-        assert mlp.snapshot.cache_hit_rate > 0.8
-    # The conv workload must not regress: planned execution is never
-    # slower than re-encoding the constants every call.
-    assert conv.cache_speedup > 0.95

@@ -19,12 +19,6 @@ sanctioned consumer — see :data:`TOP_LAYERS`).  A lower layer importing
 serve would invert the dependency and make the core library drag the
 serving machinery into every import.
 
-The check also scans the whole package for re-imports of the retired
-private lowering helpers (:data:`DEPRECATED_LOWERING_HELPERS`): the
-conv+pool fusion decision lives only in ``repro.ir.passes`` now, and no
-subsystem may route around the pipeline by importing the deprecated
-shims.
-
 Walks every module under each bottom-layer root with the ``ast`` module
 (no imports are executed) and fails with a non-zero exit code listing
 each violating import.  Run from the repository root:
@@ -59,13 +53,6 @@ EXCEPTIONS = {
 #: else under src/repro (outside the package itself) must not.
 TOP_LAYERS = {
     "serve": (_SRC / "cli.py",),
-}
-
-#: Retired private lowering entry points: kept as deprecation shims in
-#: their home module, but no other module may import them — all
-#: lowering goes through repro.ir.passes.
-DEPRECATED_LOWERING_HELPERS = {
-    "_lower_nodes": _SRC / "simulator" / "network.py",
 }
 
 # Historical single-root spellings, kept for check()'s callers/tests.
@@ -150,25 +137,6 @@ def check_top_layers(root: pathlib.Path = _SRC) -> list:
     return violations
 
 
-def check_deprecated_helpers(root: pathlib.Path = _SRC) -> list:
-    """Flag imports of retired lowering helpers outside their home
-    module (where only the deprecation shim itself may live)."""
-    violations = []
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            for alias in node.names:
-                home = DEPRECATED_LOWERING_HELPERS.get(alias.name)
-                if home is not None and path != home:
-                    violations.append(
-                        f"{path}:{node.lineno}: imports deprecated "
-                        f"lowering helper {alias.name!r} — lower through "
-                        "repro.ir.passes instead")
-    return violations
-
-
 #: AlexNet perfsim goldens captured immediately before the grouped-conv
 #: lowering landed: the refactor threads ``groups`` through the IR and
 #: kernels but must not move a single perf-model number.  Values are
@@ -226,12 +194,6 @@ def main() -> int:
         for violation in top:
             print(f"  {violation}")
         return 1
-    deprecated = check_deprecated_helpers()
-    if deprecated:
-        print("deprecated lowering helpers must not be re-imported:")
-        for violation in deprecated:
-            print(f"  {violation}")
-        return 1
     goldens = check_perfsim_goldens()
     if goldens:
         print("perfsim goldens drifted from the pre-grouped-lowering "
@@ -241,9 +203,9 @@ def main() -> int:
         return 1
     print("layering OK: repro.ir and repro.obs import nothing from the "
           "upper layers (sole waiver: repro.ir.passes -> repro.obs), "
-          "repro.serve is imported only by the CLI, no module re-imports "
-          "the deprecated lowering helpers, and the AlexNet perfsim "
-          "goldens are bit-equal to their pre-grouped-lowering values")
+          "repro.serve is imported only by the CLI, and the AlexNet "
+          "perfsim goldens are bit-equal to their pre-grouped-lowering "
+          "values")
     return 0
 
 

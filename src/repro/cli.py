@@ -303,8 +303,7 @@ def _cmd_bench(args) -> int:
             phase_length=args.phase_length,
             start_phase_length=args.start_phase_length,
             margin_z=args.margin_z, growth=args.growth,
-            seed=args.seed, specialize=args.specialize,
-            train_epochs=args.train_epochs,
+            seed=args.seed, train_epochs=args.train_epochs,
         )
         print(format_progressive_bench(result))
         return 0 if result.agreement >= args.min_agreement else 1
@@ -312,7 +311,7 @@ def _cmd_bench(args) -> int:
         args.network, batch=args.batch, repeats=args.repeats,
         workers=args.workers, backend=args.backend,
         shard_size=args.shard, phase_length=args.phase_length,
-        seed=args.seed, kernel=args.kernel, specialize=args.specialize,
+        seed=args.seed, kernel=args.kernel,
     )
     print(format_bench(result))
     return 0 if result.identical else 1
@@ -501,14 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None,
                            help="engine kernel (default: word, or "
                                 "REPRO_SC_KERNEL)")
-    bench_cmd.add_argument("--specialize", dest="specialize",
-                           action="store_true", default=True,
-                           help="run planned modes with per-layer "
-                                "specialized kernel plans (default)")
-    bench_cmd.add_argument("--no-specialize", dest="specialize",
-                           action="store_false",
-                           help="pin the generic kernels — the B side of "
-                                "the specialization A/B comparison")
     bench_cmd.add_argument("--progressive", action="store_true",
                            help="benchmark confidence-gated anytime "
                                 "inference against the fixed-length "

@@ -3,7 +3,7 @@ hardware-model graph.
 
 Before this module existed, conv+pool fusion and shape legalization were
 re-implemented independently by every consumer of the IR — the SC
-simulator's ``_lower_nodes``, the spec lowering's ``_emit``, the runtime
+simulator's own fusing walk, the spec lowering's ``_emit``, the runtime
 planner's compile walk, and the SNR profiler's private fused-stage walk.
 Four copies of the same decision is how accuracy/cost co-design drifts;
 end-to-end SC frameworks keep exactly one compiler-style lowering path

@@ -1,19 +1,20 @@
 """Batched inference runtime for the bitstream-exact SC simulator.
 
 The functional simulator is honest but slow — "SC is extremely slow to
-accurately simulate in software" (paper Sec. IV) — and the naive
-``SCNetwork.forward`` re-encodes every constant weight bitstream on
-every call.  This package amortizes that cost and adds the serving
-machinery a production deployment needs:
+accurately simulate in software" (paper Sec. IV).  Every forward runs
+the same datapath, :meth:`SCNetwork.forward` over the layers' cached
+engine plans; this package compiles those plans ahead of traffic and
+adds the serving machinery a production deployment needs:
 
-- :class:`ExecutionPlan` — compile once: shape validation, pre-encoded
-  packed weight streams, per-layer cost metadata;
+- :class:`ExecutionPlan` — compile once: shape validation, per-layer
+  engine plans built, autotuned and installed (or reused from the
+  fingerprint cache), per-layer cost metadata;
 - :class:`DynamicBatcher` — coalesce requests into max-batch/max-wait
   windows without changing any request's bits;
 - :class:`WorkerPool` — serial / thread / process shard execution,
   bit-identical to serial at any worker count;
-- :class:`RuntimeMetrics` — per-stage wall time, encode-cache hit rate,
-  simulated bits/sec, queue depth;
+- :class:`RuntimeMetrics` — per-stage wall time, activation
+  encode-cache hit rate, simulated bits/sec, queue depth;
 - :class:`InferenceRuntime` — the assembled front-end, with optional
   graceful degradation to fixed-point reference execution;
 - :mod:`repro.runtime.shm` — zero-copy shared-memory publication of
@@ -39,7 +40,7 @@ from .shm import (SHARED_PLANS, PlanRef, SharedPlanRegistry, attach_plan,
                   build_encode_tables, cleanup_orphan_segments, detach_plan,
                   publish_plan, shm_supported)
 from .specialize import (GatherPlan, KernelPlan, Specialization,
-                         build_specialization, clear_specialization_cache,
+                         clear_specialization_cache,
                          specialization_cache_info,
                          specialization_fingerprint)
 from .workers import WorkerPool
@@ -59,7 +60,7 @@ __all__ = [
     "SHARED_PLANS", "PlanRef", "SharedPlanRegistry", "attach_plan",
     "build_encode_tables", "cleanup_orphan_segments", "detach_plan",
     "publish_plan", "shm_supported",
-    "GatherPlan", "KernelPlan", "Specialization", "build_specialization",
+    "GatherPlan", "KernelPlan", "Specialization",
     "clear_specialization_cache", "specialization_cache_info",
     "specialization_fingerprint",
     "WorkerPool",

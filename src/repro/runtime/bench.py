@@ -1,17 +1,13 @@
-"""Serial-vs-runtime throughput benchmark (CLI ``bench`` + harness).
+"""Serial-vs-parallel runtime throughput benchmark (CLI ``bench``).
 
-Three execution modes over identical inputs, bit-identity asserted:
+Two execution modes over identical inputs, bit-identity asserted:
 
-1. **serial uncached** — today's baseline: ``SCNetwork.forward`` shard
-   by shard with the weight-stream caches cleared before every repeat,
-   i.e. every constant weight bitstream re-encoded per call;
-2. **planned serial** — the runtime's serial backend against a compiled
-   :class:`ExecutionPlan` (weight streams encoded once);
-3. **planned parallel** — the same plan sharded across ``workers``.
+1. **planned serial** — the runtime's serial backend against a compiled
+   :class:`ExecutionPlan`;
+2. **planned parallel** — the same plan sharded across ``workers``.
 
-The cache speedup (1 vs 2) is what plan compilation buys on any
-machine; the parallel speedup (2 vs 3) additionally needs physical
-cores.  Logits from all three modes must match bit for bit.
+The parallel speedup needs physical cores; logits from both modes must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from ..analysis import format_table
 from ..networks import (cifar10_cnn, lenet5, mnist_mlp, mobilenet_mini,
                         svhn_cnn, tiny_resnet)
 from ..simulator import SCConfig, SCNetwork
-from ..simulator.layers import SCResidual
 from .config import RuntimeConfig
 from .runtime import InferenceRuntime
 
@@ -55,14 +50,11 @@ class BenchResult:
     backend: str
     shard_size: int
     phase_length: int
-    uncached_s: float
     planned_s: float
     parallel_s: float
     identical: bool
     snapshot: object       # MetricsSnapshot of the parallel runtime
     plan_text: str
-    #: Whether the planned modes ran specialized kernel plans.
-    specialize: bool = True
     #: ``ExecutionPlan.specialization_summary()`` of the planned runtime.
     specialization: dict = None
 
@@ -74,43 +66,21 @@ class BenchResult:
         return self.samples / seconds if seconds > 0 else 0.0
 
     @property
-    def cache_speedup(self) -> float:
-        return self.uncached_s / self.planned_s if self.planned_s else 0.0
-
-    @property
     def parallel_speedup(self) -> float:
         return self.planned_s / self.parallel_s if self.parallel_s else 0.0
 
-    @property
-    def total_speedup(self) -> float:
-        return self.uncached_s / self.parallel_s if self.parallel_s else 0.0
-
-
-def _clear_stream_caches(layers) -> None:
-    stack = list(layers)
-    while stack:
-        layer = stack.pop()
-        if isinstance(layer, SCResidual):
-            stack.extend(layer.body)
-        cache = getattr(layer, "stream_cache", None)
-        if cache is not None:
-            cache.clear()
 
 
 def run_bench(network: str = "mnist_mlp", *, batch: int = 8,
               repeats: int = 3, workers: int = 4, backend: str = "thread",
               shard_size: int = None, phase_length: int = 32,
-              seed: int = 0, kernel: str = None,
-              specialize: bool = True) -> BenchResult:
-    """Run the three-mode benchmark on one zoo network.
+              seed: int = 0, kernel: str = None) -> BenchResult:
+    """Run the two-mode benchmark on one zoo network.
 
     Weights are untrained (throughput does not depend on values); the
     per-shard bit-exactness checks are what matter.  ``kernel`` selects
     the engine implementation ("word"/"byte"); ``None`` uses the
-    environment default.  ``specialize`` toggles the planned modes'
-    per-layer kernel plans (the serial uncached mode is always the
-    generic forward, so mode 1 vs mode 2 is the A/B the
-    ``--specialize``/``--no-specialize`` CLI flags expose).
+    environment default.
     """
     builder, shape = BENCH_NETWORKS[network]
     if shard_size is None:
@@ -121,23 +91,10 @@ def run_bench(network: str = "mnist_mlp", *, batch: int = 8,
     rng = np.random.default_rng(seed + 1)
     x = rng.uniform(0.0, 1.0, (batch,) + shape)
 
-    # Mode 1 — serial uncached: shard loop over plain forward, caches
-    # cleared per repeat so every call pays the weight encoding, exactly
-    # like a fresh process would today.
-    uncached_logits = None
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        _clear_stream_caches(sc.layers)
-        parts = [sc.forward(x[s:s + shard_size])
-                 for s in range(0, batch, shard_size)]
-        uncached_logits = np.concatenate(parts, axis=0)
-    uncached_s = time.perf_counter() - t0
-
-    # Mode 2 — planned serial.
+    # Mode 1 — planned serial.
     serial_runtime = InferenceRuntime(
         sc, shape, config=RuntimeConfig(workers=1, backend="serial",
-                                        shard_size=shard_size,
-                                        specialize=specialize),
+                                        shard_size=shard_size),
     )
     with serial_runtime:
         serial_runtime.infer(x)  # warm-up (pool spin-up excluded)
@@ -146,11 +103,10 @@ def run_bench(network: str = "mnist_mlp", *, batch: int = 8,
             planned_logits = serial_runtime.infer(x)
         planned_s = time.perf_counter() - t0
 
-    # Mode 3 — planned parallel.
+    # Mode 2 — planned parallel.
     parallel_runtime = InferenceRuntime(
         sc, shape, config=RuntimeConfig(workers=workers, backend=backend,
-                                        shard_size=shard_size,
-                                        specialize=specialize),
+                                        shard_size=shard_size),
     )
     with parallel_runtime:
         parallel_runtime.infer(x)  # warm-up
@@ -162,14 +118,13 @@ def run_bench(network: str = "mnist_mlp", *, batch: int = 8,
         plan_text = parallel_runtime.describe()
         specialization = parallel_runtime.plan.specialization_summary()
 
-    identical = (np.array_equal(uncached_logits, planned_logits)
-                 and np.array_equal(planned_logits, parallel_logits))
     return BenchResult(
         network=network, batch=batch, repeats=repeats, workers=workers,
         backend=backend, shard_size=shard_size, phase_length=phase_length,
-        uncached_s=uncached_s, planned_s=planned_s, parallel_s=parallel_s,
-        identical=identical, snapshot=snapshot, plan_text=plan_text,
-        specialize=specialize, specialization=specialization,
+        planned_s=planned_s, parallel_s=parallel_s,
+        identical=np.array_equal(planned_logits, parallel_logits),
+        snapshot=snapshot, plan_text=plan_text,
+        specialization=specialization,
     )
 
 
@@ -260,8 +215,7 @@ def run_progressive_bench(network: str = "mnist_mlp", *,
                           phase_length: int = 64,
                           start_phase_length: int = 8,
                           margin_z: float = 0.5, growth: float = 2.0,
-                          seed: int = 0, specialize: bool = True,
-                          train_epochs: int = 0
+                          seed: int = 0, train_epochs: int = 0
                           ) -> ProgressiveBenchResult:
     """Benchmark anytime inference against the fixed-length baseline.
 
@@ -292,9 +246,9 @@ def run_progressive_bench(network: str = "mnist_mlp", *,
                                growth=growth, margin_z=margin_z)
     runtime = InferenceRuntime(
         sc, shape, config=RuntimeConfig(workers=1, backend="serial",
-                                        shard_size=batch,
-                                        specialize=specialize),
+                                        shard_size=batch),
     )
+
     def draw(count):
         if x_pool is not None:
             picks = rng.integers(0, x_pool.shape[0], count)
@@ -308,9 +262,9 @@ def run_progressive_bench(network: str = "mnist_mlp", *,
         warm = draw(batch)
         runtime.infer(warm)                       # plan + cache warm-up
         # Segment-plan warm-up: a gate-disabled request walks the whole
-        # extension schedule, so every (start, length) window — and the
-        # from-zero recompute plans its moved rows need — is compiled
-        # and its weight streams encoded before the clock starts.
+        # extension schedule, so every (start, length) window plan — and
+        # the from-zero recompute plans its moved rows need — is built
+        # (weight streams encoded) before the clock starts.
         warm_policy = ProgressivePolicy(
             start_phase_length=start_phase_length, growth=growth,
             margin_z=None)
@@ -376,18 +330,12 @@ def format_progressive_bench(result: ProgressiveBenchResult) -> str:
 def format_bench(result: BenchResult) -> str:
     """Render one benchmark run as the report the CLI prints."""
     rows = [
-        ("serial uncached (today's forward)",
-         f"{result.uncached_s:.3f}",
-         f"{result.throughput(result.uncached_s):.2f}", "1.00"),
-        ("planned serial (weight-stream cache"
-         + (", specialized kernels)" if result.specialize else ")"),
-         f"{result.planned_s:.3f}",
-         f"{result.throughput(result.planned_s):.2f}",
-         f"{result.cache_speedup:.2f}"),
+        ("planned serial", f"{result.planned_s:.3f}",
+         f"{result.throughput(result.planned_s):.2f}", "1.00"),
         (f"planned parallel ({result.workers} {result.backend} workers)",
          f"{result.parallel_s:.3f}",
          f"{result.throughput(result.parallel_s):.2f}",
-         f"{result.total_speedup:.2f}"),
+         f"{result.parallel_speedup:.2f}"),
     ]
     mode_table = format_table(
         ["mode", "total [s]", "samples/s", "speedup"],
@@ -396,7 +344,7 @@ def format_bench(result: BenchResult) -> str:
               f"{result.batch} x {result.repeats} repeats, shard "
               f"{result.shard_size}, phase length {result.phase_length}",
     )
-    verdict = ("logits bit-identical across all three modes"
+    verdict = ("logits bit-identical across both modes"
                if result.identical else
                "LOGITS DIVERGED — determinism violation")
     return "\n\n".join([

@@ -59,11 +59,6 @@ class RuntimeConfig:
         variable enables it globally instead).  Off by default: the
         disabled fast path is a single boolean check per instrumented
         section, so serving throughput is unaffected.
-    specialize:
-        Compile per-layer kernel plans (gather tables, zero-weight lane
-        masks, autotuned block schedules) into the execution plan — see
-        :mod:`repro.runtime.specialize`.  Bit-identical either way; off
-        runs the generic kernels everywhere.
     autotune_budget_s:
         Compile-time budget for the per-layer block-schedule
         measurement pass (``0`` disables measurement and keeps the
@@ -84,7 +79,6 @@ class RuntimeConfig:
     max_wait_s: float = 0.01
     fallback: str = "none"
     trace: bool = False
-    specialize: bool = True
     autotune_budget_s: float = 0.25
     shm: str = "auto"
 

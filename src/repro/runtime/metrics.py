@@ -1,4 +1,4 @@
-"""Runtime observability: per-stage timings, cache hit rates, throughput.
+"""Runtime observability: per-stage timings, cache hit rate, throughput.
 
 The runtime records wall time per pipeline stage (plan compilation,
 queueing, dispatch, compute, merge, fallback), counts work items at every
@@ -41,9 +41,7 @@ class MetricsSnapshot:
     ``stage_seconds`` holds cumulative wall time per pipeline stage.
     ``compute`` sums per-shard execution time, so with a parallel backend
     it can exceed elapsed wall time — the ratio is the achieved
-    parallelism.  ``cache_hit_rate`` covers the per-layer packed
-    weight-stream caches; after the plan warms them, steady-state
-    inference should be ~1.0.
+    parallelism.
     """
 
     requests: int
@@ -53,18 +51,16 @@ class MetricsSnapshot:
     fallbacks: int
     errors: int
     stage_seconds: dict
-    cache_hits: int
-    cache_misses: int
     queue_depth: int
     max_queue_depth: int
     bits_simulated: int
     elapsed_s: float
     #: Per-kernel ``{name: (calls, seconds)}`` from the engine's
-    #: KERNEL_STATS ("word:or", "byte:bipolar", "encode:act", ...).
+    #: KERNEL_STATS ("plan:or", "byte:bipolar", "encode:act", ...).
     #: Matmul rows are end-to-end; "encode:*" rows are a breakdown.
     kernel_seconds: dict = field(default_factory=dict)
     #: Activation value -> packed-stream table cache (engine
-    #: ENCODE_CACHE), distinct from the weight-stream ``cache_*``.
+    #: ENCODE_CACHE).
     act_cache_hits: int = 0
     act_cache_misses: int = 0
     #: Per-IR-layer ``{"layer:<i>:<kind>": (calls, seconds)}`` from the
@@ -105,11 +101,6 @@ class MetricsSnapshot:
         return self.progressive_early_exits / self.progressive_requests
 
     @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
     def act_cache_hit_rate(self) -> float:
         total = self.act_cache_hits + self.act_cache_misses
         return self.act_cache_hits / total if total else 0.0
@@ -133,9 +124,6 @@ class MetricsSnapshot:
             ("samples", self.samples),
             ("fallback shards", self.fallbacks),
             ("errors", self.errors),
-            ("encode-cache hits", self.cache_hits),
-            ("encode-cache misses", self.cache_misses),
-            ("encode-cache hit rate", f"{self.cache_hit_rate:.3f}"),
             ("act-encode-cache hits", self.act_cache_hits),
             ("act-encode-cache misses", self.act_cache_misses),
             ("act-encode-cache hit rate", f"{self.act_cache_hit_rate:.3f}"),
@@ -198,8 +186,8 @@ class RuntimeMetrics:
     """Thread-safe accumulator behind :class:`MetricsSnapshot`.
 
     All mutation goes through the ``add_*``/``observe_*`` methods under a
-    lock; :meth:`snapshot` additionally folds in the live per-layer
-    weight-stream cache counters supplied by the caller.
+    lock; :meth:`snapshot` additionally folds in the engine counters
+    supplied by the caller.
     """
 
     requests: int = 0
@@ -208,8 +196,6 @@ class RuntimeMetrics:
     samples: int = 0
     fallbacks: int = 0
     errors: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     queue_depth: int = 0
     max_queue_depth: int = 0
     bits_simulated: int = 0
@@ -240,8 +226,7 @@ class RuntimeMetrics:
 
     def add_counts(self, *, requests: int = 0, batches: int = 0,
                    shards: int = 0, samples: int = 0, fallbacks: int = 0,
-                   errors: int = 0, cache_hits: int = 0,
-                   cache_misses: int = 0, bits_simulated: int = 0,
+                   errors: int = 0, bits_simulated: int = 0,
                    act_cache_hits: int = 0, act_cache_misses: int = 0,
                    progressive_requests: int = 0,
                    progressive_extensions: int = 0,
@@ -254,8 +239,6 @@ class RuntimeMetrics:
             self.samples += samples
             self.fallbacks += fallbacks
             self.errors += errors
-            self.cache_hits += cache_hits
-            self.cache_misses += cache_misses
             self.bits_simulated += bits_simulated
             self.act_cache_hits += act_cache_hits
             self.act_cache_misses += act_cache_misses
@@ -280,17 +263,12 @@ class RuntimeMetrics:
             self.queue_depth = depth
             self.max_queue_depth = max(self.max_queue_depth, depth)
 
-    def snapshot(self, extra_cache_hits: int = 0,
-                 extra_cache_misses: int = 0,
-                 kernel_seconds: dict = None,
+    def snapshot(self, kernel_seconds: dict = None,
                  act_cache_hits: int = 0,
                  act_cache_misses: int = 0,
                  layer_seconds: dict = None) -> MetricsSnapshot:
         """Freeze the counters.
 
-        ``extra_cache_*`` lets the runtime fold in the live per-layer
-        cache counters (thread/serial backends mutate the plan's own
-        layer caches, which are not routed through ``add_counts``).
         ``kernel_seconds`` and ``act_cache_*`` carry the engine's
         per-kernel timings and activation-encode cache counters
         (worker-reported deltas accumulated via :meth:`add_counts` are
@@ -307,8 +285,6 @@ class RuntimeMetrics:
                 fallbacks=self.fallbacks,
                 errors=self.errors,
                 stage_seconds=dict(self.stage_seconds),
-                cache_hits=self.cache_hits + extra_cache_hits,
-                cache_misses=self.cache_misses + extra_cache_misses,
                 queue_depth=self.queue_depth,
                 max_queue_depth=self.max_queue_depth,
                 bits_simulated=self.bits_simulated,

@@ -1,20 +1,25 @@
 """Execution plans: compile an :class:`SCNetwork` once, run it many times.
 
-An :class:`ExecutionPlan` walks the network's fused SC-level
-:class:`~repro.ir.NetworkGraph` (one node per simulator layer) with a
-symbolic input shape: the IR's shape inference validates layer
-compatibility up front, then the plan pre-encodes every constant packed
-weight bitstream into the per-layer :class:`~repro.simulator.layers.
-WeightStreamCache` (the encoding a naive ``forward`` would redo on every
-call) and records per-layer cost metadata — stream lengths, weight
-lanes, and the number of bitstream product-bits one sample simulates.
+An :class:`ExecutionPlan` makes one compile walk over the network's
+fused SC-level :class:`~repro.ir.NetworkGraph` (one node per simulator
+layer) with a symbolic input shape.  The IR's shape inference validates
+layer compatibility up front; per layer the walk records a
+:class:`LayerPlan` row (stream lengths, weight lanes, the bitstream
+product-bits one sample simulates) and, on the word kernel, builds and
+autotunes the layer's engine plans and installs them in the layer's own
+plan cache (:mod:`repro.runtime.specialize`) — or installs them from the
+process-wide fingerprint cache without encoding a weight stream.
+:meth:`ExecutionPlan.run` is then just
+:meth:`~repro.simulator.network.SCNetwork.forward`, the one network
+walker, finding every plan warm.
 
 Plans are picklable: process-backed worker pools ship one plan per
-worker, so forked/spawned workers start with warm caches.
+worker (the layers' plan caches included), so workers start warm.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +30,10 @@ from ..ir import conv_output_hw
 from ..ir.passes import LEGALIZE_PASSES, group_facts, lower
 from ..simulator.config import SCConfig
 from ..simulator.engine import default_kernel
-from ..simulator.layers import SCConv2d, SCResidual
 from ..simulator.network import SCNetwork
-from .specialize import build_specialization
+from .specialize import (Specialization, TuningBudget, build_kernel_plan,
+                         lookup_kernel_plans, specialization_fingerprint,
+                         store_kernel_plans)
 
 __all__ = ["ExecutionPlan", "LayerPlan"]
 
@@ -42,7 +48,7 @@ class LayerPlan:
     #: Per-phase stream length actually clocked (after computation
     #: skipping); 0 for layers that touch no streams.
     phase_length: int
-    #: Constant weight-stream lanes pre-encoded and cached (C * K).
+    #: Constant weight-stream lanes the layer's plan encodes (C * K).
     weight_lanes: int
     #: AND/OR product-lane bits simulated per input sample: one AND gate
     #: per (position, channel, fan-in) lane clocked for the stream
@@ -71,24 +77,19 @@ class ExecutionPlan:
         Per-sample shape ``(C, H, W)`` (no batch dimension).
     config:
         Optional :class:`SCConfig` override; defaults to the network's.
-    specialize:
-        Compile per-layer :class:`~repro.runtime.specialize.KernelPlan`
-        variants (gather tables, zero-lane masks, autotuned block
-        schedules) and run them from :meth:`run`.  Bit-identical to the
-        generic path; only applies to the word kernel — pinning the
-        byte reference kernel (``REPRO_SC_KERNEL=byte`` or
-        ``SCConfig(kernel="byte")``) keeps the plan fully generic.
     autotune_budget_s:
         Total compile-time budget for the per-layer block-schedule
         measurement pass; ``0`` keeps the config's global ``block_kib``
-        everywhere.
+        everywhere.  Compiling for the byte reference kernel
+        (``REPRO_SC_KERNEL=byte`` or ``SCConfig(kernel="byte")``)
+        builds no engine plans at all.
     """
 
     def __init__(self, network: SCNetwork, input_shape: tuple,
-                 config: SCConfig = None, *, specialize: bool = True,
+                 config: SCConfig = None, *,
                  autotune_budget_s: float = 0.25):
         config = config if config is not None else network.config
-        # Share layer objects (and therefore stream caches) but pin the
+        # Share layer objects (and therefore plan caches) but pin the
         # plan to one config so runs cannot drift from what was compiled.
         self.network = SCNetwork(network.layers, config, graph=network.graph)
         self.config = config
@@ -98,6 +99,7 @@ class ExecutionPlan:
         self.kernel = config.kernel if config.kernel else default_kernel()
         self.input_shape = tuple(int(d) for d in input_shape)
         self.layer_plans = []
+        self.specialization = None
         # The fused SC-level graph is 1:1 with the simulator layers, so
         # the plan runs only the legalization subset of the pass
         # pipeline (normalize + shape inference with exact-pool
@@ -107,101 +109,80 @@ class ExecutionPlan:
         with obs.span("plan:compile", category="plan") as span:
             result = lower(self.network.to_graph(), passes=LEGALIZE_PASSES,
                            exact_pool=True, input_shape=self.input_shape)
-            infos = result.infos
-            for index, (info, layer) in enumerate(zip(infos,
-                                                      self.network.layers)):
-                self._compile_node(info, layer, index)
+            t0 = time.perf_counter()
+            specialize = None
+            if self.kernel == "word":
+                self._fingerprint = specialization_fingerprint(
+                    self.network, self.input_shape, config)
+                cached = lookup_kernel_plans(self._fingerprint)
+                kernel_plans = {}
+                budget = TuningBudget(autotune_budget_s)
+
+                def specialize(layer, info, fact, index):
+                    plan = (cached[index] if cached is not None
+                            else build_kernel_plan(layer, info, fact, index,
+                                                   config, budget))
+                    layer.install(plan)
+                    kernel_plans[index] = plan
+
+            for index, (info, fact, layer) in enumerate(zip(
+                    result.infos, group_facts(result),
+                    self.network.layers)):
+                self._compile_node(info, fact, layer, index, specialize)
+            if specialize is not None:
+                if cached is None:
+                    store_kernel_plans(self._fingerprint, kernel_plans)
+                self.specialization = Specialization(
+                    kernel_plans, from_cache=cached is not None,
+                    build_seconds=time.perf_counter() - t0,
+                    autotune_budget_s=autotune_budget_s)
             span.add_counter("layers", len(self.layer_plans))
             span.add_counter("weight_lanes", self.weight_lanes)
-        self.output_shape = infos[-1].out_shape if infos \
+        self.output_shape = result.infos[-1].out_shape if result.infos \
             else self.input_shape
-        # Specialization consumes the pass pipeline's per-group facts;
-        # it rides on the word kernel's plan classes, so a byte-pinned
-        # config stays generic end to end.
-        self.specialization = None
-        if specialize and self.kernel == "word":
-            self.specialization = build_specialization(
-                self.network, self.input_shape, infos, self.config,
-                facts=group_facts(result),
-                autotune_budget_s=autotune_budget_s)
 
     # -- compilation -------------------------------------------------
 
-    def _compile_node(self, info, layer, index: int) -> None:
-        """Warm one node's caches and record its plan row."""
+    def _compile_node(self, info, fact, layer, index: int,
+                      specialize) -> None:
+        """Record one node's plan row; a conv/linear layer is handed to
+        ``specialize`` (``None`` for the byte kernel), which installs its
+        engine plans.  Residual bodies recurse under their sub-indices."""
         node = info.node
-        if node.kind == "conv":
-            length, phases = self._stream_params(layer, index)
-            self._warm(layer, index, length)
-            # Product bits are clocked on the *pre-pool* conv output:
-            # computation skipping shortens the streams, not the number
-            # of window positions the OR accumulator sees.
-            oh, ow = conv_output_hw(node, info.in_shape[1:])
-            self.layer_plans.append(LayerPlan(
-                index=index, kind="conv", output_shape=info.out_shape,
-                phase_length=length, weight_lanes=node.weight_count,
-                product_bits_per_sample=(
-                    phases * oh * ow * node.out_channels * node.fan_in
-                    * length
-                ),
-                groups=node.groups,
-            ))
-        elif node.kind == "linear":
-            length, phases = self._stream_params(layer, index)
-            self._warm(layer, index, length)
-            self.layer_plans.append(LayerPlan(
-                index=index, kind="linear", output_shape=info.out_shape,
-                phase_length=length, weight_lanes=node.weight_count,
-                product_bits_per_sample=phases * node.weight_count * length,
-            ))
-        elif node.kind == "residual":
-            for offset, (sub_info, sub_layer) in enumerate(
-                    zip(info.body, layer.body)):
-                # Mirror SCResidual.forward's sub-index derivation so the
-                # warmed cache keys match the seeds used at run time.
-                self._compile_node(sub_info, sub_layer,
-                                   index * 131 + offset + 1)
-            self.layer_plans.append(LayerPlan(
-                index=index, kind="residual", output_shape=info.out_shape,
-                phase_length=0, weight_lanes=0, product_bits_per_sample=0,
-            ))
-        else:
-            self.layer_plans.append(LayerPlan(
-                index=index, kind=_PLAN_KINDS.get(node.kind, node.kind),
-                output_shape=info.out_shape,
-                phase_length=0, weight_lanes=0, product_bits_per_sample=0,
-            ))
-
-    def _stream_params(self, layer, index: int) -> tuple:
-        """(per-pass stream length, temporal phases) for one layer."""
-        if self.config.representation == "bipolar":
-            return self.config.total_length, 1
-        if isinstance(layer, SCConv2d):
-            return layer.phase_length(self.config, index), 2
-        return self.config.phase_length_for(index), 2
-
-    def _warm(self, layer, index: int, length: int) -> None:
-        """Pre-encode the layer's constant weight streams into its cache."""
-        layer.packed_weight_streams(
-            representation=self.config.representation,
-            length=length,
-            bits=self.config.bits,
-            scheme=self.config.scheme,
-            seed=self.config.layer_seed(index, 0),
-        )
+        length = lanes = bits = 0
+        if node.kind == "residual":
+            for (sub_index, sub_layer), sub_info, sub_fact in zip(
+                    layer.indexed_body(index), info.body, fact.body):
+                self._compile_node(sub_info, sub_fact, sub_layer, sub_index,
+                                   specialize)
+        elif node.kind in ("conv", "linear"):
+            length = layer.stream_length(self.config, index)
+            phases = 1 if self.config.representation == "bipolar" else 2
+            lanes = node.weight_count
+            if node.kind == "conv":
+                # Product bits are clocked on the *pre-pool* conv output:
+                # computation skipping shortens the streams, not the
+                # number of window positions the OR accumulator sees.
+                oh, ow = conv_output_hw(node, info.in_shape[1:])
+                bits = (phases * oh * ow * node.out_channels * node.fan_in
+                        * length)
+            else:
+                bits = phases * lanes * length
+            if specialize is not None:
+                specialize(layer, info, fact, index)
+        self.layer_plans.append(LayerPlan(
+            index=index, kind=_PLAN_KINDS.get(node.kind, node.kind),
+            output_shape=info.out_shape, phase_length=length,
+            weight_lanes=lanes, product_bits_per_sample=bits,
+            groups=node.groups if node.kind == "conv" else 1,
+        ))
 
     # -- execution ---------------------------------------------------
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """Bitstream-exact forward pass using the pre-encoded streams.
-
-        With specialization compiled, conv/linear layers run through
-        their :class:`~repro.runtime.specialize.KernelPlan` (same bits,
-        fewer clocked lanes); otherwise this is the network's generic
-        forward.
-        """
-        if self.specialization is not None:
-            return self.specialization.run(x)
+        """Bitstream-exact forward pass: the network's own
+        :meth:`~repro.simulator.network.SCNetwork.forward` under the
+        compiled config, running the installed plans."""
         return self.network.forward(x)
 
     def run_progressive(self, x: np.ndarray, policy=None):
@@ -209,39 +190,24 @@ class ExecutionPlan:
         decision margin is below the noise bound.
 
         Drives a resumable evaluation
-        (:class:`~repro.simulator.progressive.ProgressiveExecutor`,
-        reusing this plan's gather tables and warmed weight-stream
-        caches) under a
+        (:class:`~repro.simulator.progressive.ProgressiveExecutor`, which
+        walks the same network and layer plan caches) under a
         :class:`~repro.runtime.progressive.ProgressivePolicy` (default
         policy if ``None``).  Returns a
         :class:`~repro.runtime.progressive.ProgressiveOutcome`; its
         logits are bit-identical to :meth:`run` under the same config
         at the outcome's final ``phase_length``.  Requires a
         prefix-stable RNG scheme and the word kernel."""
+        from ..simulator.progressive import ProgressiveExecutor
         from .progressive import ProgressivePolicy, run_progressive
         if policy is None:
             policy = ProgressivePolicy()
-        executor = self._progressive_executor()
+        executor = ProgressiveExecutor(self.network, self.config)
         return run_progressive(
             lambda length: executor.start(x, length), policy,
             reference_length=self.config.phase_length,
             representation=self.config.representation,
         )
-
-    def _progressive_executor(self):
-        """The plan's lazily-built (and cached) resumable executor."""
-        executor = getattr(self, "_prog_executor", None)
-        if executor is None:
-            from ..simulator.progressive import ProgressiveExecutor
-            gathers = {}
-            if self.specialization is not None:
-                gathers = {index: p.gather
-                           for index, p in self.specialization.plans.items()
-                           if p.gather is not None}
-            executor = ProgressiveExecutor(self.network, self.config,
-                                           gathers=gathers)
-            self._prog_executor = executor
-        return executor
 
     # -- introspection -----------------------------------------------
 
@@ -259,7 +225,6 @@ class ExecutionPlan:
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
-            from .specialize import specialization_fingerprint
             cached = specialization_fingerprint(
                 self.network, self.input_shape, self.config)
             self._fingerprint = cached
@@ -282,27 +247,6 @@ class ExecutionPlan:
     @property
     def weight_lanes(self) -> int:
         return sum(p.weight_lanes for p in self.layer_plans)
-
-    def cache_counters(self) -> tuple:
-        """Aggregate ``(hits, misses)`` over the layer stream caches."""
-        hits = misses = 0
-        for cache in self._stream_caches():
-            hits += cache.hits
-            misses += cache.misses
-        return hits, misses
-
-    def _stream_caches(self):
-        seen = set()
-        stack = list(self.network.layers)
-        while stack:
-            layer = stack.pop()
-            if isinstance(layer, SCResidual):
-                stack.extend(layer.body)
-                continue
-            cache = getattr(layer, "stream_cache", None)
-            if cache is not None and id(cache) not in seen:
-                seen.add(id(cache))
-                yield cache
 
     def specialization_summary(self) -> dict:
         """Decision record of the specialization stage (for metrics)."""

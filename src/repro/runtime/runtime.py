@@ -2,8 +2,8 @@
 
 :class:`InferenceRuntime` is the serving front-end for the bitstream-
 exact functional simulator.  Construction compiles an
-:class:`~repro.runtime.plan.ExecutionPlan` (pre-encoding every constant
-weight bitstream), then requests flow::
+:class:`~repro.runtime.plan.ExecutionPlan` (installing every layer's
+engine plans), then requests flow::
 
     submit(x) -> DynamicBatcher -> WorkerPool shards -> merge -> Future
     infer(x)  ----------------------^ (synchronous, no coalescing)
@@ -64,7 +64,6 @@ class InferenceRuntime:
         with self.metrics.stage("plan"):
             self.plan = ExecutionPlan(
                 network, input_shape, sc_config,
-                specialize=self.config.specialize,
                 autotune_budget_s=self.config.autotune_budget_s)
         if reference is not None and not isinstance(reference,
                                                     FixedPointNetwork):
@@ -151,11 +150,10 @@ class InferenceRuntime:
     def snapshot(self):
         """Point-in-time :class:`~repro.runtime.metrics.MetricsSnapshot`.
 
-        Folds in the live per-layer weight-stream cache counters
-        (process-backed workers report theirs with each shard result)
-        plus the engine's per-kernel timings (the obs layer's
+        Folds in the engine's per-kernel timings (the obs layer's
         :data:`~repro.obs.KERNEL_COUNTERS` store) and activation-encode
-        cache counters.  With :mod:`repro.obs` tracing enabled, the
+        cache counters (process-backed workers report theirs with each
+        shard result).  With :mod:`repro.obs` tracing enabled, the
         per-IR-layer span totals from the process-global trace tree are
         folded in as well, giving :meth:`MetricsSnapshot.render` its
         per-layer breakdown.  The engine stats are process-global, so
@@ -163,13 +161,10 @@ class InferenceRuntime:
         process.
         """
         from ..simulator.engine import ENCODE_CACHE
-        hits, misses = self.plan.cache_counters()
         act_hits, act_misses = ENCODE_CACHE.counters()
         layer_seconds = (obs.aggregate_spans(category="layer")
                          if obs.enabled() else None)
         return self.metrics.snapshot(
-            extra_cache_hits=hits,
-            extra_cache_misses=misses,
             kernel_seconds=obs.KERNEL_COUNTERS.snapshot(),
             act_cache_hits=act_hits,
             act_cache_misses=act_misses,

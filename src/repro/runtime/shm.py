@@ -8,9 +8,9 @@ This module moves the compiled artifacts into
 ``multiprocessing.shared_memory`` segments:
 
 - :func:`publish_plan` pickles a payload (the
-  :class:`~repro.runtime.plan.ExecutionPlan` with its warm
-  :class:`~repro.simulator.layers.WeightStreamCache` contents and
-  specialization gather tables, plus the pre-built activation encode
+  :class:`~repro.runtime.plan.ExecutionPlan` with its layers' warm
+  :class:`~repro.simulator.layers.LayerPlanCache` contents — engine
+  plans and gather tables — plus the pre-built activation encode
   tables) with pickle protocol 5, hoisting every contiguous numpy
   buffer out of band, and lays payload + buffers into one segment.
 - :func:`attach_plan` maps the segment read-only in a worker and
@@ -190,14 +190,12 @@ def publish_plan(key, plan, tables: dict = None) -> PlanRef:
         segment.close()
         segment.unlink()
         raise
-    caches = getattr(plan, "_stream_caches", None)
-    weight_bytes = sum(c.nbytes for c in caches()) if caches else 0
     ref = PlanRef(
         key=tuple(key), segment=segment.name, owner_pid=os.getpid(),
         payload=(0, len(payload)), buffers=tuple(spans),
         total_bytes=total, table_count=len(tables),
         table_bytes=sum(t.nbytes for t in tables.values()),
-        weight_bytes=weight_bytes,
+        weight_bytes=_weight_bytes(plan),
     )
     # The creating SharedMemory object is handed to the registry (or the
     # caller) for lifetime management; attach-side objects are tracked
@@ -207,6 +205,15 @@ def publish_plan(key, plan, tables: dict = None) -> PlanRef:
 
 
 _OWNED = {}      # segment name -> owner-side SharedMemory
+
+
+def _weight_bytes(plan) -> int:
+    """Weight words the plan's installed engine plans hold."""
+    specialization = getattr(plan, "specialization", None)
+    if specialization is None:
+        return 0
+    return sum(ph.w_words.nbytes for kp in specialization.plans.values()
+               for ph in kp.matmul.phases)
 
 
 def build_encode_tables(plan, max_samples: int) -> dict:

@@ -1,14 +1,17 @@
-"""Per-graph kernel specialization: compile once, skip forever.
+"""Per-layer kernel specialization: compile once, skip forever.
 
-:func:`build_specialization` turns the facts the pass pipeline knows at
-:class:`~repro.runtime.plan.ExecutionPlan` compile time
-(:func:`repro.ir.passes.group_facts`) into per-layer
-:class:`KernelPlan`\\ s:
+While an :class:`~repro.runtime.plan.ExecutionPlan` makes its one
+compile walk over the network, :func:`build_kernel_plan` turns the facts
+the pass pipeline knows at compile time
+(:func:`repro.ir.passes.group_facts`) into one :class:`KernelPlan` per
+conv/linear layer, and the plan installs its engine plans in the
+layer's own :class:`~repro.simulator.layers.LayerPlanCache` — where
+:meth:`~repro.simulator.network.SCNetwork.forward`, the one network
+walker, runs them:
 
-- **Gather plans** — conv layers get a precomputed im2col index table
-  (:class:`GatherPlan`), so the hot loop quantizes the *un-duplicated*
-  input once and gathers patches with a single ``np.take`` instead of
-  window-sliding and re-quantizing ``fan_in``-fold duplicated data.
+- **Gather plans** — conv layers get their precomputed im2col index
+  table (:class:`~repro.simulator.layers.GatherPlan`) for the compiled
+  input shape.
 - **Zero-lane skipping** — the engine's
   :class:`~repro.simulator.engine.SplitMatmulPlan` folds all-zero
   weight-lane masks into the plan: skipped lanes are never encoded,
@@ -18,21 +21,14 @@
   tiles from) is picked by a small compile-time measurement pass under
   :data:`AUTOTUNE_CANDIDATES_KIB` and a total time budget, replacing
   the single global ``SCConfig.block_kib``.  Tiling is value-neutral,
-  so any choice is bit-identical.
-- **Optional jit** — the OR/MUX inner loop can run through
-  :mod:`repro.simulator.jit` when numba is installed and self-checks
-  clean; the pure-numpy path stays canonical.
+  so any choice is bit-identical, and a plan is tuned before it is
+  installed, so no thread ever runs a plan while it is retiled.
 
-Everything here is bit-identical to the generic kernels by
-construction, verified layer by layer in
-``tests/test_plan_specialization.py`` and end-to-end by the runtime
-benchmarks' logit comparisons.
-
-Specialization artifacts are cached process-wide, keyed by a
-fingerprint over the layer structure, the exact weight bytes, and the
-stream parameters — so a serving registry that evicts and re-admits a
-model reuses the gather tables and lane masks instead of recompiling
-them.
+Compiled kernel plans are cached process-wide, keyed by a fingerprint
+over the layer structure, the exact weight bytes, and the stream
+parameters — so a serving registry that evicts and re-admits a model,
+or any freshly built identical network, installs the cached plans
+without encoding a single weight stream.
 """
 
 from __future__ import annotations
@@ -45,26 +41,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import obs
-from ..core.sng import quantize_probability
 from ..simulator import jit as scjit
-from ..simulator.engine import BipolarMatmulPlan, SplitMatmulPlan
-from ..simulator.layers import (SCConv2d, SCLinear, SCResidual,
-                                decode_bipolar_conv_counts,
-                                decode_bipolar_linear_counts,
-                                decode_split_conv_counts,
-                                decode_split_linear_counts)
-from ..training.im2col import conv_output_size
+from ..simulator.layers import GatherPlan, SCConv2d, SCLinear, SCResidual
 
 __all__ = [
     "AUTOTUNE_CANDIDATES_KIB",
     "GatherPlan",
     "KernelPlan",
     "Specialization",
-    "build_specialization",
+    "TuningBudget",
+    "build_kernel_plan",
     "clear_specialization_cache",
+    "lookup_kernel_plans",
     "specialization_cache_info",
     "specialization_fingerprint",
+    "store_kernel_plans",
 ]
 
 #: Working-set budgets (KiB) the compile-time measurement pass tries.
@@ -74,61 +65,15 @@ AUTOTUNE_CANDIDATES_KIB = (256, 1024, 4096, 16384)
 _PROBE_POSITIONS = 64
 
 
-class GatherPlan:
-    """Precomputed im2col gather for one conv layer's input shape.
-
-    ``take`` produces exactly ``im2col(x, ...).reshape(-1, fan_in)`` —
-    same values, same row order — via one index-table gather.  The
-    payoff is where the quantizer runs: the specialized path quantizes
-    the ``(N, C, H, W)`` input once and gathers the quantized values,
-    instead of quantizing the patch matrix in which every input pixel
-    is duplicated up to ``kh * kw`` times.  (Quantization is
-    elementwise and maps the 0.0 padding to 0.0, so
-    quantize-then-gather equals gather-then-quantize bit for bit.)
-    """
-
-    def __init__(self, in_shape: tuple, kh: int, kw: int, stride: int,
-                 padding: int):
-        c, h, w = (int(d) for d in in_shape)
-        oh = conv_output_size(h, kh, stride, padding)
-        ow = conv_output_size(w, kw, stride, padding)
-        hp, wp = h + 2 * padding, w + 2 * padding
-        # Patch-relative flat offsets, ordered (C, kh, kw) to match the
-        # weight reshape; window offsets stride over the padded image.
-        base = ((np.arange(c)[:, None, None] * hp
-                 + np.arange(kh)[None, :, None]) * wp
-                + np.arange(kw)[None, None, :]).reshape(-1)
-        offset = (np.arange(oh)[:, None] * stride * wp
-                  + np.arange(ow)[None, :] * stride).reshape(-1)
-        self.indices = np.ascontiguousarray(
-            offset[:, None] + base[None, :])        # (oh*ow, C*kh*kw)
-        self.in_shape = (c, h, w)
-        self.out_hw = (oh, ow)
-        self.fan_in = c * kh * kw
-        self.padding = padding
-
-    @property
-    def positions(self) -> int:
-        return self.out_hw[0] * self.out_hw[1]
-
-    def take(self, x: np.ndarray) -> np.ndarray:
-        """``(N, C, H, W)`` values -> ``(N * oh * ow, fan_in)`` patches."""
-        n = x.shape[0]
-        if self.padding:
-            p = self.padding
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        flat = np.ascontiguousarray(x).reshape(n, -1)
-        cols = np.take(flat, self.indices.reshape(-1), axis=1)
-        return cols.reshape(n * self.positions, self.fan_in)
-
-
 @dataclass
 class KernelPlan:
-    """One specialized layer: matmul plan + gather + schedule record."""
+    """One specialized layer: engine plan + gather + decision record."""
 
     index: int
     kind: str                 # "conv" | "linear"
     variant: str              # "split-or" | "split-apc" | "split-mux" | "bipolar"
+    #: The layer's plan-cache key the matmul plan is installed under.
+    key: tuple
     matmul: object            # SplitMatmulPlan | BipolarMatmulPlan
     gather: GatherPlan        # None for linear layers
     phase_length: int
@@ -144,86 +89,14 @@ class KernelPlan:
 
 
 class Specialization:
-    """A compiled set of per-layer kernel plans plus their executor.
+    """The kernel plans one compile installed, and what it decided."""
 
-    ``run`` mirrors :meth:`SCNetwork.forward` exactly — same obs layer
-    spans, same residual sub-index derivation, same pooling and
-    decode arithmetic — but routes every specialized conv/linear
-    through its precompiled :class:`KernelPlan`.  Layers without a plan
-    fall back to their generic ``forward``.
-    """
-
-    def __init__(self, network, config, plans: dict, *,
-                 from_cache: bool, build_seconds: float,
-                 autotune_budget_s: float):
-        self.network = network
-        self.config = config
+    def __init__(self, plans: dict, *, from_cache: bool,
+                 build_seconds: float, autotune_budget_s: float):
         self.plans = plans
         self.from_cache = from_cache
         self.build_seconds = build_seconds
         self.autotune_budget_s = autotune_budget_s
-
-    # -- execution ---------------------------------------------------
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        traced = obs.enabled()
-        names = self.network._layer_span_names() if traced else None
-        for index, layer in enumerate(self.network.layers):
-            if traced:
-                with obs.span(names[index], category="layer") as span:
-                    span.add_counter("samples", x.shape[0])
-                    x = self._forward_layer(layer, x, index)
-            else:
-                x = self._forward_layer(layer, x, index)
-        return x
-
-    def _forward_layer(self, layer, x, index: int):
-        plan = self.plans.get(index)
-        if plan is not None:
-            if plan.kind == "conv":
-                return self._conv_forward(layer, plan, x)
-            return self._linear_forward(layer, plan, x)
-        if isinstance(layer, SCResidual):
-            # Mirror SCResidual.forward's sub-index derivation so body
-            # layers find their plans (and their per-layer seeds).
-            out = x
-            for offset, sub in enumerate(layer.body):
-                out = self._forward_layer(sub, out,
-                                          index * 131 + offset + 1)
-            if out.shape != x.shape:
-                raise ValueError(
-                    f"residual body changed shape {x.shape} -> {out.shape}"
-                )
-            return x + out
-        return layer.forward(x, self.config, index)
-
-    def _conv_forward(self, layer, plan, x):
-        config = self.config
-        n = x.shape[0]
-        oh, ow = plan.gather.out_hw
-        cols = plan.gather.take(quantize_probability(x, config.bits))
-        matmul = plan.matmul
-        if plan.variant == "bipolar":
-            return decode_bipolar_conv_counts(
-                matmul.execute(cols), layer, matmul.length, n, oh, ow)
-        counts = matmul.execute(cols, jit_or=_jit_or())
-        return decode_split_conv_counts(counts, layer, config,
-                                        matmul.length, n, oh, ow,
-                                        plan.gather.fan_in)
-
-    def _linear_forward(self, layer, plan, x):
-        config = self.config
-        matmul = plan.matmul
-        values = quantize_probability(x, config.bits)
-        if plan.variant == "bipolar":
-            return decode_bipolar_linear_counts(matmul.execute(values),
-                                                matmul.length)
-        counts = matmul.execute(values, jit_or=_jit_or())
-        return decode_split_linear_counts(counts, config, matmul.length,
-                                          x.shape[-1])
-
-    # -- introspection -----------------------------------------------
 
     def encode_table_keys(self, max_samples: int) -> list:
         """Every activation encode-table key a forward pass of up to
@@ -286,11 +159,6 @@ class Specialization:
         }
 
 
-def _jit_or():
-    """The process-wide fused OR inner loop, or ``None`` (pure numpy)."""
-    return scjit.or_popcount_loop()
-
-
 # --------------------------------------------------------------------
 # Fingerprint + artifact cache
 # --------------------------------------------------------------------
@@ -321,8 +189,7 @@ def specialization_fingerprint(network, input_shape, config) -> str:
                 meta = (type(layer).__name__, layer.weight.shape,
                         getattr(layer, "stride", 0),
                         getattr(layer, "padding", 0),
-                        getattr(layer, "pool_size", 1),
-                        getattr(layer, "groups", 1))
+                        getattr(layer, "pool_size", 1), layer.groups)
                 digest.update(repr((prefix, i, meta)).encode())
                 digest.update(np.ascontiguousarray(layer.weight).tobytes())
             else:
@@ -337,6 +204,28 @@ _CACHE_LOCK = threading.Lock()
 _ARTIFACT_CACHE = OrderedDict()       # fingerprint -> {index: KernelPlan}
 _CACHE_STATS = {"hits": 0, "misses": 0}
 _MAX_CACHED = 8
+
+
+def lookup_kernel_plans(fingerprint: str):
+    """The cached ``{index: KernelPlan}`` compiled under
+    ``fingerprint`` (a hit), or ``None``."""
+    with _CACHE_LOCK:
+        plans = _ARTIFACT_CACHE.get(fingerprint)
+        if plans is not None:
+            _ARTIFACT_CACHE.move_to_end(fingerprint)
+            _CACHE_STATS["hits"] += 1
+        return plans
+
+
+def store_kernel_plans(fingerprint: str, plans: dict) -> None:
+    """Cache a compile's kernel plans (a miss), LRU beyond
+    ``_MAX_CACHED`` fingerprints."""
+    with _CACHE_LOCK:
+        _CACHE_STATS["misses"] += 1
+        _ARTIFACT_CACHE[fingerprint] = plans
+        _ARTIFACT_CACHE.move_to_end(fingerprint)
+        while len(_ARTIFACT_CACHE) > _MAX_CACHED:
+            _ARTIFACT_CACHE.popitem(last=False)
 
 
 def specialization_cache_info() -> dict:
@@ -356,82 +245,42 @@ def clear_specialization_cache() -> None:
 # Compilation
 # --------------------------------------------------------------------
 
-def build_specialization(network, input_shape, infos, config, *, facts,
-                         autotune_budget_s: float = 0.25) -> Specialization:
-    """Compile (or fetch cached) per-layer kernel plans for a network.
+class TuningBudget:
+    """The measurement seconds one compile may still spend autotuning,
+    across all its layers (building plans and encoding weight streams
+    do not count)."""
 
-    ``infos``/``facts`` come from the plan's lowering result
-    (:func:`repro.ir.passes.group_facts`); the walk mirrors
-    ``ExecutionPlan._compile_node`` including the residual sub-index
-    derivation.  The returned object is picklable and shares the
-    network's layer objects.
+    def __init__(self, seconds: float):
+        self.left = max(0.0, seconds)
+
+
+def build_kernel_plan(layer, info, fact, index, config,
+                      budget: TuningBudget) -> KernelPlan:
+    """Specialize one conv/linear layer at compile time.
+
+    ``info``/``fact`` are the layer's node shape info and
+    :class:`~repro.ir.passes.GroupFacts`.  The engine plan is the one
+    the layer already caches for this configuration, if any, or a new
+    one autotuned within ``budget`` *before* it is returned for
+    installing — a plan other threads may be running is never retiled.
     """
-    t0 = time.perf_counter()
-    key = specialization_fingerprint(network, input_shape, config)
-    with _CACHE_LOCK:
-        cached = _ARTIFACT_CACHE.get(key)
-        if cached is not None:
-            _ARTIFACT_CACHE.move_to_end(key)
-            _CACHE_STATS["hits"] += 1
-    if cached is not None:
-        return Specialization(
-            network, config, cached, from_cache=True,
-            build_seconds=time.perf_counter() - t0,
-            autotune_budget_s=autotune_budget_s)
-
-    plans = {}
-    deadline = time.perf_counter() + max(0.0, autotune_budget_s)
-    with obs.span("plan:specialize", category="plan") as span:
-        for index, (info, fact, layer) in enumerate(
-                zip(infos, facts, network.layers)):
-            _build_node(plans, info, fact, layer, index, config, deadline)
-        span.add_counter("specialized_layers", len(plans))
-        span.add_counter("encode_lanes_skipped", sum(
-            p.encode_lanes_skipped for p in plans.values()))
-        span.add_counter("autotuned_layers", sum(
-            1 for p in plans.values() if p.autotuned))
-    with _CACHE_LOCK:
-        _CACHE_STATS["misses"] += 1
-        _ARTIFACT_CACHE[key] = plans
-        _ARTIFACT_CACHE.move_to_end(key)
-        while len(_ARTIFACT_CACHE) > _MAX_CACHED:
-            _ARTIFACT_CACHE.popitem(last=False)
-    return Specialization(network, config, plans, from_cache=False,
-                          build_seconds=time.perf_counter() - t0,
-                          autotune_budget_s=autotune_budget_s)
-
-
-def _build_node(plans, info, fact, layer, index, config, deadline) -> None:
-    if isinstance(layer, SCResidual):
-        for offset, (sub_info, sub_fact, sub_layer) in enumerate(
-                zip(info.body, fact.body, layer.body)):
-            _build_node(plans, sub_info, sub_fact, sub_layer,
-                        index * 131 + offset + 1, config, deadline)
-        return
-    # Exact types only: a subclass may override forward (fault
-    # injection, experiments), and the specialized executor must never
-    # silently bypass that override.
-    if type(layer) is SCConv2d:
-        plans[index] = _build_conv(layer, info, fact, index, config,
-                                   deadline)
-    elif type(layer) is SCLinear:
-        plans[index] = _build_linear(layer, fact, index, config, deadline)
-
-
-def _build_conv(layer, info, fact, index, config, deadline) -> KernelPlan:
-    kh, kw = layer.weight.shape[2], layer.weight.shape[3]
-    gather = GatherPlan(info.in_shape, kh, kw, layer.stride, layer.padding)
-    # The dense block-diagonal weight plane: for grouped convs the
-    # cross-group lanes are exact zeros, which the split plan's lane
-    # skipping (group-aligned via channel_groups) never clocks.
-    matmul, variant, length = _build_matmul(layer, layer.weight_2d, index,
-                                            config)
-    block_kib, autotuned = _autotune(matmul, gather.positions, config,
-                                     deadline)
+    length = layer.stream_length(config, index)
+    key = layer.plan_key(config, index, length)
+    gather, positions = None, 1
+    if info.node.kind == "conv":
+        gather = layer.gather_plan(info.in_shape)
+        positions = gather.positions
+    matmul = layer.plans.get(key)
+    autotuned = False
+    if matmul is None:
+        matmul = layer.build_plan(config, index, length)
+        t0 = time.perf_counter()
+        autotuned = _autotune(matmul, positions, config, t0 + budget.left)
+        budget.left -= time.perf_counter() - t0
     return KernelPlan(
-        index=index, kind="conv", variant=variant, matmul=matmul,
-        gather=gather, phase_length=length, block_kib=block_kib,
-        autotuned=autotuned,
+        index=index, kind=info.node.kind, variant=key[0], key=key,
+        matmul=matmul, gather=gather, phase_length=length,
+        block_kib=matmul.block_bytes // 1024, autotuned=autotuned,
         lanes_skipped_fraction=matmul.lanes_skipped_fraction,
         encode_lanes_skipped=matmul.encode_lanes_skipped,
         zero_weight_lanes=fact.zero_weight_lanes, sparsity=fact.sparsity,
@@ -439,53 +288,9 @@ def _build_conv(layer, info, fact, index, config, deadline) -> KernelPlan:
     )
 
 
-def _build_linear(layer, fact, index, config, deadline) -> KernelPlan:
-    matmul, variant, length = _build_matmul(layer, layer.weight, index,
-                                            config)
-    block_kib, autotuned = _autotune(matmul, 1, config, deadline)
-    return KernelPlan(
-        index=index, kind="linear", variant=variant, matmul=matmul,
-        gather=None, phase_length=length, block_kib=block_kib,
-        autotuned=autotuned,
-        lanes_skipped_fraction=matmul.lanes_skipped_fraction,
-        encode_lanes_skipped=matmul.encode_lanes_skipped,
-        zero_weight_lanes=fact.zero_weight_lanes, sparsity=fact.sparsity,
-    )
-
-
-def _build_matmul(layer, weights_2d, index, config):
-    """Engine matmul plan for one layer, reusing its warmed streams."""
-    seed = config.layer_seed(index, 0)
-    block_bytes = config.block_kib * 1024
-    channel_groups = getattr(layer, "groups", 1)
-    if config.representation == "bipolar":
-        length = config.total_length
-        stream = layer.packed_weight_streams(
-            representation="bipolar", length=length, bits=config.bits,
-            scheme=config.scheme, seed=seed)
-        matmul = BipolarMatmulPlan(
-            weights_2d, length=length, bits=config.bits,
-            scheme=config.scheme, seed=seed, block_bytes=block_bytes,
-            weight_stream=stream, encode_cache=config.encode_cache,
-            channel_groups=channel_groups)
-        return matmul, "bipolar", length
-    if isinstance(layer, SCConv2d):
-        length = layer.phase_length(config, index)
-    else:
-        length = config.phase_length_for(index)
-    streams = layer.packed_weight_streams(
-        representation="split-unipolar", length=length, bits=config.bits,
-        scheme=config.scheme, seed=seed)
-    matmul = SplitMatmulPlan(
-        weights_2d, length=length, bits=config.bits, scheme=config.scheme,
-        seed=seed, accumulator=config.accumulator,
-        block_bytes=block_bytes, weight_streams=streams,
-        encode_cache=config.encode_cache, channel_groups=channel_groups)
-    return matmul, f"split-{config.accumulator}", length
-
-
-def _autotune(matmul, positions, config, deadline) -> tuple:
-    """Measure candidate block budgets; returns ``(block_kib, tuned)``.
+def _autotune(matmul, positions, config, deadline) -> bool:
+    """Retile ``matmul`` to the fastest candidate block budget; returns
+    whether more than one budget was measured.
 
     Any tiling is bit-identical (tiles partition independent
     popcounts), so this is purely a throughput decision.  Probes run
@@ -496,19 +301,16 @@ def _autotune(matmul, positions, config, deadline) -> tuple:
     """
     default_kib = config.block_kib
     if matmul.fan_in == 0 or matmul.n_chan == 0:
-        return default_kib, False
+        return False
     rows = min(_PROBE_POSITIONS, max(1, positions))
     # Fast path: if the tiling is insensitive to the budget range,
     # there is nothing to tune.
     tiles = {matmul.retile(kib * 1024).tile_count(rows)
              for kib in (min(AUTOTUNE_CANDIDATES_KIB),
                          max(AUTOTUNE_CANDIDATES_KIB))}
-    if len(tiles) == 1:
+    if len(tiles) == 1 or time.perf_counter() >= deadline:
         matmul.retile(default_kib * 1024)
-        return default_kib, False
-    if time.perf_counter() >= deadline:
-        matmul.retile(default_kib * 1024)
-        return default_kib, False
+        return False
     rng = np.random.default_rng(0xB10C)
     sample = rng.random((rows, matmul.fan_in))
     candidates = [default_kib] + [k for k in AUTOTUNE_CANDIDATES_KIB
@@ -525,4 +327,4 @@ def _autotune(matmul, positions, config, deadline) -> tuple:
         timings[kib] = time.perf_counter() - t0
     best = min(timings, key=timings.get)
     matmul.retile(best * 1024)
-    return best, len(timings) > 1
+    return len(timings) > 1

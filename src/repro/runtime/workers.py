@@ -65,8 +65,8 @@ def _init_worker_shm(ref, token: int, barrier) -> None:
     """Pool initializer for the shared-memory path.
 
     Attaches the parent's published segment (zero-copy read-only views
-    of the plan's packed weight streams and the pre-built activation
-    encode tables, pinned into this process's encode cache) and stows
+    of the plan's weight words and the pre-built activation encode
+    tables, pinned into this process's encode cache) and stows
     the warm-up barrier for the handshake tasks.
     """
     global _WORKER_PLAN, _WORKER_TOKEN, _WORKER_BARRIER, _WORKER_ATTACH
@@ -105,7 +105,7 @@ def _worker_handshake() -> dict:
 def _run_shard_in_worker(x: np.ndarray, token: int) -> tuple:
     """Execute one shard in a pool process; returns stats for the parent.
 
-    Worker processes have their own cache counters, so the weight- and
+    Worker processes have their own cache counters, so the
     activation-encode hit/miss deltas are measured here and folded into
     the parent metrics with the result.  ``token`` must match the plan
     generation installed by this process's initializer.
@@ -116,21 +116,18 @@ def _run_shard_in_worker(x: np.ndarray, token: int) -> tuple:
             f"{token}; the pool was respawned without reinstalling"
         )
     t0 = time.perf_counter()
-    h0, m0 = _WORKER_PLAN.cache_counters()
     a_h0, a_m0 = ENCODE_CACHE.counters()
     logits = _WORKER_PLAN.run(x)
-    h1, m1 = _WORKER_PLAN.cache_counters()
     a_h1, a_m1 = ENCODE_CACHE.counters()
-    return (logits, time.perf_counter() - t0, h1 - h0, m1 - m0,
-            a_h1 - a_h0, a_m1 - a_m0)
+    return (logits, time.perf_counter() - t0, a_h1 - a_h0, a_m1 - a_m0)
 
 
 class WorkerPool:
     """Execute shards of samples on the configured backend.
 
-    Thread and serial backends share the caller's plan (and its layer
-    caches); the process backend ships a warm copy of the plan to each
-    worker via the pool initializer.
+    Thread and serial backends share the caller's plan (and its layers'
+    plan caches); the process backend ships a warm copy of the plan to
+    each worker via the pool initializer.
     """
 
     def __init__(self, plan: ExecutionPlan, config: RuntimeConfig,
@@ -282,10 +279,9 @@ class WorkerPool:
                 raise
             return self._run_fallback(shard)
         if self.config.backend == "process":
-            logits, compute_s, hits, misses, act_hits, act_misses = result
+            logits, compute_s, act_hits, act_misses = result
             self.metrics.add_stage_time("compute", compute_s)
-            self.metrics.add_counts(cache_hits=hits, cache_misses=misses,
-                                    act_cache_hits=act_hits,
+            self.metrics.add_counts(act_cache_hits=act_hits,
                                     act_cache_misses=act_misses)
             # Spans cannot cross the process boundary; attach the
             # worker-reported compute time as a synthetic span so the
@@ -294,8 +290,6 @@ class WorkerPool:
             obs.tracer().record_span(
                 "shard:compute", compute_s, category="shard",
                 counters={"samples": shard.shape[0],
-                          "weight_cache_hits": hits,
-                          "weight_cache_misses": misses,
                           "act_cache_hits": act_hits,
                           "act_cache_misses": act_misses},
             )
@@ -311,17 +305,10 @@ class WorkerPool:
         """Serial/thread execution against the shared plan."""
         with obs.span("shard:compute", category="shard",
                       parent=parent) as span:
-            traced = span is not obs.NULL_SPAN
-            if traced:
-                h0, m0 = self.plan.cache_counters()
             t0 = time.perf_counter()
             logits = self.plan.run(x)
             self.metrics.add_stage_time("compute", time.perf_counter() - t0)
             span.add_counter("samples", x.shape[0])
-            if traced:
-                h1, m1 = self.plan.cache_counters()
-                span.add_counter("weight_cache_hits", h1 - h0)
-                span.add_counter("weight_cache_misses", m1 - m0)
             return logits
 
     def _run_fallback(self, shard: np.ndarray) -> np.ndarray:

@@ -53,7 +53,6 @@ def snapshot_to_dict(snapshot) -> dict:
     """A :class:`~repro.runtime.MetricsSnapshot` as JSON-encodable data,
     derived rates included."""
     data = dataclasses.asdict(snapshot)
-    data["cache_hit_rate"] = snapshot.cache_hit_rate
     data["act_cache_hit_rate"] = snapshot.act_cache_hit_rate
     data["samples_per_s"] = snapshot.samples_per_s
     data["bits_per_s"] = snapshot.bits_per_s

@@ -14,8 +14,8 @@ from .engine import (ENCODE_CACHE, KERNEL_STATS, KERNELS,
                      encode_split_weight_streams, popcount_packed,
                      split_or_matmul_counts)
 from .fixedpoint import FixedPointNetwork
-from .layers import (SCAvgPool, SCConv2d, SCFlatten, SCLinear, SCReLU,
-                     SCResidual, WeightStreamCache)
+from .layers import (GatherPlan, LayerPlanCache, SCAvgPool, SCConv2d,
+                     SCFlatten, SCLinear, SCReLU, SCResidual)
 from .metrics import (confusion_matrix, evaluate_classifier,
                       per_class_accuracy, top_k_accuracy)
 from .network import SCNetwork, sc_graph_of
@@ -30,8 +30,8 @@ __all__ = [
     "encode_split_weight_streams", "popcount_packed",
     "split_or_matmul_counts",
     "FixedPointNetwork",
+    "GatherPlan", "LayerPlanCache",
     "SCAvgPool", "SCConv2d", "SCFlatten", "SCLinear", "SCReLU", "SCResidual",
-    "WeightStreamCache",
     "SCNetwork", "sc_graph_of",
     "ProgressiveExecutor", "ProgressiveResult",
     "confusion_matrix", "evaluate_classifier", "per_class_accuracy",

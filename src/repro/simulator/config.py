@@ -46,15 +46,17 @@ class SCConfig:
     #: per-layer knob — the basis of the mixed-stream-precision
     #: allocation study.
     layer_phase_lengths: dict = None
-    #: Kernel implementation: ``"word"`` (uint64 bitplanes, production),
-    #: ``"byte"`` (uint8 reference path), or ``None`` to resolve via the
+    #: Kernel implementation: ``"word"`` (the layers' uint64 engine
+    #: plans, production), ``"byte"`` (the uint8 reference path tests
+    #: compare against), or ``None`` to resolve via the
     #: ``REPRO_SC_KERNEL`` environment variable (default ``"word"``).
     #: Both kernels return bit-identical counts.
     kernel: str = None
-    #: Working-set budget (KiB) for one product intermediate of the
-    #: word kernels: ``rows x channels x words x lanes`` uint64 AND
-    #: products, tiled so each stays inside it; ~L2/L3-sized keeps the
-    #: broadcast AND/OR tiles cache-resident.
+    #: Working-set budget (KiB) for one product tile of the word
+    #: kernel: ``rows x channels x words x lanes`` uint64 AND products,
+    #: tiled so each stays inside it; ~L2/L3-sized keeps the broadcast
+    #: AND/OR tiles cache-resident.  A compiled ExecutionPlan may
+    #: autotune a per-layer budget instead.
     block_kib: int = 4096
     #: Use the global activation value -> packed-stream table cache
     #: (bit-identical either way; purely a speed knob).
@@ -141,7 +143,7 @@ class SCConfig:
         return self.phase_length
 
     def kernel_kwargs(self) -> dict:
-        """Kernel-selection kwargs for the engine matmuls."""
+        """Kernel-selection kwargs for the generic engine matmuls."""
         return {"kernel": self.kernel,
                 "block_bytes": self.block_kib * 1024,
                 "encode_cache": self.encode_cache}

@@ -9,8 +9,8 @@ built to make it merely slow:
 (:func:`repro.core.bitstream.pack_words`), so one ALU op covers 64
 simulated clocks.  A byte-packed reference path (8 clocks per op, the
 original implementation style) is kept selectable via ``kernel="byte"``
-or the ``REPRO_SC_KERNEL`` environment variable; both paths are
-bit-identical by construction and asserted so in tests.  A planned
+or the ``REPRO_SC_KERNEL`` environment variable as the tests' second
+opinion; both paths are bit-identical and asserted so in tests.  A planned
 split-unipolar matmul whose phase length ``L`` leaves a word at most
 half full (``1 <= L mod 64 <= 32``) and whose two phases encode the
 same lanes lays both phases end to end in one stream of ``2L`` clocks
@@ -31,14 +31,16 @@ a per-``(scheme, bits, seed, lanes, length)`` value -> packed-stream
 table once and every later forward pass *gathers* packed words instead
 of re-running the comparator and ``np.packbits`` over every position.
 
-**Tiling.**  The matmul kernels keep their broadcast ``(rows, channels,
-words, lanes)`` product intermediate inside a configurable working-set
-budget (``block_bytes``) instead of looping over channels one at a time
-in Python.  The generic kernels block channels for a full chunk of
-rows; the planned matmuls (:class:`SplitMatmulPlan`,
-:class:`BipolarMatmulPlan`) cut each weight plane into channel blocks
-once and tile every call over the rows it actually carries, forming
-products in per-call scratch.
+**One word kernel.**  The planned matmuls (:class:`SplitMatmulPlan`,
+:class:`BipolarMatmulPlan`) are the only word-packed kernel.  They keep
+their broadcast ``(rows, channels, words, lanes)`` product intermediate
+inside a configurable working-set budget (``block_bytes``): each weight
+plane is cut into channel blocks once and every call is tiled over the
+rows it actually carries, forming products in per-call scratch.  The
+simulator layers keep their plans in per-layer caches; the generic
+:func:`split_or_matmul_counts` and :func:`bipolar_mux_matmul_counts`
+build a transient plan and execute it (``kernel="word"``) or run the
+byte reference (``kernel="byte"``).
 
 Per-kernel wall time is recorded once, in the observability layer's
 :data:`~repro.obs.KERNEL_COUNTERS` store (``KERNEL_STATS`` here is an
@@ -438,13 +440,6 @@ def _encode_chunk_words(values: np.ndarray, length: int, bits: int,
         return _time_major(pack_words(thr < targets[:, :, None]))
 
 
-def _channel_block(n_chan: int, n_pos: int, n_lanes: int, n_words: int,
-                   block_bytes: int) -> int:
-    """Channels per block so one intermediate fits the working set."""
-    per_channel = max(1, n_pos * n_lanes * n_words * 8)
-    return max(1, min(n_chan, block_bytes // per_channel))
-
-
 def _group_channel_bounds(n_chan: int, channel_groups: int) -> list:
     """``(start, stop)`` output-channel ranges, one per channel group.
 
@@ -564,12 +559,13 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
         :func:`encode_split_weight_streams` (same ``length``/``bits``/
         ``scheme``/``seed``); skips the per-call weight encoding.
     kernel:
-        ``"word"`` (uint64 bitplanes, channel-blocked; default) or
-        ``"byte"`` (uint8 reference path).  Both return identical
-        counts; ``None`` resolves via :func:`default_kernel`.
+        ``"word"`` (default: a transient :class:`SplitMatmulPlan`,
+        built and executed once) or ``"byte"`` (uint8 reference path).
+        Both return identical counts; ``None`` resolves via
+        :func:`default_kernel`.
     block_bytes:
-        Working-set budget for one channel-blocked intermediate of the
-        word kernel (default :data:`DEFAULT_BLOCK_BYTES`).
+        Working-set budget for one product tile of the word kernel
+        (default :data:`DEFAULT_BLOCK_BYTES`).
     encode_cache:
         Use the global :data:`ENCODE_CACHE` value -> stream tables for
         activation encoding (word kernel only; bit-identical either
@@ -581,19 +577,10 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
     count.  Divide by ``length`` to decode (for "mux", multiply by the
     fan-in as well to undo the scaling).
     """
-    acts = np.asarray(acts, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if acts.ndim != 2 or weights.ndim != 2 or acts.shape[1] != weights.shape[1]:
-        raise ValueError("acts must be (P, K) and weights (C, K)")
+    acts, weights = _matmul_operands(acts, weights)
     if accumulator not in ("or", "apc", "mux"):
         raise ValueError(f"unknown accumulator {accumulator!r}")
     kernel = _resolve_kernel(kernel)
-    if block_bytes is None:
-        block_bytes = DEFAULT_BLOCK_BYTES
-    n_pos, fan_in = acts.shape
-    n_chan = weights.shape[0]
-    counts = np.zeros((n_pos, n_chan), dtype=np.int64)
-
     if weight_streams is None:
         # Weight streams: one lane per (channel, k) element, regenerated
         # per phase with an independent seed space.
@@ -601,14 +588,14 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
             weights, length=length, bits=bits, scheme=scheme, seed=seed,
             offset=start_bit
         )
-    for _, (_, w_packed) in enumerate(weight_streams):
-        if w_packed.shape[:2] != (n_chan, fan_in):
-            raise ValueError("weight_streams do not match the weight shape")
+    if any(w_packed.shape[:2] != weights.shape
+           for _, w_packed in weight_streams):
+        raise ValueError("weight_streams do not match the weight shape")
+    n_pos, fan_in = acts.shape
+    n_chan = weights.shape[0]
+    counts = np.zeros((n_pos, n_chan), dtype=np.int64)
     if fan_in == 0 or n_pos == 0 or n_chan == 0:
         return counts
-
-    args = (counts, acts, weight_streams, length, bits, scheme, seed,
-            accumulator, chunk_positions, start_bit)
     with _Timed(f"{kernel}:{accumulator}") as section:
         section.add_counter("positions", n_pos)
         section.add_counter("channels", n_chan)
@@ -616,11 +603,28 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
         # whose weight phase component is zero.
         section.add_counter("product_bits",
                             2 * n_pos * n_chan * fan_in * length)
-        if kernel == "word":
-            _split_matmul_word(*args, block_bytes, encode_cache)
-        else:
-            _split_matmul_byte(*args)
-    return counts
+        if kernel == "byte":
+            _split_matmul_byte(counts, acts, weight_streams, length, bits,
+                               scheme, seed, accumulator, chunk_positions,
+                               start_bit)
+            return counts
+        # record=False: this section already times the call.
+        return SplitMatmulPlan(
+            weights, length=length, bits=bits, scheme=scheme, seed=seed,
+            accumulator=accumulator, block_bytes=block_bytes,
+            chunk_positions=chunk_positions, weight_streams=weight_streams,
+            encode_cache=encode_cache, bit_offset=start_bit,
+        ).execute(acts, record=False)
+
+
+def _matmul_operands(acts, weights) -> tuple:
+    """``(acts, weights)`` as float64, checked to be ``(P, K)`` and
+    ``(C, K)``."""
+    acts = np.asarray(acts, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if acts.ndim != 2 or weights.ndim != 2 or acts.shape[1] != weights.shape[1]:
+        raise ValueError("acts must be (P, K) and weights (C, K)")
+    return acts, weights
 
 
 def _split_matmul_byte(counts, acts, weight_streams, length, bits, scheme,
@@ -673,70 +677,6 @@ def _split_matmul_byte(counts, acts, weight_streams, length, bits, scheme,
                     prods = gated_a & w_packed[c][None, :, :]
                     acc = np.bitwise_or.reduce(prods, axis=1)
                     counts[sl, c] += sign * packed_popcount(acc, axis=-1)
-
-
-def _split_matmul_word(counts, acts, weight_streams, length, bits, scheme,
-                       seed, accumulator, chunk_positions, start_bit,
-                       block_bytes, encode_cache) -> None:
-    """uint64 word path: channel-blocked broadcast kernels.
-
-    Operands are held time-major (``(..., W, K)``, see
-    :func:`_time_major`) so the fan-in reduction runs over the
-    contiguous last axis.
-    """
-    n_pos, fan_in = acts.shape
-    n_chan = counts.shape[1]
-    n_words = (length + 63) // 64
-    for phase, (w_part, w_packed) in enumerate(weight_streams):
-        sign = 1 if phase == 0 else -1
-        w_words = _time_major(words_from_bytes(w_packed))    # (C, W, K)
-        active = w_part > 0                                  # (C, K)
-        if accumulator == "mux":
-            select_words = _time_major(words_from_bytes(_mux_select_matrix(
-                fan_in, length, seed + 104_729 * (phase + 1),
-                offset=start_bit)))                          # (W, K)
-        for start in range(0, n_pos, chunk_positions):
-            sl = slice(start, min(start + chunk_positions, n_pos))
-            a_words = _encode_chunk_words(
-                acts[sl], length, bits, scheme,
-                seed=seed + 15_485_863 * (phase + 1) + 104_651 * start,
-                use_cache=encode_cache, offset=start_bit,
-            )                                                # (p, W, K)
-            p = a_words.shape[0]
-            cb = _channel_block(n_chan, p, fan_in, n_words, block_bytes)
-            if accumulator == "mux":
-                # Hoisted select gating: one AND per chunk, not per
-                # channel; (a & sel) & w == (a & w) & sel.
-                gated_a = a_words & select_words[None, :, :]
-                for c0 in range(0, n_chan, cb):
-                    ww = w_words[c0:c0 + cb]
-                    prods = gated_a[:, None, :, :] & ww[None, :, :, :]
-                    acc = np.bitwise_or.reduce(prods, axis=-1)
-                    counts[sl, c0:c0 + cb] += sign * popcount_words(
-                        acc, axis=-1)
-            else:
-                for c0 in range(0, n_chan, cb):
-                    c1 = min(c0 + cb, n_chan)
-                    # Operand gating, blocked: slice the union of the
-                    # block's active lanes (all-zero weight streams can
-                    # never set an OR bit or add to a popcount, so the
-                    # union slice is exact).
-                    lanes = np.flatnonzero(active[c0:c1].any(axis=0))
-                    if lanes.size == 0:
-                        continue
-                    if lanes.size == fan_in:
-                        aw, ww = a_words, w_words[c0:c1]
-                    else:
-                        aw = a_words[:, :, lanes]
-                        ww = w_words[c0:c1][:, :, lanes]
-                    prods = aw[:, None, :, :] & ww[None, :, :, :]
-                    if accumulator == "or":
-                        acc = np.bitwise_or.reduce(prods, axis=-1)
-                        counts[sl, c0:c1] += sign * popcount_words(
-                            acc, axis=-1)
-                    else:  # apc
-                        counts[sl, c0:c1] += sign * popcount_words(
-                            prods, axis=(-2, -1))
 
 
 class _NullSection:
@@ -1062,7 +1002,20 @@ class _TiledMatmulPlan:
         """Activation values as the SNGs encode them."""
         return acts
 
-    def _execute(self, acts, jit_or, record) -> np.ndarray:
+    def execute(self, acts: np.ndarray, *, jit_or=None,
+                record: bool = True) -> np.ndarray:
+        """Run the planned matmul over ``(P, fan_in)`` activations in
+        [0, 1]; bit-identical to the byte reference of
+        :func:`split_or_matmul_counts` / :func:`bipolar_mux_matmul_counts`
+        on the same operands.
+
+        ``jit_or`` is an optional ``(aw, ww, flip) -> (P, C)`` fused
+        inner loop for the OR and MUX accumulators (the popcount of the
+        fan-in OR, ``flip`` XORed in; see :mod:`repro.simulator.jit`);
+        APC and bipolar plans ignore it.  ``record=False`` skips the
+        kernel-counter accounting (autotune probes must not pollute the
+        serving metrics).
+        """
         acts = np.asarray(acts, dtype=np.float64)
         if acts.ndim != 2 or acts.shape[1] != self.fan_in:
             raise ValueError(
@@ -1071,9 +1024,21 @@ class _TiledMatmulPlan:
         chunks = [(slice(start, min(start + self.chunk_positions, n_pos)),
                    start, None)
                   for start in range(0, n_pos, self.chunk_positions)]
-        return self._run(acts, chunks, jit_or, record)
+        return self._run(acts, chunks, self._jit(jit_or), record)
 
-    def _execute_rows(self, acts, rows, jit_or, record) -> np.ndarray:
+    def execute_rows(self, acts: np.ndarray, rows: np.ndarray, *,
+                     jit_or=None, record: bool = True) -> np.ndarray:
+        """Run the planned matmul for a *subset* of output positions.
+
+        ``acts`` holds the activation rows at absolute positions
+        ``rows`` (strictly increasing) of a conceptual ``(P, fan_in)``
+        matrix; the result is bit-identical to
+        ``self.execute(full_acts)[rows]``.  Each row is grouped back
+        into its original chunk so it sees the exact per-chunk SNG seed
+        and in-chunk lane rotation a full run would give it — this is
+        what lets a resumable extension recompute only the rows whose
+        inputs changed.
+        """
         acts = np.asarray(acts, dtype=np.float64)
         rows = np.asarray(rows, dtype=np.int64)
         if acts.ndim != 2 or acts.shape[1] != self.fan_in:
@@ -1092,7 +1057,11 @@ class _TiledMatmulPlan:
             if i1 > i0:
                 start = int(chunk_ids[i0]) * self.chunk_positions
                 chunks.append((slice(i0, i1), start, rows[i0:i1] - start))
-        return self._run(acts, chunks, jit_or, record)
+        return self._run(acts, chunks, self._jit(jit_or), record)
+
+    def _jit(self, jit_or):
+        """The fused loop serves the OR reduction (OR and MUX plans)."""
+        return jit_or if self._op == "or" else None
 
     def _scratch(self, rows: int) -> np.ndarray:
         """Product scratch for one call: the largest tile any chunk of
@@ -1148,14 +1117,12 @@ class _TiledMatmulPlan:
 class SplitMatmulPlan(_TiledMatmulPlan):
     """Precompiled split-unipolar matmul: lane masks and tiling baked in.
 
-    Compiles everything :func:`split_or_matmul_counts` re-derives on
-    every call — time-major weight words, zero-weight lane masks, the
-    channel blocks of each phase's weight plane — into a reusable plan
-    for one fixed ``(weights, length, bits, scheme, seed, accumulator)``.
-    :meth:`execute` is then bit-identical to the generic word kernel by
-    construction (asserted across the zoo in
-    ``tests/test_plan_specialization.py``) while doing strictly less
-    work:
+    The split-unipolar word kernel: time-major weight words,
+    zero-weight lane masks and the channel blocks of each phase's weight
+    plane, compiled once for one fixed ``(weights, length, bits, scheme,
+    seed, accumulator)``.  :meth:`execute` is bit-identical to the byte
+    reference kernel (asserted in ``tests/test_plan_specialization.py``)
+    while doing strictly less work:
 
     - lanes whose weight phase component is zero everywhere are dropped
       at *encode* time (``lane_subset``), not just at the AND: the
@@ -1241,38 +1208,6 @@ class SplitMatmulPlan(_TiledMatmulPlan):
                                       select_words, length))
         self.retile(block_bytes)
 
-    def execute(self, acts: np.ndarray, *, jit_or=None,
-                record: bool = True) -> np.ndarray:
-        """Run the planned matmul; bit-identical to
-        :func:`split_or_matmul_counts` on the same operands.
-
-        ``jit_or`` is an optional ``(aw, ww, flip) -> (P, C)`` fused
-        inner loop for the OR and MUX accumulators (the popcount of the
-        fan-in OR, ``flip`` XORed in; see :mod:`repro.simulator.jit`);
-        ``record=False``
-        skips the kernel-counter accounting (autotune probes must not
-        pollute the serving metrics).
-        """
-        return self._execute(acts, self._jit(jit_or), record)
-
-    def execute_rows(self, acts: np.ndarray, rows: np.ndarray, *,
-                     jit_or=None, record: bool = True) -> np.ndarray:
-        """Run the planned matmul for a *subset* of output positions.
-
-        ``acts`` holds the activation rows at absolute positions
-        ``rows`` (strictly increasing) of a conceptual ``(P, fan_in)``
-        matrix; the result is bit-identical to
-        ``self.execute(full_acts)[rows]``.  Each row is grouped back
-        into its original chunk so it sees the exact per-chunk SNG seed
-        and in-chunk lane rotation a full run would give it — this is
-        what lets a resumable extension recompute only the rows whose
-        inputs changed.
-        """
-        return self._execute_rows(acts, rows, self._jit(jit_or), record)
-
-    def _jit(self, jit_or):
-        return None if self.accumulator == "apc" else jit_or
-
 
 class BipolarMatmulPlan(_TiledMatmulPlan):
     """Precompiled bipolar XNOR/MUX matmul (prior-work datapath).
@@ -1280,7 +1215,9 @@ class BipolarMatmulPlan(_TiledMatmulPlan):
     Bakes the select-gated weight operand ``~w & sel`` and the channel
     blocks at compile time; no lane skipping — a zero bipolar weight
     encodes to a half-density stream, not silence — so every block
-    spans every lane.  :meth:`execute` is bit-identical to
+    spans every lane.  :meth:`execute` applies the ``(v + 1) / 2``
+    bipolar encoding to its [0, 1] activations itself and is
+    bit-identical to the byte reference of
     :func:`bipolar_mux_matmul_counts`.
     """
 
@@ -1317,20 +1254,6 @@ class BipolarMatmulPlan(_TiledMatmulPlan):
     def _values(self, acts: np.ndarray) -> np.ndarray:
         return (acts + 1.0) / 2.0
 
-    def execute(self, acts: np.ndarray, *,
-                record: bool = True) -> np.ndarray:
-        """Planned bipolar matmul over ``acts`` in [0, 1] (the plan
-        applies the ``(v + 1) / 2`` bipolar encoding itself, exactly
-        like the generic kernel)."""
-        return self._execute(acts, None, record)
-
-    def execute_rows(self, acts: np.ndarray, rows: np.ndarray, *,
-                     record: bool = True) -> np.ndarray:
-        """Subset-of-positions variant of :meth:`execute`; bit-identical
-        to ``self.execute(full_acts)[rows]`` (see
-        :meth:`SplitMatmulPlan.execute_rows`)."""
-        return self._execute_rows(acts, rows, None, record)
-
 
 def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
                               length: int, bits: int, scheme: str, seed: int,
@@ -1352,71 +1275,53 @@ def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
 
     ``acts`` in [0, 1] (post-ReLU), ``weights`` in [-1, 1].  ``kernel``/
     ``block_bytes``/``encode_cache``/``start_bit`` as in
-    :func:`split_or_matmul_counts` (a pre-encoded ``weight_stream``
-    must match ``start_bit``).
+    :func:`split_or_matmul_counts` (the word kernel is a transient
+    :class:`BipolarMatmulPlan`; a pre-encoded ``weight_stream`` must
+    match ``start_bit``).
     """
-    acts = np.asarray(acts, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if acts.ndim != 2 or weights.ndim != 2 or acts.shape[1] != weights.shape[1]:
-        raise ValueError("acts must be (P, K) and weights (C, K)")
+    acts, weights = _matmul_operands(acts, weights)
     kernel = _resolve_kernel(kernel)
-    if block_bytes is None:
-        block_bytes = DEFAULT_BLOCK_BYTES
-    n_pos, fan_in = acts.shape
-    n_chan = weights.shape[0]
-    counts = np.zeros((n_pos, n_chan), dtype=np.int64)
     if weight_stream is None:
         weight_stream = encode_bipolar_weight_stream(
             weights, length=length, bits=bits, scheme=scheme, seed=seed,
             offset=start_bit
         )
-    w_packed = weight_stream
-    if w_packed.shape[:2] != (n_chan, fan_in):
+    if weight_stream.shape[:2] != weights.shape:
         raise ValueError("weight_stream does not match the weight shape")
+    n_pos, fan_in = acts.shape
+    n_chan = weights.shape[0]
+    counts = np.zeros((n_pos, n_chan), dtype=np.int64)
     if fan_in == 0 or n_pos == 0 or n_chan == 0:
         return counts
-    # The select stream's zero pad bits also mask the XNOR's inverted
-    # padding, so partial final words/bytes stay clean.  The XNOR+gate
-    # is computed as (a & sel) ^ (~w & sel): ~(a ^ w) & sel distributes
-    # over XOR, letting both kernels hoist the activation gating out of
-    # the channel dimension and pre-gate the weights once per call.
-    select = _mux_select_matrix(fan_in, length, seed + 104_729,
-                                offset=start_bit)
-    n_words = (length + 63) // 64
     with _Timed(f"{kernel}:bipolar") as section:
         section.add_counter("positions", n_pos)
         section.add_counter("channels", n_chan)
         section.add_counter("product_bits", n_pos * n_chan * fan_in * length)
         if kernel == "word":
-            select_words = _time_major(words_from_bytes(select))  # (W, K)
-            w_sel = ~_time_major(words_from_bytes(w_packed)) \
-                & select_words[None, :, :]                        # (C, W, K)
-            for start in range(0, n_pos, chunk_positions):
-                sl = slice(start, min(start + chunk_positions, n_pos))
-                a_words = _encode_chunk_words(
-                    (acts[sl] + 1.0) / 2.0, length, bits, scheme,
-                    seed=seed + 15_485_863 + 104_651 * start,
-                    use_cache=encode_cache, offset=start_bit,
-                )                                                 # (p, W, K)
-                a_sel = a_words & select_words[None, :, :]
-                p = a_sel.shape[0]
-                cb = _channel_block(n_chan, p, fan_in, n_words, block_bytes)
-                for c0 in range(0, n_chan, cb):
-                    gated = a_sel[:, None, :, :] ^ w_sel[None, c0:c0 + cb]
-                    acc = np.bitwise_or.reduce(gated, axis=-1)
-                    counts[sl, c0:c0 + cb] += popcount_words(acc, axis=-1)
-        else:
-            w_sel = ~w_packed & select[None, :, :]
-            for start in range(0, n_pos, chunk_positions):
-                sl = slice(start, min(start + chunk_positions, n_pos))
-                a_packed = _encode_chunk_bytes(
-                    (acts[sl] + 1.0) / 2.0, length, bits, scheme,
-                    seed=seed + 15_485_863 + 104_651 * start,
-                    offset=start_bit,
-                )
-                a_sel = a_packed & select[None, :, :]
-                for c in range(n_chan):
-                    gated = a_sel ^ w_sel[c][None, :, :]
-                    acc = np.bitwise_or.reduce(gated, axis=1)
-                    counts[sl, c] += packed_popcount(acc, axis=-1)
+            return BipolarMatmulPlan(
+                weights, length=length, bits=bits, scheme=scheme, seed=seed,
+                block_bytes=block_bytes, chunk_positions=chunk_positions,
+                weight_stream=weight_stream, encode_cache=encode_cache,
+                bit_offset=start_bit,
+            ).execute(acts, record=False)
+        # The select stream's zero pad bits also mask the XNOR's
+        # inverted padding, so partial final bytes stay clean.  The
+        # XNOR+gate is computed as (a & sel) ^ (~w & sel): ~(a ^ w) & sel
+        # distributes over XOR, so the activation gating is hoisted out
+        # of the channel loop and the weights are pre-gated once.
+        select = _mux_select_matrix(fan_in, length, seed + 104_729,
+                                    offset=start_bit)
+        w_sel = ~weight_stream & select[None, :, :]
+        for start in range(0, n_pos, chunk_positions):
+            sl = slice(start, min(start + chunk_positions, n_pos))
+            a_packed = _encode_chunk_bytes(
+                (acts[sl] + 1.0) / 2.0, length, bits, scheme,
+                seed=seed + 15_485_863 + 104_651 * start,
+                offset=start_bit,
+            )
+            a_sel = a_packed & select[None, :, :]
+            for c in range(n_chan):
+                gated = a_sel ^ w_sel[c][None, :, :]
+                acc = np.bitwise_or.reduce(gated, axis=1)
+                counts[sl, c] += packed_popcount(acc, axis=-1)
     return counts

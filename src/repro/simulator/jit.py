@@ -1,7 +1,7 @@
 """Optional numba-accelerated inner loops for the planned SC kernels.
 
-The specialized execution path (:mod:`repro.runtime.specialize`) can
-swap the OR accumulator's AND/OR-reduce/popcount inner loop for a fused
+The simulator layers (:mod:`repro.simulator.layers`) can swap the
+engine plans' OR AND/OR-reduce/popcount inner loop for a fused
 numba-compiled version.  Everything here is strictly optional:
 
 - numba is an *extra* (``pip install .[jit]``), never a requirement —

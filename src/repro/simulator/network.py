@@ -13,11 +13,15 @@ The network keeps the *fused* SC-level graph (one node per SC layer) on
 ``self.graph``; the runtime's :class:`~repro.runtime.plan.ExecutionPlan`
 walks it for shapes and validation instead of re-deriving layer
 metadata.
+
+:meth:`SCNetwork.forward` is the only run-time network walker: a
+compiled :class:`~repro.runtime.plan.ExecutionPlan` runs it with plans
+pre-installed in the layers' caches, and the resumable
+:class:`~repro.simulator.progressive.ProgressiveExecutor` runs it with
+its own counts step.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .. import ir, obs
 from ..training.network import Sequential, graph_of
 from .config import SCConfig
 from .layers import (SCAvgPool, SCConv2d, SCFlatten, SCLinear, SCReLU,
-                     SCResidual)
+                     SCResidual, run_layer)
 
 __all__ = ["SCNetwork", "sc_graph_of"]
 
@@ -99,18 +103,24 @@ class SCNetwork:
                 "sc_network", None, _nodes_from_sc_layers(self.layers))
         return self.graph
 
-    def forward(self, x: np.ndarray,
-                return_intermediates: bool = False):
+    def forward(self, x: np.ndarray, return_intermediates: bool = False,
+                *, config: SCConfig = None, counts=None):
         """Run bitstream-exact inference; ``x`` is ``(N, C, H, W)`` in
         [0, 1].  Returns the final counter values (logits); with
         ``return_intermediates=True`` also returns the per-layer outputs
         (the converted binary activations the scratchpads would hold).
+
+        ``config`` overrides the network's :class:`SCConfig` for this
+        walk, and ``counts`` replaces the conv/linear layers' counts
+        step (see :func:`~repro.simulator.layers.run_layer`): the hooks
+        the resumable evaluator walks the network with.
 
         With :mod:`repro.obs` tracing enabled, each layer runs inside a
         ``layer:<index>:<kind>`` span carrying a ``samples`` counter —
         the IR-layer attribution ``python -m repro profile`` reports.
         Disabled, the only per-layer cost is one boolean check."""
         x = np.asarray(x, dtype=np.float64)
+        config = config if config is not None else self.config
         traced = obs.enabled()
         names = self._layer_span_names() if traced else None
         intermediates = []
@@ -118,9 +128,9 @@ class SCNetwork:
             if traced:
                 with obs.span(names[index], category="layer") as span:
                     span.add_counter("samples", x.shape[0])
-                    x = layer.forward(x, self.config, index)
+                    x = run_layer(layer, x, config, index, counts)
             else:
-                x = layer.forward(x, self.config, index)
+                x = run_layer(layer, x, config, index, counts)
             if return_intermediates:
                 intermediates.append(x)
         if return_intermediates:
@@ -230,25 +240,6 @@ def _layers_from_fused(nodes) -> list:
                 f"{node.kind} layers"
             )
     return sc_layers
-
-
-def _lower_nodes(source) -> tuple:
-    """Deprecated pre-pipeline entry point.
-
-    Kept for external scripts that called the historical fusing walk
-    directly; the fusion now happens in :mod:`repro.ir.passes` and this
-    shim merely runs the pipeline.  Returns ``(sc_layers, fused_nodes)``
-    with the two lists aligned 1:1, exactly as before.
-    """
-    warnings.warn(
-        "repro.simulator.network._lower_nodes is deprecated: lowering "
-        "now runs through the repro.ir.passes pipeline — use "
-        "SCNetwork.from_graph (or ir.passes.lower) instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    fused = ir.passes.lower(
-        ir.NetworkGraph("legacy_lowering", None, list(source))).graph
-    return _layers_from_fused(fused.nodes), fused.nodes
 
 
 def _nodes_from_sc_layers(layers) -> list:

@@ -28,35 +28,26 @@ every accumulator and both representations.  ``layer_phase_lengths``
 overrides stay pinned (an override layer does not grow with the base
 length — exactly as a one-shot run would treat it).
 
-This module stays inside the simulator layer: it reuses the engine's
-segment plans and the shared counter decoders, and accepts the runtime's
-gather tables and jit loop duck-typed, without importing them.
+The executor walks the network with
+:meth:`~repro.simulator.network.SCNetwork.forward` — the one network
+walker, with its gathers, decoders and layer spans — and supplies only
+the counts step: resume or execute, over bit-offset plans from each
+layer's own plan cache (:meth:`~repro.simulator.layers.SCLinear.
+window_counts`), so a one-shot run and every extension segment share
+their plans.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
 
 from ..core.rng import prefix_stable_scheme
-from ..core.sng import quantize_probability
-from ..training.im2col import im2col
-from . import jit as scjit
 from .config import SCConfig
-from .engine import BipolarMatmulPlan, SplitMatmulPlan, default_kernel
-from .layers import (SCConv2d, SCLinear, SCResidual,
-                     decode_bipolar_conv_counts, decode_bipolar_linear_counts,
-                     decode_split_conv_counts, decode_split_linear_counts)
+from .engine import default_kernel
 
 __all__ = ["ProgressiveExecutor", "ProgressiveResult"]
-
-#: Segment matmul plans kept per executor (LRU).  A geometric schedule
-#: touches a handful of windows per layer; the cap only matters for
-#: pathological many-tiny-extension patterns.
-_MAX_SEGMENT_PLANS = 128
 
 
 class ProgressiveResult:
@@ -120,15 +111,6 @@ class ProgressiveExecutor:
         Optional :class:`SCConfig` override (defaults to the
         network's).  ``phase_length`` acts as the *reference* length;
         each evaluation picks its own base length per round.
-    gathers:
-        Optional ``{layer_key: gather}`` of precompiled im2col gathers
-        (duck-typed: ``take``/``out_hw``/``fan_in`` — the runtime's
-        :class:`~repro.runtime.specialize.GatherPlan`).  Layers without
-        one fall back to :func:`~repro.training.im2col.im2col`; both
-        produce bit-identical patch matrices.
-    jit_or:
-        Optional fused OR/popcount inner loop (defaults to the
-        process-wide :func:`repro.simulator.jit.or_popcount_loop`).
 
     Raises
     ------
@@ -140,8 +122,7 @@ class ProgressiveExecutor:
         plan classes).
     """
 
-    def __init__(self, network, config: SCConfig = None, *,
-                 gathers: dict = None, jit_or=None):
+    def __init__(self, network, config: SCConfig = None):
         self.network = network
         self.config = config if config is not None else network.config
         if not prefix_stable_scheme(self.config.scheme):
@@ -157,11 +138,6 @@ class ProgressiveExecutor:
                 "progressive evaluation runs on the word kernel's "
                 f"matmul plans; config pins kernel={kernel!r}"
             )
-        self._gathers = dict(gathers) if gathers else {}
-        self._jit_or = jit_or if jit_or is not None \
-            else scjit.or_popcount_loop()
-        self._plans = OrderedDict()    # (key, start, length) -> plan
-        self._plans_lock = threading.Lock()
 
     def start(self, x: np.ndarray,
               phase_length: int = None) -> ProgressiveResult:
@@ -172,168 +148,40 @@ class ProgressiveExecutor:
         x = np.asarray(x, dtype=np.float64)
         return ProgressiveResult(self, x).extend(phase_length)
 
-    # -- evaluation walk ----------------------------------------------
-
     def _evaluate(self, x, base_length: int, states: dict) -> np.ndarray:
-        """One full forward walk at base ``base_length``, resuming from
-        (and updating) ``states``."""
-        config_l = replace(self.config, phase_length=base_length)
-        for index, layer in enumerate(self.network.layers):
-            x = self._forward_layer(layer, x, index, states, config_l)
-        return x
+        """One network walk at base ``base_length``, resuming from (and
+        updating) ``states``."""
+        def resume(layer, acts, config, key, length):
+            return _resume_counts(states, layer, acts, config, key, length)
 
-    def _forward_layer(self, layer, x, key: int, states, config_l):
-        # Exact types only: a subclass may override forward (fault
-        # injection, experiments) and must keep that behavior — it is
-        # re-run from scratch each round instead of resumed.
-        if type(layer) is SCConv2d:
-            return self._conv_forward(layer, x, key, states, config_l)
-        if type(layer) is SCLinear:
-            return self._linear_forward(layer, x, key, states, config_l)
-        if type(layer) is SCResidual:
-            out = x
-            for offset, sub in enumerate(layer.body):
-                # SCResidual.forward's sub-index derivation, so body
-                # layers resume under the seeds they run with.
-                out = self._forward_layer(sub, out, key * 131 + offset + 1,
-                                          states, config_l)
-            if out.shape != x.shape:
-                raise ValueError(
-                    f"residual body changed shape {x.shape} -> {out.shape}"
-                )
-            return x + out
-        return layer.forward(x, config_l, key)
+        return self.network.forward(
+            x, config=replace(self.config, phase_length=base_length),
+            counts=resume)
 
-    def _conv_forward(self, layer, x, key, states, config_l):
-        gather = self._gathers.get(key)
-        if gather is not None:
-            n = x.shape[0]
-            oh, ow = gather.out_hw
-            fan_in = gather.fan_in
-            cols = gather.take(quantize_probability(x, config_l.bits))
-        else:
-            kh, kw = layer.weight.shape[2], layer.weight.shape[3]
-            raw = im2col(x, kh, kw, layer.stride, layer.padding)
-            n, oh, ow, fan_in = raw.shape
-            cols = quantize_probability(raw.reshape(-1, fan_in),
-                                        config_l.bits)
-        if config_l.representation == "bipolar":
-            length = config_l.total_length
-        else:
-            length = layer.phase_length(config_l, key)
-        counts = self._matmul_counts(layer, key, cols, length, states,
-                                     config_l)
-        if config_l.representation == "bipolar":
-            return decode_bipolar_conv_counts(counts, layer, length,
-                                              n, oh, ow)
-        return decode_split_conv_counts(counts, layer, config_l, length,
-                                        n, oh, ow, fan_in)
 
-    def _linear_forward(self, layer, x, key, states, config_l):
-        values = quantize_probability(x, config_l.bits)
-        if config_l.representation == "bipolar":
-            length = config_l.total_length
-        else:
-            length = config_l.phase_length_for(key)
-        counts = self._matmul_counts(layer, key, values, length, states,
-                                     config_l)
-        if config_l.representation == "bipolar":
-            return decode_bipolar_linear_counts(counts, length)
-        return decode_split_linear_counts(counts, config_l, length,
-                                          x.shape[-1])
-
-    # -- resumable counts ---------------------------------------------
-
-    def _matmul_counts(self, layer, key, acts, length, states, config_l):
-        """Counter values for one layer at window ``[0, length)``,
-        resuming the layer's previous window where its inputs held."""
-        state = states.get(key)
-        if state is None:
-            counts = self._execute(layer, key, 0, length, acts, None)
-            states[key] = {"acts": acts, "counts": counts,
-                           "length": length}
-            return counts
-        old_acts = state["acts"]
-        old_length = state["length"]
-        counts = state["counts"]
-        if acts.shape != old_acts.shape or length < old_length:
-            # A shape change cannot happen on a fixed input; a shorter
-            # window only via a pinned per-layer override, which keeps
-            # length == old_length.  Recompute defensively.
-            counts = self._execute(layer, key, 0, length, acts, None)
-        else:
-            moved = np.any(acts != old_acts, axis=1)
-            changed = np.flatnonzero(moved)
-            if length > old_length:
-                kept = np.flatnonzero(~moved)
-                if kept.size:
-                    counts[kept] += self._execute(
-                        layer, key, old_length, length - old_length,
-                        acts, kept)
-            if changed.size:
-                counts[changed] = self._execute(layer, key, 0, length,
-                                                acts, changed)
-        state["acts"] = acts
-        state["counts"] = counts
-        state["length"] = length
-        return counts
-
-    def _execute(self, layer, key, start, length, acts, rows):
-        """Run one clock-window matmul over all rows (``rows=None``) or
-        a row subset of ``acts``."""
-        plan = self._segment_plan(layer, key, start, length)
-        split = isinstance(plan, SplitMatmulPlan)
-        if rows is None:
-            if split:
-                return plan.execute(acts, jit_or=self._jit_or)
-            return plan.execute(acts)
-        if rows.size == acts.shape[0]:
-            if split:
-                return plan.execute(acts, jit_or=self._jit_or)
-            return plan.execute(acts)
-        if split:
-            return plan.execute_rows(acts[rows], rows, jit_or=self._jit_or)
-        return plan.execute_rows(acts[rows], rows)
-
-    def _segment_plan(self, layer, key, start: int, length: int):
-        """Matmul plan for layer ``key``'s clock window
-        ``[start, start + length)``, LRU-cached per executor (weight
-        streams additionally persist in the layer's own cache)."""
-        cache_key = (key, start, length)
-        with self._plans_lock:
-            plan = self._plans.get(cache_key)
-            if plan is not None:
-                self._plans.move_to_end(cache_key)
-                return plan
-        config = self.config
-        seed = config.layer_seed(key, 0)
-        # Conv layers expose the dense block-diagonal plane (grouped
-        # convs included); linear weights are already 2-D.
-        weights_2d = getattr(layer, "weight_2d", layer.weight)
-        channel_groups = getattr(layer, "groups", 1)
-        block_bytes = config.block_kib * 1024
-        if config.representation == "bipolar":
-            stream = layer.packed_weight_streams(
-                representation="bipolar", length=length, bits=config.bits,
-                scheme=config.scheme, seed=seed, offset=start)
-            plan = BipolarMatmulPlan(
-                weights_2d, length=length, bits=config.bits,
-                scheme=config.scheme, seed=seed, block_bytes=block_bytes,
-                weight_stream=stream, encode_cache=config.encode_cache,
-                bit_offset=start, channel_groups=channel_groups)
-        else:
-            streams = layer.packed_weight_streams(
-                representation="split-unipolar", length=length,
-                bits=config.bits, scheme=config.scheme, seed=seed,
-                offset=start)
-            plan = SplitMatmulPlan(
-                weights_2d, length=length, bits=config.bits,
-                scheme=config.scheme, seed=seed,
-                accumulator=config.accumulator, block_bytes=block_bytes,
-                weight_streams=streams, encode_cache=config.encode_cache,
-                bit_offset=start, channel_groups=channel_groups)
-        with self._plans_lock:
-            self._plans[cache_key] = plan
-            while len(self._plans) > _MAX_SEGMENT_PLANS:
-                self._plans.popitem(last=False)
-        return plan
+def _resume_counts(states: dict, layer, acts: np.ndarray, config: SCConfig,
+                   key: int, length: int) -> np.ndarray:
+    """Counter values of layer ``key`` at window ``[0, length)``,
+    resuming the layer's previous window where its input rows held."""
+    state = states.get(key)
+    if (state is None or acts.shape != state["acts"].shape
+            or length < state["length"]):
+        # A shape change cannot happen on a fixed input; a shorter window
+        # only via a pinned per-layer override, which keeps length equal
+        # to the previous one.  Recompute from scratch.
+        counts = layer.window_counts(acts, config, key, length)
+    else:
+        old_length, counts = state["length"], state["counts"]
+        moved = np.any(acts != state["acts"], axis=1)
+        if length > old_length:
+            kept = np.flatnonzero(~moved)
+            if kept.size:
+                counts[kept] += layer.window_counts(
+                    acts, config, key, length - old_length,
+                    offset=old_length, rows=kept)
+        changed = np.flatnonzero(moved)
+        if changed.size:
+            counts[changed] = layer.window_counts(acts, config, key, length,
+                                                  rows=changed)
+    states[key] = {"acts": acts, "counts": counts, "length": length}
+    return counts

@@ -358,8 +358,8 @@ class TestInstrumentedSubsystems:
     def test_snapshot_render_without_layers_omits_table(self):
         snap = MetricsSnapshot(
             requests=1, batches=1, shards=1, samples=1, fallbacks=0,
-            errors=0, stage_seconds={"compute": 0.5}, cache_hits=0,
-            cache_misses=0, queue_depth=0, max_queue_depth=1,
+            errors=0, stage_seconds={"compute": 0.5}, queue_depth=0,
+            max_queue_depth=1,
             bits_simulated=100, elapsed_s=1.0)
         assert "Per-layer timings" not in snap.render()
 

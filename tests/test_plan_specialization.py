@@ -1,11 +1,12 @@
-"""Bit-equivalence and behavior of the plan-specialization stage.
+"""Bit-equivalence and behavior of the planned word kernel.
 
-The specialized execution path (gather plans, zero-lane skipping,
-retiled block schedules, planned matmuls) must be *bit-identical* to
-the generic kernels — across every zoo graph, both representations,
-every accumulator, and adversarial weight sparsity patterns.  Any
-deviation is a correctness bug: both paths simulate the same gates on
-the same streams.
+The planned matmuls (gather plans, zero-lane skipping, retiled block
+schedules, phase packing) are the only word kernel: every forward runs
+them, and the generic matmuls' word path builds one.  So the reference
+they are checked against is the byte kernel — across every zoo graph,
+both representations, every accumulator, and adversarial weight
+sparsity patterns.  Any deviation is a correctness bug: both kernels
+simulate the same gates on the same streams.
 """
 
 import pickle
@@ -40,7 +41,7 @@ def _network(name, phase_length=8, **cfg):
 
 
 # --------------------------------------------------------------------
-# Engine-level planned matmuls vs the generic word kernel
+# Engine-level planned matmuls vs the byte reference kernel
 # --------------------------------------------------------------------
 
 class TestPlannedMatmuls:
@@ -54,7 +55,7 @@ class TestPlannedMatmuls:
         weights[:, 3] = 0.0     # dead fan-in lane
         kwargs = dict(length=length, bits=8, scheme="lfsr", seed=3,
                       accumulator=accumulator, chunk_positions=4)
-        ref = split_or_matmul_counts(acts, weights, kernel="word", **kwargs)
+        ref = split_or_matmul_counts(acts, weights, kernel="byte", **kwargs)
         plan = SplitMatmulPlan(weights, **kwargs)
         assert np.array_equal(ref, plan.execute(acts))
 
@@ -77,7 +78,7 @@ class TestPlannedMatmuls:
         weights[:, 3] = 0.0
         kwargs = dict(length=length, bits=8, scheme="lfsr", seed=3,
                       chunk_positions=4)
-        ref = bipolar_mux_matmul_counts(acts, weights, kernel="word",
+        ref = bipolar_mux_matmul_counts(acts, weights, kernel="byte",
                                         **kwargs)
         plan = BipolarMatmulPlan(weights, **kwargs)
         assert np.array_equal(ref, plan.execute(acts))
@@ -116,7 +117,7 @@ class TestPlannedMatmuls:
         kwargs = dict(length=36, bits=8, scheme="lfsr", seed=11,
                       chunk_positions=3)
         for accumulator in ("or", "apc", "mux"):
-            ref = split_or_matmul_counts(acts, weights, kernel="word",
+            ref = split_or_matmul_counts(acts, weights, kernel="byte",
                                          accumulator=accumulator, **kwargs)
             plan = SplitMatmulPlan(weights, accumulator=accumulator,
                                    **kwargs)
@@ -181,7 +182,7 @@ class TestRowChannelTiler:
     @settings(max_examples=60, deadline=None)
     def test_tiles_match_generic(self, seed, n_rows, length, groups,
                                  pattern, block_bytes, variant):
-        """``execute`` and ``execute_rows`` equal the generic kernels for
+        """``execute`` and ``execute_rows`` equal the byte kernels for
         1 row up to more than two chunks (a ragged last chunk and
         tile), any budget from one byte to 16 MiB, channel groups and
         every zero-lane pattern."""
@@ -194,12 +195,12 @@ class TestRowChannelTiler:
         kwargs = dict(length=length, bits=8, scheme="lfsr", seed=5,
                       chunk_positions=chunk)
         if variant == "bipolar":
-            ref = bipolar_mux_matmul_counts(acts, weights, kernel="word",
+            ref = bipolar_mux_matmul_counts(acts, weights, kernel="byte",
                                             **kwargs)
             plan = BipolarMatmulPlan(weights, block_bytes=block_bytes,
                                      channel_groups=groups, **kwargs)
         else:
-            ref = split_or_matmul_counts(acts, weights, kernel="word",
+            ref = split_or_matmul_counts(acts, weights, kernel="byte",
                                          accumulator=variant, **kwargs)
             plan = SplitMatmulPlan(weights, accumulator=variant,
                                    block_bytes=block_bytes,
@@ -277,16 +278,17 @@ class TestPhasePacking:
            bit_offset=st.sampled_from([0, 5, 64]),
            encode_cache=st.booleans(),
            bits=st.sampled_from([8, 10]),
+           scheme=st.sampled_from(["lfsr", "vdc"]),
            groups=st.sampled_from([1, 2]),
            pattern=st.sampled_from(["none", "group_spans", "scattered",
                                     "all_zero", "one_signed"]),
            accumulator=st.sampled_from(["or", "apc", "mux"]))
     @settings(max_examples=80, deadline=None)
     def test_planes_match_generic(self, seed, n_rows, length, bit_offset,
-                                  encode_cache, bits, groups, pattern,
-                                  accumulator):
+                                  encode_cache, bits, scheme, groups,
+                                  pattern, accumulator):
         """Packed or not, ``execute`` and ``execute_rows`` equal the
-        per-phase generic kernel: every phase length around the word
+        per-phase byte kernel: every phase length around the word
         and half-word edges, offset windows, cached and comparator
         (bits > 8) encodes, row subsets across chunks, channel groups
         and zero-lane patterns.  Both phases share one plane exactly
@@ -296,10 +298,10 @@ class TestPhasePacking:
         acts = rng.random((n_rows, fan_in))
         weights = _zero_lanes(rng.uniform(-1.0, 1.0, (n_chan, fan_in)),
                               pattern, groups, rng)
-        kwargs = dict(length=length, bits=bits, scheme="lfsr", seed=5,
+        kwargs = dict(length=length, bits=bits, scheme=scheme, seed=5,
                       accumulator=accumulator, chunk_positions=8,
                       encode_cache=encode_cache)
-        ref = split_or_matmul_counts(acts, weights, kernel="word",
+        ref = split_or_matmul_counts(acts, weights, kernel="byte",
                                      start_bit=bit_offset, **kwargs)
         plan = SplitMatmulPlan(weights, bit_offset=bit_offset,
                                channel_groups=groups, **kwargs)
@@ -385,45 +387,45 @@ class TestGatherPlan:
 # --------------------------------------------------------------------
 
 class TestPlanEquivalence:
-    @pytest.mark.parametrize("name", sorted(BENCH_NETWORKS))
-    def test_specialized_matches_generic_forward(self, name):
-        sc, shape = _network(name)
-        x = np.random.default_rng(1).uniform(0, 1, (3,) + shape)
+    """Compiled plans against the same network on the byte kernel."""
+
+    @staticmethod
+    def _check(name, x, **cfg):
+        sc, shape = _network(name, **cfg)
+        reference, _ = _network(name, kernel="byte", **cfg)
         plan = ExecutionPlan(sc, shape)
         assert plan.specialization is not None
-        assert np.array_equal(sc.forward(x), plan.run(x))
+        want = reference.forward(x)
+        assert np.array_equal(plan.run(x), want)
+        assert np.array_equal(sc.forward(x), want)
+        return plan
+
+    @pytest.mark.parametrize("name", sorted(BENCH_NETWORKS))
+    def test_specialized_matches_generic_forward(self, name):
+        shape = BENCH_NETWORKS[name][1]
+        self._check(name, np.random.default_rng(1).uniform(0, 1, (3,) + shape))
 
     @pytest.mark.parametrize("name", ["lenet5", "tiny_resnet"])
     def test_bipolar_scheme(self, name):
-        sc, shape = _network(name, representation="bipolar")
-        x = np.random.default_rng(2).uniform(0, 1, (2,) + shape)
-        plan = ExecutionPlan(sc, shape)
-        assert np.array_equal(sc.forward(x), plan.run(x))
+        shape = BENCH_NETWORKS[name][1]
+        self._check(name, np.random.default_rng(2).uniform(0, 1, (2,) + shape),
+                    representation="bipolar")
 
     @pytest.mark.parametrize("accumulator", ["mux", "apc"])
     def test_other_accumulators(self, accumulator):
-        sc, shape = _network("lenet5", accumulator=accumulator)
-        x = np.random.default_rng(3).uniform(0, 1, (2,) + shape)
-        plan = ExecutionPlan(sc, shape)
-        assert np.array_equal(sc.forward(x), plan.run(x))
+        x = np.random.default_rng(3).uniform(0, 1, (2, 1, 28, 28))
+        self._check("lenet5", x, accumulator=accumulator)
 
     def test_no_computation_skipping(self):
-        sc, shape = _network("lenet5", computation_skipping=False)
-        x = np.random.default_rng(4).uniform(0, 1, (2,) + shape)
-        plan = ExecutionPlan(sc, shape)
-        assert np.array_equal(sc.forward(x), plan.run(x))
-
-    def test_specialize_false_pins_generic(self):
-        sc, shape = _network("mnist_mlp")
-        plan = ExecutionPlan(sc, shape, specialize=False)
-        assert plan.specialization is None
-        assert plan.specialization_summary() == {"enabled": False,
-                                                 "kernel": plan.kernel}
+        x = np.random.default_rng(4).uniform(0, 1, (2, 1, 28, 28))
+        self._check("lenet5", x, computation_skipping=False)
 
     def test_byte_kernel_stays_generic(self):
         sc, shape = _network("mnist_mlp", kernel="byte")
         plan = ExecutionPlan(sc, shape)
         assert plan.specialization is None
+        assert plan.specialization_summary() == {"enabled": False,
+                                                 "kernel": "byte"}
 
     def test_plan_pickles_and_stays_identical(self):
         sc, shape = _network("lenet5")
@@ -434,18 +436,20 @@ class TestPlanEquivalence:
 
     def test_pruned_weights_skip_lanes(self):
         # Magnitude-prune the conv weights: the plan must skip the dead
-        # lanes and still match the generic forward bit for bit.
+        # lanes and still match the byte kernel bit for bit.
         sc, shape = _network("lenet5")
-        for layer in sc.layers:
+        reference, _ = _network("lenet5", kernel="byte")
+        for layer, ref_layer in zip(sc.layers, reference.layers):
             weight = getattr(layer, "weight", None)
             if weight is not None:
                 cut = np.quantile(np.abs(weight), 0.7)
-                layer.weight = np.where(np.abs(weight) < cut, 0.0, weight)
+                layer.weight = ref_layer.weight = np.where(
+                    np.abs(weight) < cut, 0.0, weight)
         x = np.random.default_rng(6).uniform(0, 1, (2,) + shape)
         plan = ExecutionPlan(sc, shape)
         totals = plan.specialization.summary()["totals"]
         assert totals["lanes_skipped_pct"] > 15.0
-        assert np.array_equal(sc.forward(x), plan.run(x))
+        assert np.array_equal(reference.forward(x), plan.run(x))
 
     def test_describe_reports_decisions(self):
         sc, shape = _network("lenet5")
@@ -453,16 +457,13 @@ class TestPlanEquivalence:
         assert "variant" in text and "split-or" in text
         assert "block KiB" in text and "specialized" in text
 
-    def test_runtime_identical_across_specialize_toggle(self):
+    def test_runtime_matches_byte_kernel_forward(self):
         sc, shape = _network("mnist_mlp")
+        reference, _ = _network("mnist_mlp", kernel="byte")
         x = np.random.default_rng(7).uniform(0, 1, (4,) + shape)
         with InferenceRuntime(sc, shape, config=RuntimeConfig(
-                backend="serial", specialize=True)) as on:
-            a = on.infer(x)
-        with InferenceRuntime(sc, shape, config=RuntimeConfig(
-                backend="serial", specialize=False)) as off:
-            b = off.infer(x)
-        assert np.array_equal(a, b)
+                backend="serial", shard_size=4)) as runtime:
+            assert np.array_equal(runtime.infer(x), reference.forward(x))
 
 
 # --------------------------------------------------------------------
@@ -496,10 +497,39 @@ class TestSpecializationCache:
         assert plan2.specialization.from_cache
         info = specialization_cache_info()
         assert info["hits"] >= 1 and info["entries"] >= 1
-        # Cached artifacts are the same objects — no recompiled tables.
+        # Cached artifacts are the same objects — no recompiled tables —
+        # and the fresh network's layers run them.
         k1 = plan1.specialization.plans
         k2 = plan2.specialization.plans
         assert all(k1[i] is k2[i] for i in k1)
+        assert all(sc2.layers[i].plans.get(k1[i].key) is k1[i].matmul
+                   for i in k1)
+
+    def test_cold_compile_installs_tuned_plans(self):
+        clear_specialization_cache()
+        sc, shape = _network("cifar10_cnn")
+        plan = ExecutionPlan(sc, shape, autotune_budget_s=2.0)
+        kernel_plans = plan.specialization.plans.values()
+        assert any(kp.autotuned for kp in kernel_plans)
+        for kp in kernel_plans:
+            assert sc.layers[kp.index].plans.get(kp.key) is kp.matmul
+            assert kp.matmul.block_bytes == kp.block_kib * 1024
+
+    def test_compile_never_retiles_an_installed_plan(self):
+        # A forward leaves the layers' plans installed, where other
+        # threads may be running them: a later compile reuses them as
+        # they are instead of autotuning them in place.
+        clear_specialization_cache()
+        sc, shape = _network("cifar10_cnn")
+        sc.forward(np.random.default_rng(8).uniform(0, 1, (1,) + shape))
+        blocks = {id(p): [ph.blocks for ph in p.phases]
+                  for layer in sc.layers if hasattr(layer, "plans")
+                  for p in layer.plans.values() if hasattr(p, "phases")}
+        plan = ExecutionPlan(sc, shape, autotune_budget_s=2.0)
+        for kp in plan.specialization.plans.values():
+            assert not kp.autotuned
+            assert all(a is b for a, b in zip(
+                blocks[id(kp.matmul)], [ph.blocks for ph in kp.matmul.phases]))
 
     def test_group_facts_expose_sparsity(self):
         sc, shape = _network("lenet5")

@@ -194,8 +194,9 @@ class TestForwardPartialIdentity:
         np.testing.assert_array_equal(result.logits, one_shot)
 
     def test_specialized_gathers_identical(self):
-        # The runtime hands its compiled gather plans to the executor;
-        # the patch matrices (and hence every bit) must match im2col.
+        # The runtime's compile installs gather plans in the conv layers,
+        # which the executor's walk then uses; the patch matrices (and
+        # hence every bit) must match im2col.
         x = _x("lenet5")
         sc = _network("lenet5", phase_length=4)
         with InferenceRuntime(sc, SHAPES["lenet5"]) as rt:

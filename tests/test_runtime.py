@@ -5,9 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.runtime import (BENCH_NETWORKS, DynamicBatcher, ExecutionPlan,
                            InferenceRuntime, RuntimeConfig, RuntimeMetrics,
-                           format_bench, run_bench)
+                           clear_specialization_cache, format_bench,
+                           run_bench)
 from repro.simulator import SCConfig, SCNetwork
 from repro.training import (Flatten, ReLU, Sequential, SplitOrConv2d,
                             SplitOrLinear)
@@ -57,15 +59,28 @@ class TestExecutionPlan:
         assert "Execution plan" in plan.describe()
 
     def test_compile_warms_caches(self):
-        # Pin the generic path: a specialized plan embeds the packed
-        # streams in its kernel plans and never re-fetches at run time.
+        # A cold compile encodes each conv/linear layer's weight streams
+        # exactly once, into the plan it installs in the layer.  Running
+        # the plan, and compiling a freshly built identical network (a
+        # fingerprint-cache hit) and running that, encode none.
+        def weight_encodes(run):
+            with obs.KERNEL_COUNTERS.scope() as scope:
+                run()
+            return scope.delta().get("encode:weights", (0, 0.0))[0]
+
+        clear_specialization_cache()
+        x = np.random.default_rng(1).uniform(0, 1, (2,) + SHAPE)
         _, sc = tiny_network()
-        plan = ExecutionPlan(sc, SHAPE, specialize=False)
-        hits, misses = plan.cache_counters()
-        assert misses == 2 and hits == 0
-        plan.run(np.random.default_rng(1).uniform(0, 1, (2,) + SHAPE))
-        hits, _ = plan.cache_counters()
-        assert hits == 2
+        plans = []
+        assert weight_encodes(
+            lambda: plans.append(ExecutionPlan(sc, SHAPE))) == 2
+        assert weight_encodes(lambda: plans[0].run(x)) == 0
+        _, fresh = tiny_network()
+        assert weight_encodes(
+            lambda: plans.append(ExecutionPlan(fresh, SHAPE))) == 0
+        assert plans[1].specialization.from_cache
+        assert weight_encodes(lambda: plans[1].run(x)) == 0
+        assert np.array_equal(plans[0].run(x), plans[1].run(x))
 
     def test_run_matches_plain_forward(self, rng):
         _, sc = tiny_network()
@@ -193,9 +208,9 @@ class TestInferenceRuntime:
         assert snap.shards == 2
         assert snap.fallbacks == 0
         assert snap.bits_simulated == 4 * runtime.plan.bits_per_sample
-        assert 0.0 <= snap.cache_hit_rate <= 1.0
+        assert 0.0 <= snap.act_cache_hit_rate <= 1.0
         assert snap.stage_seconds["compute"] > 0
-        assert "encode-cache hit rate" in snap.render()
+        assert "act-encode-cache hit rate" in snap.render()
 
     def test_fixedpoint_fallback_requires_reference(self):
         _, sc = tiny_network()
@@ -358,7 +373,7 @@ class TestBench:
         result = run_bench("lenet5", batch=2, repeats=1, workers=2,
                            backend="thread", shard_size=1, phase_length=4)
         assert result.identical
-        assert result.uncached_s > 0 and result.parallel_s > 0
+        assert result.planned_s > 0 and result.parallel_s > 0
         text = format_bench(result)
         assert "bit-identical" in text
         assert "Runtime metrics" in text

@@ -262,3 +262,53 @@ class TestRegistryConcurrency:
             assert registry.evictions > 0
         # Registry close released every publication this test created.
         assert set(shm.list_repro_segments()) <= segments_before
+
+
+class TestLayerPlanCacheConcurrency:
+    """Thread workers share each layer's plan cache: cold forwards racing
+    to build the same plans, and windows of many lengths racing its LRU
+    eviction, must give the serial bits and keep the cache bounded."""
+
+    def test_cold_forwards_and_evictions_race(self):
+        n_threads, lengths = 6, (8, 16, 24, 32, 40)
+        x = np.random.default_rng(6).uniform(0, 1, (2,) + SHAPE)
+        expected = {L: tiny_network(phase_length=L).forward(x)
+                    for L in lengths}
+        shared = tiny_network()
+        for layer in shared.layers:
+            if hasattr(layer, "plans"):
+                layer.plans.max_entries = 3
+        start = threading.Barrier(n_threads)
+        results, errors = [], []
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def hammer(i):
+                try:
+                    start.wait(timeout=60)
+                    for step in range(2 * len(lengths)):
+                        L = lengths[(i + step) % len(lengths)]
+                        out = shared.forward(
+                            x, config=SCConfig(phase_length=L))
+                        with lock:
+                            results.append((L, out))
+                except Exception as exc:  # noqa: BLE001 - collected
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(results) == n_threads * 2 * len(lengths)
+        for L, out in results:
+            np.testing.assert_array_equal(out, expected[L])
+        for layer in shared.layers:
+            if hasattr(layer, "plans"):
+                assert len(layer.plans) <= 3

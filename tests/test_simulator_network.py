@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.networks import mnist_mlp
 from repro.runtime import ExecutionPlan
 from repro.simulator import (FixedPointNetwork, SCAvgPool, SCConfig, SCConv2d,
@@ -273,7 +274,8 @@ class TestEmptyPredict:
 
 
 class TestWeightStreamCaching:
-    """Layer-level packed weight-stream caches (the plan's substrate)."""
+    """Layer plan caches: each conv/linear layer keeps the engine plans
+    (and so the packed weight streams) its forwards run."""
 
     def _network(self, rng, **config_kwargs):
         from repro.training import (Flatten, ReLU, Sequential,
@@ -287,22 +289,29 @@ class TestWeightStreamCaching:
             net, SCConfig(phase_length=16, **config_kwargs)
         )
 
+    @staticmethod
+    def _plans(sc) -> list:
+        return [layer.plans.values() for layer in sc.layers
+                if hasattr(layer, "plans")]
+
     def test_repeated_forward_hits_cache(self, rng):
         sc = self._network(rng)
         x = rng.uniform(0, 1, (2, 1, 8, 8))
-        sc.forward(x)
-        caches = [l.stream_cache for l in sc.layers
-                  if hasattr(l, "stream_cache")]
-        assert len(caches) == 2
-        assert all(c.misses == 1 and c.hits == 0 for c in caches)
-        sc.forward(x)
-        assert all(c.misses == 1 and c.hits == 1 for c in caches)
+        with obs.KERNEL_COUNTERS.scope() as scope:
+            sc.forward(x)
+        assert scope.delta()["encode:weights"][0] == 2
+        plans = self._plans(sc)
+        assert len(plans) == 2 and all(plans)
+        with obs.KERNEL_COUNTERS.scope() as scope:
+            sc.forward(x)
+        assert "encode:weights" not in scope.delta()
+        assert self._plans(sc) == plans     # the same plan objects
 
     def test_logits_bit_identical_cold_vs_warm(self, rng):
         sc = self._network(rng)
         x = rng.uniform(0, 1, (3, 1, 8, 8))
         cold = sc.forward(x)        # populates the caches
-        warm = sc.forward(x)        # replays the packed streams
+        warm = sc.forward(x)        # reruns the cached plans
         assert np.array_equal(cold, warm)
         # And against a fresh network with untouched caches.
         fresh = self._network(np.random.default_rng(0))
@@ -321,18 +330,64 @@ class TestWeightStreamCaching:
         sc.config = SCConfig(phase_length=32)
         sc.forward(x)
         linear = sc.layers[-1]
-        assert len(linear.stream_cache) == 2
-        assert linear.stream_cache.misses == 2
+        assert len(linear.plans) == 2
+        assert {plan.length for plan in linear.plans.values()} == {16, 32}
 
     def test_cache_lru_eviction(self, rng):
-        from repro.simulator import WeightStreamCache
-        cache = WeightStreamCache(max_entries=2)
+        from repro.simulator import LayerPlanCache
+        cache = LayerPlanCache(max_entries=2)
         for key in ("a", "b", "c"):
-            cache.get_or_encode(key, lambda: key.upper())
+            cache.get_or_build(key, lambda: key.upper())
         assert len(cache) == 2
-        assert cache.get_or_encode("c", lambda: "?") == "C"   # hit
-        assert cache.get_or_encode("a", lambda: "A2") == "A2"  # evicted
-        assert cache.hits == 1 and cache.misses == 4
+        assert cache.get_or_build("c", lambda: "?") == "C"   # hit
+        assert cache.get_or_build("a", lambda: "A2") == "A2"  # evicted
+
+
+class TestWeightReassignment:
+    """Assigning ``layer.weight`` drops the layer's cached plans, so the
+    next forward runs the new weights."""
+
+    def test_pruned_linear_weights_take_effect(self):
+        from repro.datasets import synthetic_mnist
+        (_, _), (x, _) = synthetic_mnist(n_train=0, n_test=2, seed=1)
+
+        def network():
+            return SCNetwork.from_trained(mnist_mlp(seed=0),
+                                          SCConfig(phase_length=16))
+
+        sc = network()
+        before = sc.forward(x)
+        first = next(l for l in sc.layers if isinstance(l, SCLinear))
+        cut = np.quantile(np.abs(first.weight), 0.5)
+        pruned = np.where(np.abs(first.weight) < cut, 0.0, first.weight)
+        first.weight = pruned
+        after = sc.forward(x)
+        fresh = network()
+        next(l for l in fresh.layers
+             if isinstance(l, SCLinear)).weight = pruned
+        assert np.array_equal(after, fresh.forward(x))
+        assert not np.array_equal(after, before)
+
+    def test_grouped_conv_drops_its_expanded_plane(self, rng):
+        config = SCConfig(phase_length=16)
+        x = rng.uniform(0, 1, (2, 4, 6, 6))
+        layer = SCConv2d(rng.uniform(-1, 1, (4, 2, 3, 3)), padding=1,
+                         groups=2)
+        layer.forward(x, config, 0)
+        new = rng.uniform(-1, 1, (4, 2, 3, 3))
+        layer.weight = new
+        want = SCConv2d(new, padding=1, groups=2)
+        assert np.array_equal(layer.weight_2d, want.weight_2d)
+        assert np.array_equal(layer.forward(x, config, 0),
+                              want.forward(x, config, 0))
+
+    def test_assignment_is_validated(self):
+        layer = SCLinear(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            layer.weight = np.full((2, 3), 2.0)
+        with pytest.raises(ValueError, match="groups=2"):
+            SCConv2d(np.zeros((2, 1, 3, 3)), groups=2).weight = \
+                np.zeros((3, 1, 3, 3))
 
 
 class TestNaNInput:
