@@ -311,7 +311,7 @@ def _cmd_bench(args) -> int:
         args.network, batch=args.batch, repeats=args.repeats,
         workers=args.workers, backend=args.backend,
         shard_size=args.shard, phase_length=args.phase_length,
-        seed=args.seed, kernel=args.kernel,
+        seed=args.seed,
     )
     print(format_bench(result))
     return 0 if result.identical else 1
@@ -496,10 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="samples per shard (default: batch/workers)")
     bench_cmd.add_argument("--phase-length", type=int, default=32)
     bench_cmd.add_argument("--seed", type=int, default=0)
-    bench_cmd.add_argument("--kernel", choices=("word", "byte"),
-                           default=None,
-                           help="engine kernel (default: word, or "
-                                "REPRO_SC_KERNEL)")
     bench_cmd.add_argument("--progressive", action="store_true",
                            help="benchmark confidence-gated anytime "
                                 "inference against the fixed-length "

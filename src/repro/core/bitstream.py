@@ -4,8 +4,8 @@ A stochastic bitstream is a sequence of bits whose *density* (fraction of
 ones) encodes a number.  Internally streams are numpy ``uint8`` arrays of
 0/1 with time on the last axis; for bulk linear algebra the functional
 simulator packs time steps into machine words — eight per byte
-(``np.packbits``) for the reference byte path, and 64 per ``uint64``
-word (:func:`pack_words`) for the production kernels — so AND/OR
+(``np.packbits``) for the encoded weight streams, and 64 per ``uint64``
+word (:func:`pack_words`) for the kernel — so AND/OR
 reductions run on a fraction of the memory and one ALU op covers many
 clocks.
 
@@ -54,8 +54,8 @@ def words_from_bytes(packed: np.ndarray) -> np.ndarray:
     Pads the last axis with zero bytes to a multiple of eight and views
     the result as ``uint64`` (64 clocks per word).  The word layout is
     *defined* as this view of the ``np.packbits`` byte layout, so the
-    byte path and the word path always describe the same bit sequence
-    and pad bits are always zero.
+    byte and word forms of a stream always describe the same bit
+    sequence and pad bits are always zero.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint8)
     n_bytes = packed.shape[-1]

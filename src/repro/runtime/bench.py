@@ -74,20 +74,17 @@ class BenchResult:
 def run_bench(network: str = "mnist_mlp", *, batch: int = 8,
               repeats: int = 3, workers: int = 4, backend: str = "thread",
               shard_size: int = None, phase_length: int = 32,
-              seed: int = 0, kernel: str = None) -> BenchResult:
+              seed: int = 0) -> BenchResult:
     """Run the two-mode benchmark on one zoo network.
 
     Weights are untrained (throughput does not depend on values); the
-    per-shard bit-exactness checks are what matter.  ``kernel`` selects
-    the engine implementation ("word"/"byte"); ``None`` uses the
-    environment default.
+    per-shard bit-exactness checks are what matter.
     """
     builder, shape = BENCH_NETWORKS[network]
     if shard_size is None:
         shard_size = max(1, batch // max(workers, 1))
     sc = SCNetwork.from_trained(builder(seed=seed),
-                                SCConfig(phase_length=phase_length,
-                                         kernel=kernel))
+                                SCConfig(phase_length=phase_length))
     rng = np.random.default_rng(seed + 1)
     x = rng.uniform(0.0, 1.0, (batch,) + shape)
 

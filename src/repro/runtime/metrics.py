@@ -56,7 +56,7 @@ class MetricsSnapshot:
     bits_simulated: int
     elapsed_s: float
     #: Per-kernel ``{name: (calls, seconds)}`` from the engine's
-    #: KERNEL_STATS ("plan:or", "byte:bipolar", "encode:act", ...).
+    #: KERNEL_STATS ("plan:or", "word:bipolar", "encode:act", ...).
     #: Matmul rows are end-to-end; "encode:*" rows are a breakdown.
     kernel_seconds: dict = field(default_factory=dict)
     #: Activation value -> packed-stream table cache (engine

@@ -5,10 +5,12 @@ fused SC-level :class:`~repro.ir.NetworkGraph` (one node per simulator
 layer) with a symbolic input shape.  The IR's shape inference validates
 layer compatibility up front; per layer the walk records a
 :class:`LayerPlan` row (stream lengths, weight lanes, the bitstream
-product-bits one sample simulates) and, on the word kernel, builds and
-autotunes the layer's engine plans and installs them in the layer's own
-plan cache (:mod:`repro.runtime.specialize`) — or installs them from the
-process-wide fingerprint cache without encoding a weight stream.
+product-bits one sample simulates) and builds and autotunes the layer's
+engine plans and installs them in the layer's own plan cache
+(:mod:`repro.runtime.specialize`) — or installs them from the
+process-wide fingerprint cache without encoding a weight stream.  The
+graph the walk reads is derived from the network's live layers, so the
+compile sees the weights the layers hold now.
 :meth:`ExecutionPlan.run` is then just
 :meth:`~repro.simulator.network.SCNetwork.forward`, the one network
 walker, finding every plan warm.
@@ -29,7 +31,6 @@ from ..analysis import format_table
 from ..ir import conv_output_hw
 from ..ir.passes import LEGALIZE_PASSES, group_facts, lower
 from ..simulator.config import SCConfig
-from ..simulator.engine import default_kernel
 from ..simulator.network import SCNetwork
 from .specialize import (Specialization, TuningBudget, build_kernel_plan,
                          lookup_kernel_plans, specialization_fingerprint,
@@ -80,9 +81,7 @@ class ExecutionPlan:
     autotune_budget_s:
         Total compile-time budget for the per-layer block-schedule
         measurement pass; ``0`` keeps the config's global ``block_kib``
-        everywhere.  Compiling for the byte reference kernel
-        (``REPRO_SC_KERNEL=byte`` or ``SCConfig(kernel="byte")``)
-        builds no engine plans at all.
+        everywhere.
     """
 
     def __init__(self, network: SCNetwork, input_shape: tuple,
@@ -91,15 +90,11 @@ class ExecutionPlan:
         config = config if config is not None else network.config
         # Share layer objects (and therefore plan caches) but pin the
         # plan to one config so runs cannot drift from what was compiled.
-        self.network = SCNetwork(network.layers, config, graph=network.graph)
+        self.network = SCNetwork(network.layers, config, name=network.name,
+                                 input_shape=network.input_shape)
         self.config = config
-        # Resolve the kernel selection at compile time so the plan
-        # records (and `describe` reports) what will actually run, even
-        # when the config leaves it to the environment default.
-        self.kernel = config.kernel if config.kernel else default_kernel()
         self.input_shape = tuple(int(d) for d in input_shape)
         self.layer_plans = []
-        self.specialization = None
         # The fused SC-level graph is 1:1 with the simulator layers, so
         # the plan runs only the legalization subset of the pass
         # pipeline (normalize + shape inference with exact-pool
@@ -110,32 +105,29 @@ class ExecutionPlan:
             result = lower(self.network.to_graph(), passes=LEGALIZE_PASSES,
                            exact_pool=True, input_shape=self.input_shape)
             t0 = time.perf_counter()
-            specialize = None
-            if self.kernel == "word":
-                self._fingerprint = specialization_fingerprint(
-                    self.network, self.input_shape, config)
-                cached = lookup_kernel_plans(self._fingerprint)
-                kernel_plans = {}
-                budget = TuningBudget(autotune_budget_s)
+            self._fingerprint = specialization_fingerprint(
+                self.network, self.input_shape, config)
+            cached = lookup_kernel_plans(self._fingerprint)
+            kernel_plans = {}
+            budget = TuningBudget(autotune_budget_s)
 
-                def specialize(layer, info, fact, index):
-                    plan = (cached[index] if cached is not None
-                            else build_kernel_plan(layer, info, fact, index,
-                                                   config, budget))
-                    layer.install(plan)
-                    kernel_plans[index] = plan
+            def specialize(layer, info, fact, index):
+                plan = (cached[index] if cached is not None
+                        else build_kernel_plan(layer, info, fact, index,
+                                               config, budget))
+                layer.install(plan)
+                kernel_plans[index] = plan
 
             for index, (info, fact, layer) in enumerate(zip(
                     result.infos, group_facts(result),
                     self.network.layers)):
                 self._compile_node(info, fact, layer, index, specialize)
-            if specialize is not None:
-                if cached is None:
-                    store_kernel_plans(self._fingerprint, kernel_plans)
-                self.specialization = Specialization(
-                    kernel_plans, from_cache=cached is not None,
-                    build_seconds=time.perf_counter() - t0,
-                    autotune_budget_s=autotune_budget_s)
+            if cached is None:
+                store_kernel_plans(self._fingerprint, kernel_plans)
+            self.specialization = Specialization(
+                kernel_plans, from_cache=cached is not None,
+                build_seconds=time.perf_counter() - t0,
+                autotune_budget_s=autotune_budget_s)
             span.add_counter("layers", len(self.layer_plans))
             span.add_counter("weight_lanes", self.weight_lanes)
         self.output_shape = result.infos[-1].out_shape if result.infos \
@@ -146,8 +138,8 @@ class ExecutionPlan:
     def _compile_node(self, info, fact, layer, index: int,
                       specialize) -> None:
         """Record one node's plan row; a conv/linear layer is handed to
-        ``specialize`` (``None`` for the byte kernel), which installs its
-        engine plans.  Residual bodies recurse under their sub-indices."""
+        ``specialize``, which installs its engine plans.  Residual bodies
+        recurse under their sub-indices."""
         node = info.node
         length = lanes = bits = 0
         if node.kind == "residual":
@@ -168,8 +160,7 @@ class ExecutionPlan:
                         * length)
             else:
                 bits = phases * lanes * length
-            if specialize is not None:
-                specialize(layer, info, fact, index)
+            specialize(layer, info, fact, index)
         self.layer_plans.append(LayerPlan(
             index=index, kind=_PLAN_KINDS.get(node.kind, node.kind),
             output_shape=info.out_shape, phase_length=length,
@@ -197,7 +188,7 @@ class ExecutionPlan:
         :class:`~repro.runtime.progressive.ProgressiveOutcome`; its
         logits are bit-identical to :meth:`run` under the same config
         at the outcome's final ``phase_length``.  Requires a
-        prefix-stable RNG scheme and the word kernel."""
+        prefix-stable RNG scheme."""
         from ..simulator.progressive import ProgressiveExecutor
         from .progressive import ProgressivePolicy, run_progressive
         if policy is None:
@@ -220,23 +211,15 @@ class ExecutionPlan:
         structure, exact weight bytes) — two plans with equal
         fingerprints produce bit-identical logits, which is what makes
         it the shared-memory publication key: pools serving the same
-        compiled model attach to one segment.  Cached after the first
-        call.
+        compiled model attach to one segment.  Computed at compile
+        time.
         """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            cached = specialization_fingerprint(
-                self.network, self.input_shape, self.config)
-            self._fingerprint = cached
-        return cached
+        return self._fingerprint
 
     def encode_table_keys(self, max_samples: int) -> list:
         """Activation encode-table keys a run of ``max_samples`` rows
-        touches (empty for generic plans — see
-        :meth:`~repro.runtime.specialize.Specialization.
+        touches (see :meth:`~repro.runtime.specialize.Specialization.
         encode_table_keys`)."""
-        if self.specialization is None:
-            return []
         return self.specialization.encode_table_keys(max_samples)
 
     @property
@@ -250,16 +233,13 @@ class ExecutionPlan:
 
     def specialization_summary(self) -> dict:
         """Decision record of the specialization stage (for metrics)."""
-        if self.specialization is None:
-            return {"enabled": False, "kernel": self.kernel}
         return self.specialization.summary()
 
     def describe(self) -> str:
         """Per-layer plan table (shapes, stream lengths, simulated bits,
-        and — when specialization is compiled — the kernel variant,
-        chosen block budget, and zero-lane skip rate per layer)."""
-        kernel_plans = (self.specialization.plans
-                        if self.specialization is not None else {})
+        and the kernel variant, chosen block budget, and zero-lane skip
+        rate per conv/linear layer)."""
+        kernel_plans = self.specialization.plans
         rows = []
         for p in self.layer_plans:
             kp = kernel_plans.get(p.index)
@@ -269,18 +249,15 @@ class ExecutionPlan:
                  p.phase_length or "-", p.weight_lanes or "-",
                  f"{p.product_bits_per_sample:.2e}"
                  if p.product_bits_per_sample else "-",
-                 kp.variant if kp else "generic" if p.weight_lanes else "-",
+                 kp.variant if kp else "-",
                  kp.block_kib if kp else "-",
                  f"{100.0 * kp.lanes_skipped_fraction:.1f}%" if kp else "-")
             )
+        totals = self.specialization.summary()["totals"]
         title = (f"Execution plan — {self.config.representation}, "
-                 f"{self.kernel} kernel, "
-                 f"{self.bits_per_sample:.2e} product bits/sample")
-        if self.specialization is not None:
-            totals = self.specialization.summary()["totals"]
-            title += (f", specialized ({totals['specialized_layers']} "
-                      f"layers, {totals['lanes_skipped_pct']}% lanes "
-                      f"skipped)")
+                 f"{self.bits_per_sample:.2e} product bits/sample, "
+                 f"specialized ({totals['specialized_layers']} layers, "
+                 f"{totals['lanes_skipped_pct']}% lanes skipped)")
         return format_table(
             ["layer", "kind", "out shape", "groups", "phase len",
              "weight lanes", "bits/sample", "variant", "block KiB", "skip"],

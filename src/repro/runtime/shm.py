@@ -170,8 +170,8 @@ def publish_plan(key, plan, tables: dict = None) -> PlanRef:
     """Write ``{"plan": plan, "tables": tables}`` into a new segment.
 
     ``tables`` maps :data:`ENCODE_CACHE` keys to pre-built encode
-    tables (see :func:`build_encode_tables`); pass ``None``/empty when
-    the plan is generic and workers must build their own.  Returns the
+    tables (see :func:`build_encode_tables`); pass ``None``/empty to
+    let workers build their own.  Returns the
     :class:`PlanRef` a worker needs to :func:`attach_plan`.  Prefer
     :meth:`SharedPlanRegistry.acquire` for refcounted lifetime.
     """
@@ -208,7 +208,8 @@ _OWNED = {}      # segment name -> owner-side SharedMemory
 
 
 def _weight_bytes(plan) -> int:
-    """Weight words the plan's installed engine plans hold."""
+    """Weight words the plan's installed engine plans hold (0 for a
+    payload that is not an :class:`~repro.runtime.ExecutionPlan`)."""
     specialization = getattr(plan, "specialization", None)
     if specialization is None:
         return 0
@@ -220,16 +221,10 @@ def build_encode_tables(plan, max_samples: int) -> dict:
     """Materialize every activation encode table a forward pass of up
     to ``max_samples`` rows will need, via the parent's cache.
 
-    Returns ``{cache key: table}``.  Empty for generic (unspecialized)
-    plans — their chunk seeds are not enumerable from the compiled
-    artifacts, so workers build tables lazily (correct, just not
-    shared).
+    Returns ``{cache key: table}``.
     """
-    specialization = getattr(plan, "specialization", None)
-    if specialization is None:
-        return {}
     tables = {}
-    for key in specialization.encode_table_keys(max_samples):
+    for key in plan.encode_table_keys(max_samples):
         scheme, bits, seed, lanes, length, offset = key
         tables[key] = ENCODE_CACHE.table(scheme, bits, seed, lanes, length,
                                          offset=offset)

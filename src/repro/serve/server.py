@@ -320,9 +320,9 @@ class Server:
         except asyncio.CancelledError:
             raise
         except ValueError as exc:
-            # Non-resumable config (byte kernel / non-prefix-stable
-            # scheme) or bad input — the client's request cannot be
-            # served progressively on this model.
+            # Non-resumable config (non-prefix-stable scheme) or bad
+            # input — the client's request cannot be served
+            # progressively on this model.
             self.counters["bad_requests"] += 1
             return {"ok": False, "error": "bad_request", "id": rid,
                     "detail": str(exc)}

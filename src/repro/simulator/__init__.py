@@ -7,9 +7,8 @@ OR-reducing and counting bitstreams.
 """
 
 from .config import SCConfig
-from .engine import (ENCODE_CACHE, KERNEL_STATS, KERNELS,
-                     ActivationEncodeCache, KernelStats,
-                     bipolar_mux_matmul_counts, default_kernel,
+from .engine import (ENCODE_CACHE, KERNEL_STATS, ActivationEncodeCache,
+                     KernelStats, bipolar_mux_matmul_counts,
                      encode_bipolar_weight_stream, encode_packed,
                      encode_split_weight_streams, popcount_packed,
                      split_or_matmul_counts)
@@ -20,12 +19,12 @@ from .metrics import (confusion_matrix, evaluate_classifier,
                       per_class_accuracy, top_k_accuracy)
 from .network import SCNetwork, sc_graph_of
 from .progressive import ProgressiveExecutor, ProgressiveResult
-from .reference import ReferenceSplitUnipolarMac
+from .reference import reference_counts, reference_step
 
 __all__ = [
     "SCConfig",
-    "ENCODE_CACHE", "KERNEL_STATS", "KERNELS", "ActivationEncodeCache",
-    "KernelStats", "bipolar_mux_matmul_counts", "default_kernel",
+    "ENCODE_CACHE", "KERNEL_STATS", "ActivationEncodeCache",
+    "KernelStats", "bipolar_mux_matmul_counts",
     "encode_bipolar_weight_stream", "encode_packed",
     "encode_split_weight_streams", "popcount_packed",
     "split_or_matmul_counts",
@@ -36,5 +35,5 @@ __all__ = [
     "ProgressiveExecutor", "ProgressiveResult",
     "confusion_matrix", "evaluate_classifier", "per_class_accuracy",
     "top_k_accuracy",
-    "ReferenceSplitUnipolarMac",
+    "reference_counts", "reference_step",
 ]

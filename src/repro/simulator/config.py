@@ -46,12 +46,6 @@ class SCConfig:
     #: per-layer knob — the basis of the mixed-stream-precision
     #: allocation study.
     layer_phase_lengths: dict = None
-    #: Kernel implementation: ``"word"`` (the layers' uint64 engine
-    #: plans, production), ``"byte"`` (the uint8 reference path tests
-    #: compare against), or ``None`` to resolve via the
-    #: ``REPRO_SC_KERNEL`` environment variable (default ``"word"``).
-    #: Both kernels return bit-identical counts.
-    kernel: str = None
     #: Working-set budget (KiB) for one product tile of the word
     #: kernel: ``rows x channels x words x lanes`` uint64 AND products,
     #: tiled so each stays inside it; ~L2/L3-sized keeps the broadcast
@@ -71,8 +65,6 @@ class SCConfig:
             raise ValueError(
                 f"unknown representation {self.representation!r}"
             )
-        if self.kernel is not None and self.kernel not in ("word", "byte"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.block_kib < 1:
             raise ValueError("block_kib must be positive")
         if self.layer_phase_lengths is not None:
@@ -141,12 +133,6 @@ class SCConfig:
             return self.layer_phase_lengths.get(layer_index,
                                                 self.phase_length)
         return self.phase_length
-
-    def kernel_kwargs(self) -> dict:
-        """Kernel-selection kwargs for the generic engine matmuls."""
-        return {"kernel": self.kernel,
-                "block_bytes": self.block_kib * 1024,
-                "encode_cache": self.encode_cache}
 
     def layer_seed(self, layer_index: int, phase: int) -> int:
         """Per-layer, per-phase seed — streams are regenerated at every

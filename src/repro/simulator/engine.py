@@ -7,16 +7,15 @@ built to make it merely slow:
 
 **Word packing.**  Streams are packed 64 clocks per ``uint64`` word
 (:func:`repro.core.bitstream.pack_words`), so one ALU op covers 64
-simulated clocks.  A byte-packed reference path (8 clocks per op, the
-original implementation style) is kept selectable via ``kernel="byte"``
-or the ``REPRO_SC_KERNEL`` environment variable as the tests' second
-opinion; both paths are bit-identical and asserted so in tests.  A planned
-split-unipolar matmul whose phase length ``L`` leaves a word at most
-half full (``1 <= L mod 64 <= 32``) and whose two phases encode the
-same lanes lays both phases end to end in one stream of ``2L`` clocks
-(:class:`SplitMatmulPlan`): one AND/OR/popcount pass and one encode
-gather serve both, and the down phase's bits are counted negatively by
-flipping them before the popcount.
+simulated clocks.  The tests check every count against the gate-level
+oracle of :mod:`repro.simulator.reference`, which keeps one boolean per
+gate output per clock.  A planned split-unipolar matmul whose phase
+length ``L`` leaves a word at most half full (``1 <= L mod 64 <= 32``)
+and whose two phases encode the same lanes lays both phases end to end
+in one stream of ``2L`` clocks (:class:`SplitMatmulPlan`): one
+AND/OR/popcount pass and one encode gather serve both, and the down
+phase's bits are counted negatively by flipping them before the
+popcount.
 
 **Shared-lane activation encoding.**  One SNG lane per fan-in element,
 time-multiplexed across the output positions of a chunk — exactly how
@@ -39,8 +38,7 @@ plane is cut into channel blocks once and every call is tiled over the
 rows it actually carries, forming products in per-call scratch.  The
 simulator layers keep their plans in per-layer caches; the generic
 :func:`split_or_matmul_counts` and :func:`bipolar_mux_matmul_counts`
-build a transient plan and execute it (``kernel="word"``) or run the
-byte reference (``kernel="byte"``).
+build a transient plan and execute it.
 
 Per-kernel wall time is recorded once, in the observability layer's
 :data:`~repro.obs.KERNEL_COUNTERS` store (``KERNEL_STATS`` here is an
@@ -67,12 +65,8 @@ from ..core.sng import StochasticNumberGenerator
 __all__ = ["popcount_packed", "encode_packed", "split_or_matmul_counts",
            "bipolar_mux_matmul_counts", "encode_split_weight_streams",
            "encode_bipolar_weight_stream", "ActivationEncodeCache",
-           "ENCODE_CACHE", "KernelStats", "KERNEL_STATS", "KERNELS",
-           "default_kernel", "SplitMatmulPlan", "BipolarMatmulPlan"]
-
-#: Selectable kernel implementations: ``"word"`` is the production
-#: uint64 path, ``"byte"`` the uint8 per-channel-loop reference.
-KERNELS = ("word", "byte")
+           "ENCODE_CACHE", "KernelStats", "KERNEL_STATS", "SplitMatmulPlan",
+           "BipolarMatmulPlan"]
 
 #: Default working-set budget for one product intermediate.
 DEFAULT_BLOCK_BYTES = 4 << 20
@@ -83,29 +77,13 @@ DEFAULT_BLOCK_BYTES = 4 << 20
 popcount_packed = packed_popcount
 
 
-def default_kernel() -> str:
-    """The kernel used when a call does not specify one.
-
-    ``REPRO_SC_KERNEL=byte`` forces the byte reference path globally
-    (e.g. to time or debug against it); default is ``"word"``.
-    """
-    return os.environ.get("REPRO_SC_KERNEL", "").strip() or "word"
-
-
-def _resolve_kernel(kernel: str) -> str:
-    kernel = kernel if kernel else default_kernel()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of "
-                         f"{KERNELS}")
-    return kernel
-
-
 # Per-kernel accounting lives in repro.obs: KernelStats is the generic
 # CounterStore and KERNEL_STATS the process-global instance (one per
-# worker process).  Keys are "<kernel>:<accumulator>" for the matmuls
-# (e.g. "word:or", "byte:bipolar") and "encode:*" for the encode
-# sub-stages.  Matmul timers are end-to-end, so the encode rows are a
-# *breakdown* of (not additional to) the matmul rows.  The historical
+# worker process).  Keys are "plan:<variant>" for the planned matmuls,
+# "word:<variant>" for the generic ones (e.g. "word:or",
+# "word:bipolar") and "encode:*" for the encode sub-stages.  Matmul
+# timers are end-to-end, so the encode rows are a *breakdown* of (not
+# additional to) the matmul rows.  The historical
 # names are kept as aliases so existing consumers keep working.
 KernelStats = obs.CounterStore
 KERNEL_STATS = obs.KERNEL_COUNTERS
@@ -340,23 +318,6 @@ def _lane_rotation_rows(positions: np.ndarray, fan_in: int,
     return ((positions[:, None] + k) % fan_in) * scale
 
 
-def _encode_chunk_bytes(values: np.ndarray, length: int, bits: int,
-                        scheme: str, seed: int, offset: int = 0) -> np.ndarray:
-    """Shared-lane chunk encode, byte-packed: ``(P, K) -> (P, K, B)``.
-
-    A bank of ``fan_in`` SNG lanes is time-multiplexed across the
-    chunk's positions with the :func:`_lane_rotation` assignment; bit
-    ``[p, k, t]`` is ``threshold[(p+k) % K, offset + t] <
-    round(v[p, k] * 2**bits)``.
-    """
-    with _Timed("encode:act"):
-        targets = _quantize_targets(values, bits)
-        thresholds = _act_thresholds(scheme, bits, seed, values.shape[1],
-                                     length, offset=offset)
-        thr = thresholds[_lane_rotation(*values.shape)]
-        return np.packbits(thr < targets[:, :, None], axis=-1)
-
-
 def _time_major(words: np.ndarray) -> np.ndarray:
     """Swap the last two axes to the kernels' time-major word layout.
 
@@ -375,9 +336,12 @@ def _encode_chunk_words(values: np.ndarray, length: int, bits: int,
                         positions: np.ndarray = None) -> np.ndarray:
     """Shared-lane chunk encode, time-major: ``(P, K) -> (P, W, K)``.
 
-    Bit-identical streams to :func:`_encode_chunk_bytes`.  With the
-    cache enabled this is a pure ``np.take`` gather from the
-    value -> stream table (one row per (lane, value) pair).
+    A bank of ``fan_in`` SNG lanes is time-multiplexed across the
+    chunk's positions with the :func:`_lane_rotation` assignment; bit
+    ``[p, t, k]`` is ``threshold[(p+k) % K, offset + t] <
+    round(v[p, k] * 2**bits)``.  With the cache enabled this is a pure
+    ``np.take`` gather from the value -> stream table (one row per
+    (lane, value) pair).
 
     ``lane_subset`` (sorted fan-in indices) restricts the encode to the
     requested lanes, returning ``(P, W, len(lane_subset))`` — the same
@@ -528,7 +492,6 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
                            accumulator: str = "or",
                            chunk_positions: int = 256,
                            weight_streams: tuple = None,
-                           kernel: str = None,
                            block_bytes: int = None,
                            encode_cache: bool = True,
                            start_bit: int = 0) -> np.ndarray:
@@ -558,29 +521,23 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
         Optional pre-encoded phase streams from
         :func:`encode_split_weight_streams` (same ``length``/``bits``/
         ``scheme``/``seed``); skips the per-call weight encoding.
-    kernel:
-        ``"word"`` (default: a transient :class:`SplitMatmulPlan`,
-        built and executed once) or ``"byte"`` (uint8 reference path).
-        Both return identical counts; ``None`` resolves via
-        :func:`default_kernel`.
     block_bytes:
-        Working-set budget for one product tile of the word kernel
-        (default :data:`DEFAULT_BLOCK_BYTES`).
+        Working-set budget for one product tile (default
+        :data:`DEFAULT_BLOCK_BYTES`).
     encode_cache:
         Use the global :data:`ENCODE_CACHE` value -> stream tables for
-        activation encoding (word kernel only; bit-identical either
-        way).
+        activation encoding (bit-identical either way).
 
     Returns
     -------
     ``(P, C)`` signed counter values: up-phase count minus down-phase
     count.  Divide by ``length`` to decode (for "mux", multiply by the
-    fan-in as well to undo the scaling).
+    fan-in as well to undo the scaling).  The matmul builds a transient
+    :class:`SplitMatmulPlan` and executes it once.
     """
     acts, weights = _matmul_operands(acts, weights)
     if accumulator not in ("or", "apc", "mux"):
         raise ValueError(f"unknown accumulator {accumulator!r}")
-    kernel = _resolve_kernel(kernel)
     if weight_streams is None:
         # Weight streams: one lane per (channel, k) element, regenerated
         # per phase with an independent seed space.
@@ -596,18 +553,13 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
     counts = np.zeros((n_pos, n_chan), dtype=np.int64)
     if fan_in == 0 or n_pos == 0 or n_chan == 0:
         return counts
-    with _Timed(f"{kernel}:{accumulator}") as section:
+    with _Timed(f"word:{accumulator}") as section:
         section.add_counter("positions", n_pos)
         section.add_counter("channels", n_chan)
         # Upper bound, as in LayerPlan: operand gating skips the lanes
         # whose weight phase component is zero.
         section.add_counter("product_bits",
                             2 * n_pos * n_chan * fan_in * length)
-        if kernel == "byte":
-            _split_matmul_byte(counts, acts, weight_streams, length, bits,
-                               scheme, seed, accumulator, chunk_positions,
-                               start_bit)
-            return counts
         # record=False: this section already times the call.
         return SplitMatmulPlan(
             weights, length=length, bits=bits, scheme=scheme, seed=seed,
@@ -625,58 +577,6 @@ def _matmul_operands(acts, weights) -> tuple:
     if acts.ndim != 2 or weights.ndim != 2 or acts.shape[1] != weights.shape[1]:
         raise ValueError("acts must be (P, K) and weights (C, K)")
     return acts, weights
-
-
-def _split_matmul_byte(counts, acts, weight_streams, length, bits, scheme,
-                       seed, accumulator, chunk_positions,
-                       start_bit) -> None:
-    """Reference byte-path: uint8 packing, per-channel Python loops."""
-    n_pos, fan_in = acts.shape
-    n_chan = counts.shape[1]
-    for phase, (w_part, w_packed) in enumerate(weight_streams):
-        sign = 1 if phase == 0 else -1
-        # Lanes whose weight component is zero (opposite sign, or a true
-        # zero weight) carry all-zero streams and cannot set an OR output
-        # bit, so they are skipped — the same operand gating that keeps
-        # idle hardware lanes from switching.
-        active_lanes = [np.flatnonzero(w_part[c] > 0) for c in range(n_chan)]
-        if accumulator == "mux":
-            select = _mux_select_matrix(fan_in, length,
-                                        seed + 104_729 * (phase + 1),
-                                        offset=start_bit)
-        for start in range(0, n_pos, chunk_positions):
-            sl = slice(start, min(start + chunk_positions, n_pos))
-            a_packed = _encode_chunk_bytes(
-                acts[sl], length, bits, scheme,
-                seed=seed + 15_485_863 * (phase + 1) + 104_651 * start,
-                offset=start_bit,
-            )
-            # a_packed: (p, K, B); w_packed: (C, K, B).
-            if accumulator == "or":
-                for c in range(n_chan):
-                    lanes = active_lanes[c]
-                    if lanes.size == 0:
-                        continue
-                    prods = a_packed[:, lanes, :] & w_packed[c, lanes, :]
-                    acc = np.bitwise_or.reduce(prods, axis=1)
-                    counts[sl, c] += sign * packed_popcount(acc, axis=-1)
-            elif accumulator == "apc":
-                for c in range(n_chan):
-                    lanes = active_lanes[c]
-                    if lanes.size == 0:
-                        continue
-                    prods = a_packed[:, lanes, :] & w_packed[c, lanes, :]
-                    counts[sl, c] += sign * packed_popcount(
-                        prods, axis=(-2, -1)
-                    )
-            else:  # mux
-                # Select gating hoisted out of the channel loop:
-                # (a & sel) & w == (a & w) & sel, one gating per chunk.
-                gated_a = a_packed & select[None, :, :]
-                for c in range(n_chan):
-                    prods = gated_a & w_packed[c][None, :, :]
-                    acc = np.bitwise_or.reduce(prods, axis=1)
-                    counts[sl, c] += sign * packed_popcount(acc, axis=-1)
 
 
 class _NullSection:
@@ -1005,9 +905,9 @@ class _TiledMatmulPlan:
     def execute(self, acts: np.ndarray, *, jit_or=None,
                 record: bool = True) -> np.ndarray:
         """Run the planned matmul over ``(P, fan_in)`` activations in
-        [0, 1]; bit-identical to the byte reference of
-        :func:`split_or_matmul_counts` / :func:`bipolar_mux_matmul_counts`
-        on the same operands.
+        [0, 1]; bit-identical to
+        :func:`~repro.simulator.reference.reference_counts` on the same
+        operands.
 
         ``jit_or`` is an optional ``(aw, ww, flip) -> (P, C)`` fused
         inner loop for the OR and MUX accumulators (the popcount of the
@@ -1120,9 +1020,10 @@ class SplitMatmulPlan(_TiledMatmulPlan):
     The split-unipolar word kernel: time-major weight words,
     zero-weight lane masks and the channel blocks of each phase's weight
     plane, compiled once for one fixed ``(weights, length, bits, scheme,
-    seed, accumulator)``.  :meth:`execute` is bit-identical to the byte
-    reference kernel (asserted in ``tests/test_plan_specialization.py``)
-    while doing strictly less work:
+    seed, accumulator)``.  :meth:`execute` is bit-identical to the
+    gate-level :func:`~repro.simulator.reference.reference_counts`
+    (asserted in ``tests/test_simulator_differential.py``) while doing
+    strictly less work than a dense kernel:
 
     - lanes whose weight phase component is zero everywhere are dropped
       at *encode* time (``lane_subset``), not just at the AND: the
@@ -1217,8 +1118,8 @@ class BipolarMatmulPlan(_TiledMatmulPlan):
     encodes to a half-density stream, not silence — so every block
     spans every lane.  :meth:`execute` applies the ``(v + 1) / 2``
     bipolar encoding to its [0, 1] activations itself and is
-    bit-identical to the byte reference of
-    :func:`bipolar_mux_matmul_counts`.
+    bit-identical to :func:`~repro.simulator.reference.reference_counts`
+    with ``representation="bipolar"``.
     """
 
     _op = "xnor"
@@ -1245,8 +1146,8 @@ class BipolarMatmulPlan(_TiledMatmulPlan):
         select_words = _time_major(words_from_bytes(select))
         w_sel = (~_time_major(words_from_bytes(weight_stream))
                  & select_words[None, :, :])
-        # One plane, seeded like the split plan's up phase: the generic
-        # kernel's bipolar chunk seed is the split up-phase formula.
+        # One plane, seeded like the split plan's up phase: the bipolar
+        # chunk seed is the split up-phase formula.
         self.phases = [_Plane((0,), None, None, w_sel, select_words,
                               length)]
         self.retile(block_bytes)
@@ -1259,7 +1160,6 @@ def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
                               length: int, bits: int, scheme: str, seed: int,
                               chunk_positions: int = 256,
                               weight_stream: np.ndarray = None,
-                              kernel: str = None,
                               block_bytes: int = None,
                               encode_cache: bool = True,
                               start_bit: int = 0) -> np.ndarray:
@@ -1273,14 +1173,13 @@ def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
     sum *divided by the fan-in*, the scaling loss that motivates
     ACOUSTIC's OR-unipolar design.
 
-    ``acts`` in [0, 1] (post-ReLU), ``weights`` in [-1, 1].  ``kernel``/
+    ``acts`` in [0, 1] (post-ReLU), ``weights`` in [-1, 1].
     ``block_bytes``/``encode_cache``/``start_bit`` as in
-    :func:`split_or_matmul_counts` (the word kernel is a transient
+    :func:`split_or_matmul_counts` (the matmul is a transient
     :class:`BipolarMatmulPlan`; a pre-encoded ``weight_stream`` must
     match ``start_bit``).
     """
     acts, weights = _matmul_operands(acts, weights)
-    kernel = _resolve_kernel(kernel)
     if weight_stream is None:
         weight_stream = encode_bipolar_weight_stream(
             weights, length=length, bits=bits, scheme=scheme, seed=seed,
@@ -1293,35 +1192,13 @@ def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
     counts = np.zeros((n_pos, n_chan), dtype=np.int64)
     if fan_in == 0 or n_pos == 0 or n_chan == 0:
         return counts
-    with _Timed(f"{kernel}:bipolar") as section:
+    with _Timed("word:bipolar") as section:
         section.add_counter("positions", n_pos)
         section.add_counter("channels", n_chan)
         section.add_counter("product_bits", n_pos * n_chan * fan_in * length)
-        if kernel == "word":
-            return BipolarMatmulPlan(
-                weights, length=length, bits=bits, scheme=scheme, seed=seed,
-                block_bytes=block_bytes, chunk_positions=chunk_positions,
-                weight_stream=weight_stream, encode_cache=encode_cache,
-                bit_offset=start_bit,
-            ).execute(acts, record=False)
-        # The select stream's zero pad bits also mask the XNOR's
-        # inverted padding, so partial final bytes stay clean.  The
-        # XNOR+gate is computed as (a & sel) ^ (~w & sel): ~(a ^ w) & sel
-        # distributes over XOR, so the activation gating is hoisted out
-        # of the channel loop and the weights are pre-gated once.
-        select = _mux_select_matrix(fan_in, length, seed + 104_729,
-                                    offset=start_bit)
-        w_sel = ~weight_stream & select[None, :, :]
-        for start in range(0, n_pos, chunk_positions):
-            sl = slice(start, min(start + chunk_positions, n_pos))
-            a_packed = _encode_chunk_bytes(
-                (acts[sl] + 1.0) / 2.0, length, bits, scheme,
-                seed=seed + 15_485_863 + 104_651 * start,
-                offset=start_bit,
-            )
-            a_sel = a_packed & select[None, :, :]
-            for c in range(n_chan):
-                gated = a_sel ^ w_sel[c][None, :, :]
-                acc = np.bitwise_or.reduce(gated, axis=1)
-                counts[sl, c] += packed_popcount(acc, axis=-1)
-    return counts
+        return BipolarMatmulPlan(
+            weights, length=length, bits=bits, scheme=scheme, seed=seed,
+            block_bytes=block_bytes, chunk_positions=chunk_positions,
+            weight_stream=weight_stream, encode_cache=encode_cache,
+            bit_offset=start_bit,
+        ).execute(acts, record=False)

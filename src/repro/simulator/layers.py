@@ -13,9 +13,8 @@ datapath: a conv gathers its patches with a :class:`GatherPlan`, then
 :class:`~repro.runtime.ExecutionPlan` and the resumable
 :class:`~repro.simulator.progressive.ProgressiveExecutor` all run these
 forwards; only the counts step differs (progressive supplies one that
-resumes earlier clock windows).  Pinning the byte reference kernel
-(``SCConfig(kernel="byte")``) swaps the counts step for the generic byte
-matmuls, which stay as the tests' second opinion.
+resumes earlier clock windows, and the tests the gate-level
+:func:`~repro.simulator.reference.reference_step`).
 
 Note the hardware operation order: pooling is accumulated by the output
 *counters*, i.e. **before** the ReLU that happens at conversion.  SC
@@ -33,9 +32,7 @@ import numpy as np
 from ..core.sng import quantize_probability
 from ..training.im2col import conv_output_size, expand_grouped_weight
 from .config import SCConfig
-from .engine import (BipolarMatmulPlan, SplitMatmulPlan,
-                     bipolar_mux_matmul_counts, default_kernel,
-                     split_or_matmul_counts)
+from .engine import BipolarMatmulPlan, SplitMatmulPlan
 from .jit import or_popcount_loop
 
 __all__ = ["SCConv2d", "SCLinear", "SCReLU", "SCAvgPool", "SCFlatten",
@@ -223,27 +220,13 @@ class _MatmulLayer:
                       layer_index: int, length: int, offset: int = 0,
                       rows: np.ndarray = None) -> np.ndarray:
         """Word-kernel counts of clocks ``[offset, offset + length)`` for
-        every row of ``acts``, or only for the (sorted) ``rows``."""
+        every row of ``acts``, or only for the (sorted) ``rows``.  With
+        the defaults this is the layers' counts step."""
         plan = self.matmul_plan(config, layer_index, length, offset)
         jit_or = or_popcount_loop()
         if rows is None or rows.size == acts.shape[0]:
             return plan.execute(acts, jit_or=jit_or)
         return plan.execute_rows(acts[rows], rows, jit_or=jit_or)
-
-    def counts(self, acts: np.ndarray, config: SCConfig, layer_index: int,
-               length: int) -> np.ndarray:
-        """The default counts step: the clocks ``[0, length)`` of the
-        word kernel, or of the byte reference kernel when pinned."""
-        if (config.kernel or default_kernel()) == "word":
-            return self.window_counts(acts, config, layer_index, length)
-        common = dict(length=length, bits=config.bits, scheme=config.scheme,
-                      seed=config.layer_seed(layer_index, 0),
-                      **config.kernel_kwargs())
-        if config.representation == "bipolar":
-            return bipolar_mux_matmul_counts(acts, self.weight_2d, **common)
-        return split_or_matmul_counts(acts, self.weight_2d,
-                                      accumulator=config.accumulator,
-                                      **common)
 
 
 class SCConv2d(_MatmulLayer):
@@ -333,8 +316,8 @@ class SCConv2d(_MatmulLayer):
     def forward(self, x: np.ndarray, config: SCConfig, layer_index: int,
                 counts=None) -> np.ndarray:
         """Gather, count, decode.  ``counts`` replaces the default
-        counts step (:meth:`counts`) with ``counts(layer, acts, config,
-        layer_index, length)``."""
+        counts step (:meth:`window_counts`) with ``counts(layer, acts,
+        config, layer_index, length)``."""
         x = np.asarray(x, dtype=np.float64)
         gather = self.gather_plan(x.shape[1:])
         (oh, ow), p = gather.out_hw, self.pool_size
@@ -342,7 +325,7 @@ class SCConv2d(_MatmulLayer):
             raise ValueError(
                 f"pool window {p} must tile conv output {oh}x{ow}")
         length = self.stream_length(config, layer_index)
-        step = counts if counts is not None else type(self).counts
+        step = counts if counts is not None else type(self).window_counts
         raw = step(self, gather.take(quantize_probability(x, config.bits)),
                    config, layer_index, length)
         raw = raw.reshape(x.shape[0], oh, ow, raw.shape[-1])
@@ -408,7 +391,7 @@ class SCLinear(_MatmulLayer):
         """Quantize, count, decode (``counts`` as in
         :meth:`SCConv2d.forward`)."""
         length = self.stream_length(config, layer_index)
-        step = counts if counts is not None else type(self).counts
+        step = counts if counts is not None else type(self).window_counts
         raw = step(self, quantize_probability(x, config.bits), config,
                    layer_index, length)
         if config.representation == "bipolar":

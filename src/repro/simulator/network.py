@@ -9,10 +9,12 @@ fusion for computation skipping happens in the pipeline, not here.
 trained model's graph via :func:`repro.training.network.graph_of` and
 lowers that.
 
-The network keeps the *fused* SC-level graph (one node per SC layer) on
-``self.graph``; the runtime's :class:`~repro.runtime.plan.ExecutionPlan`
-walks it for shapes and validation instead of re-deriving layer
-metadata.
+The network's *fused* SC-level graph (one node per SC layer),
+:attr:`SCNetwork.graph`, is derived from the live layers on every
+access: the runtime's :class:`~repro.runtime.plan.ExecutionPlan` walks
+it for shapes, validation and weight sparsity, so it must see the
+weights the layers hold now, not the arrays they were built with.  The
+network keeps only the graph's name and input shape.
 
 :meth:`SCNetwork.forward` is the only run-time network walker: a
 compiled :class:`~repro.runtime.plan.ExecutionPlan` runs it with plans
@@ -59,13 +61,13 @@ class SCNetwork:
     :meth:`from_trained`.
     """
 
-    def __init__(self, layers, config: SCConfig = None, graph=None):
+    def __init__(self, layers, config: SCConfig = None, *,
+                 name: str = "sc_network", input_shape: tuple = None):
         self.layers = list(layers)
         self.config = config if config is not None else SCConfig()
-        #: Fused SC-level :class:`~repro.ir.NetworkGraph`, 1:1 with
-        #: ``layers`` (``None`` for hand-assembled stacks until
-        #: :meth:`to_graph` reconstructs it).
-        self.graph = graph
+        #: Name and per-sample input shape of :attr:`graph`.
+        self.name = name
+        self.input_shape = input_shape
 
     @classmethod
     def from_graph(cls, graph, config: SCConfig = None) -> "SCNetwork":
@@ -82,7 +84,8 @@ class SCNetwork:
         """
         config = config if config is not None else SCConfig()
         fused = ir.passes.lower(graph, exact_pool=True).graph
-        return cls(_layers_from_fused(fused.nodes), config, graph=fused)
+        return cls(_layers_from_fused(fused.nodes), config, name=fused.name,
+                   input_shape=fused.input_shape)
 
     @classmethod
     def from_trained(cls, network: Sequential, config: SCConfig = None
@@ -96,11 +99,16 @@ class SCNetwork:
         """
         return cls.from_graph(graph_of(network), config)
 
+    @property
+    def graph(self):
+        """The fused SC-level :class:`~repro.ir.NetworkGraph`, 1:1 with
+        ``layers``, built from the layers as they are now (their current
+        weights by reference)."""
+        return ir.NetworkGraph(self.name, self.input_shape,
+                               _nodes_from_sc_layers(self.layers))
+
     def to_graph(self):
-        """The fused SC-level graph (reconstructed if not attached)."""
-        if self.graph is None:
-            self.graph = ir.NetworkGraph(
-                "sc_network", None, _nodes_from_sc_layers(self.layers))
+        """The fused SC-level graph (see :attr:`graph`)."""
         return self.graph
 
     def forward(self, x: np.ndarray, return_intermediates: bool = False,
@@ -145,8 +153,8 @@ class SCNetwork:
         config's); ``result.extend(longer)`` grows the evaluation
         without recomputing the already-counted prefix, bit-identical
         to a one-shot :meth:`forward` at the final length.  Requires a
-        prefix-stable RNG scheme (``lfsr``/``vdc``) and the word
-        kernel — see :class:`ProgressiveExecutor`.
+        prefix-stable RNG scheme (``lfsr``/``vdc``) — see
+        :class:`ProgressiveExecutor`.
         """
         from .progressive import ProgressiveExecutor
         return ProgressiveExecutor(self).start(x, phase_length)
@@ -243,8 +251,7 @@ def _layers_from_fused(nodes) -> list:
 
 
 def _nodes_from_sc_layers(layers) -> list:
-    """Reconstruct the fused SC-level graph from bare SC layer objects
-    (for networks assembled directly from simulator layers)."""
+    """The fused SC-level graph's nodes for SC layer objects."""
     nodes = []
     for layer in layers:
         if isinstance(layer, SCConv2d):

@@ -45,7 +45,6 @@ import numpy as np
 
 from ..core.rng import prefix_stable_scheme
 from .config import SCConfig
-from .engine import default_kernel
 
 __all__ = ["ProgressiveExecutor", "ProgressiveResult"]
 
@@ -117,9 +116,7 @@ class ProgressiveExecutor:
     ValueError
         If the config's RNG scheme is not prefix-stable (``"random"``
         draws its thresholds statefully, so a longer window rewrites
-        the prefix and nothing can be resumed), or if the byte
-        reference kernel is pinned (segments run through the word-path
-        plan classes).
+        the prefix and nothing can be resumed).
     """
 
     def __init__(self, network, config: SCConfig = None):
@@ -130,13 +127,6 @@ class ProgressiveExecutor:
                 f"progressive evaluation needs a prefix-stable RNG "
                 f"scheme; {self.config.scheme!r} regenerates its prefix "
                 "at every length — use 'lfsr' or 'vdc'"
-            )
-        kernel = self.config.kernel if self.config.kernel \
-            else default_kernel()
-        if kernel != "word":
-            raise ValueError(
-                "progressive evaluation runs on the word kernel's "
-                f"matmul plans; config pins kernel={kernel!r}"
             )
 
     def start(self, x: np.ndarray,

@@ -61,7 +61,7 @@ def expand_grouped_weight(weight: np.ndarray, groups: int) -> np.ndarray:
     output channel ``o`` (in group ``o // (C_out/g)``) keeps its own
     group's ``(C_in/g) * kh * kw`` input lanes and holds exact zeros
     everywhere else.  Every lowering in the repo (the layer's engine
-    plans, the byte reference kernel) consumes this expansion, so
+    plans, the gate-level reference) consumes this expansion, so
     grouped forward passes are bit-identical to the dense block-diagonal
     reference by construction — the zero lanes cost nothing at the
     product stage because the engine skips all-zero operand lanes.

@@ -1,11 +1,12 @@
-"""Golden bit-exactness tests: word kernels vs the byte reference path.
+"""Golden bit-exactness tests: the word kernel vs the gate-level oracle.
 
-The uint64 word kernels (channel-blocked broadcast, encode-table
-gather) must return *identical* ``(P, C)`` counts to the uint8
-reference path for every accumulator, both representations, odd stream
-lengths (pad-bit handling), and degenerate operands.  Any deviation is
-a correctness bug, not a tolerance question — both paths simulate the
-same gates on the same streams.
+The generic uint64 matmuls (a transient engine plan: channel-blocked
+broadcast, encode-table gather) must return *identical* ``(P, C)``
+counts to :func:`~repro.simulator.reference.reference_counts`, which
+keeps one boolean per gate output per clock, for every accumulator,
+both representations, odd stream lengths (pad-bit handling), and
+degenerate operands.  Any deviation is a correctness bug, not a
+tolerance question — both simulate the same gates on the same streams.
 """
 
 import numpy as np
@@ -15,9 +16,9 @@ from repro.simulator import SCConfig, SCNetwork
 from repro.simulator.engine import (ENCODE_CACHE, KERNEL_STATS,
                                     ActivationEncodeCache, KernelStats,
                                     bipolar_mux_matmul_counts,
-                                    default_kernel,
                                     encode_split_weight_streams,
                                     split_or_matmul_counts)
+from repro.simulator.reference import reference_counts, reference_step
 
 #: Non-multiples of 64 exercise partial final words; 64/128 exercise
 #: exact word boundaries; 7 fits inside a single byte.
@@ -38,19 +39,20 @@ class TestSplitUnipolarEquivalence:
     @pytest.mark.parametrize("length", LENGTHS)
     @pytest.mark.parametrize("accumulator", ["or", "apc", "mux"])
     def test_word_matches_byte(self, length, accumulator):
+        # Named for the byte kernel it was first checked against; the
+        # name is kept so the test id stays stable across history.
         acts, weights = _operands(length)
         kwargs = dict(length=length, bits=8, scheme="lfsr", seed=3,
                       accumulator=accumulator, chunk_positions=4)
-        byte = split_or_matmul_counts(acts, weights, kernel="byte", **kwargs)
-        word = split_or_matmul_counts(acts, weights, kernel="word", **kwargs)
-        assert np.array_equal(byte, word)
+        ref = reference_counts(acts, weights, **kwargs)
+        word = split_or_matmul_counts(acts, weights, **kwargs)
+        assert np.array_equal(ref, word)
 
     @pytest.mark.parametrize("accumulator", ["or", "apc", "mux"])
     def test_encode_cache_is_bit_identical(self, accumulator):
         acts, weights = _operands(1)
         kwargs = dict(length=100, bits=8, scheme="lfsr", seed=5,
-                      accumulator=accumulator, chunk_positions=4,
-                      kernel="word")
+                      accumulator=accumulator, chunk_positions=4)
         cached = split_or_matmul_counts(acts, weights,
                                         encode_cache=True, **kwargs)
         direct = split_or_matmul_counts(acts, weights,
@@ -64,19 +66,19 @@ class TestSplitUnipolarEquivalence:
         acts, weights = _operands(2, n_chan=7)
         kwargs = dict(length=128, bits=8, scheme="lfsr", seed=7,
                       accumulator="or", chunk_positions=4)
-        byte = split_or_matmul_counts(acts, weights, kernel="byte", **kwargs)
-        word = split_or_matmul_counts(acts, weights, kernel="word",
+        ref = reference_counts(acts, weights, **kwargs)
+        word = split_or_matmul_counts(acts, weights,
                                       block_bytes=block_bytes, **kwargs)
-        assert np.array_equal(byte, word)
+        assert np.array_equal(ref, word)
 
     @pytest.mark.parametrize("scheme", ["lfsr", "random", "vdc"])
     def test_all_rng_schemes(self, scheme):
         acts, weights = _operands(3)
         kwargs = dict(length=65, bits=6, scheme=scheme, seed=11,
                       accumulator="or", chunk_positions=3)
-        byte = split_or_matmul_counts(acts, weights, kernel="byte", **kwargs)
-        word = split_or_matmul_counts(acts, weights, kernel="word", **kwargs)
-        assert np.array_equal(byte, word)
+        ref = reference_counts(acts, weights, **kwargs)
+        word = split_or_matmul_counts(acts, weights, **kwargs)
+        assert np.array_equal(ref, word)
 
     def test_precomputed_weight_streams_match(self):
         acts, weights = _operands(4)
@@ -84,102 +86,73 @@ class TestSplitUnipolarEquivalence:
                       accumulator="or")
         streams = encode_split_weight_streams(weights, length=33, bits=8,
                                               scheme="lfsr", seed=13)
-        for kernel in ("byte", "word"):
-            inline = split_or_matmul_counts(acts, weights, kernel=kernel,
-                                            **kwargs)
-            reused = split_or_matmul_counts(acts, weights, kernel=kernel,
-                                            weight_streams=streams, **kwargs)
-            assert np.array_equal(inline, reused)
+        inline = split_or_matmul_counts(acts, weights, **kwargs)
+        reused = split_or_matmul_counts(acts, weights,
+                                        weight_streams=streams, **kwargs)
+        assert np.array_equal(inline, reused)
 
-    @pytest.mark.parametrize("kernel", ["byte", "word"])
-    def test_empty_operands(self, kernel):
-        kwargs = dict(length=16, bits=8, scheme="lfsr", seed=1,
-                      kernel=kernel)
-        out = split_or_matmul_counts(np.zeros((0, 3)), np.zeros((2, 3)),
-                                     accumulator="or", **kwargs)
-        assert out.shape == (0, 2)
-        # Zero fan-in must not crash the MUX select generator.
-        out = split_or_matmul_counts(np.zeros((2, 0)), np.zeros((3, 0)),
-                                     accumulator="mux", **kwargs)
-        assert out.shape == (2, 3) and not out.any()
+    def test_empty_operands(self):
+        kwargs = dict(length=16, bits=8, scheme="lfsr", seed=1)
+        for matmul in (split_or_matmul_counts, reference_counts):
+            out = matmul(np.zeros((0, 3)), np.zeros((2, 3)),
+                         accumulator="or", **kwargs)
+            assert out.shape == (0, 2)
+            # Zero fan-in must not crash the MUX select generator.
+            out = matmul(np.zeros((2, 0)), np.zeros((3, 0)),
+                         accumulator="mux", **kwargs)
+            assert out.shape == (2, 3) and not out.any()
 
     def test_all_zero_weights_give_zero_counts(self):
         acts = np.random.default_rng(0).random((4, 6))
         weights = np.zeros((3, 6))
-        for kernel in ("byte", "word"):
-            out = split_or_matmul_counts(acts, weights, length=128, bits=8,
-                                         scheme="lfsr", seed=2,
-                                         accumulator="or", kernel=kernel)
-            assert not out.any()
+        out = split_or_matmul_counts(acts, weights, length=128, bits=8,
+                                     scheme="lfsr", seed=2, accumulator="or")
+        assert not out.any()
 
 
 class TestBipolarEquivalence:
     @pytest.mark.parametrize("length", LENGTHS)
     def test_word_matches_byte(self, length):
+        # Test id kept stable (see the split-unipolar twin).
         acts, weights = _operands(length + 100)
         kwargs = dict(length=length, bits=8, scheme="lfsr", seed=5,
                       chunk_positions=4)
-        byte = bipolar_mux_matmul_counts(acts, weights, kernel="byte",
-                                         **kwargs)
-        word = bipolar_mux_matmul_counts(acts, weights, kernel="word",
-                                         **kwargs)
-        assert np.array_equal(byte, word)
+        ref = reference_counts(acts, weights, representation="bipolar",
+                               **kwargs)
+        word = bipolar_mux_matmul_counts(acts, weights, **kwargs)
+        assert np.array_equal(ref, word)
 
     def test_blocking_and_cache_invariance(self):
         acts, weights = _operands(9)
         kwargs = dict(length=129, bits=8, scheme="lfsr", seed=17,
-                      chunk_positions=4, kernel="word")
+                      chunk_positions=4)
         base = bipolar_mux_matmul_counts(acts, weights, **kwargs)
         assert np.array_equal(base, bipolar_mux_matmul_counts(
             acts, weights, block_bytes=1, **kwargs))
         assert np.array_equal(base, bipolar_mux_matmul_counts(
             acts, weights, encode_cache=False, **kwargs))
 
-    @pytest.mark.parametrize("kernel", ["byte", "word"])
-    def test_empty_fan_in(self, kernel):
-        out = bipolar_mux_matmul_counts(np.zeros((2, 0)), np.zeros((3, 0)),
-                                        length=16, bits=8, scheme="lfsr",
-                                        seed=1, kernel=kernel)
-        assert out.shape == (2, 3) and not out.any()
+    def test_empty_fan_in(self):
+        kwargs = dict(length=16, bits=8, scheme="lfsr", seed=1)
+        for out in (bipolar_mux_matmul_counts(np.zeros((2, 0)),
+                                              np.zeros((3, 0)), **kwargs),
+                    reference_counts(np.zeros((2, 0)), np.zeros((3, 0)),
+                                     representation="bipolar", **kwargs)):
+            assert out.shape == (2, 3) and not out.any()
 
 
 class TestNetworkLevelEquivalence:
-    """Kernel choice must never change a network's logits."""
+    """The layers' plans must never change a network's logits."""
 
     @pytest.mark.parametrize("representation", ["split-unipolar", "bipolar"])
     def test_forward_bit_identical(self, representation):
         from repro.networks import lenet5
         net = lenet5(seed=0)
         x = np.random.default_rng(1).uniform(0, 1, (2, 1, 28, 28))
-        logits = {}
-        for kernel in ("byte", "word"):
-            sc = SCNetwork.from_trained(net, SCConfig(
-                phase_length=16, representation=representation,
-                kernel=kernel))
-            logits[kernel] = sc.forward(x)
-        assert np.array_equal(logits["byte"], logits["word"])
-
-
-class TestKernelSelection:
-    def test_invalid_kernel_rejected(self):
-        acts, weights = _operands(0)
-        with pytest.raises(ValueError, match="kernel"):
-            split_or_matmul_counts(acts, weights, length=8, bits=8,
-                                   scheme="lfsr", seed=1, kernel="simd")
-        with pytest.raises(ValueError, match="kernel"):
-            SCConfig(kernel="simd")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SC_KERNEL", raising=False)
-        assert default_kernel() == "word"
-        monkeypatch.setenv("REPRO_SC_KERNEL", "byte")
-        assert default_kernel() == "byte"
-
-    def test_config_kernel_kwargs(self):
-        cfg = SCConfig(kernel="byte", block_kib=8, encode_cache=False)
-        assert cfg.kernel_kwargs() == {"kernel": "byte",
-                                       "block_bytes": 8192,
-                                       "encode_cache": False}
+        sc = SCNetwork.from_trained(net, SCConfig(
+            phase_length=16, representation=representation))
+        assert np.array_equal(sc.forward(x, counts=reference_step),
+                              sc.forward(x))
 
 
 class TestActivationEncodeCache:
@@ -231,10 +204,10 @@ class TestKernelStats:
         stats = KernelStats()
         stats.record("word:or", 0.5)
         stats.record("word:or", 0.25)
-        stats.record("byte:or", 0.1)
+        stats.record("plan:or", 0.1)
         snap = stats.snapshot()
         assert snap["word:or"] == (2, 0.75)
-        assert snap["byte:or"] == (1, 0.1)
+        assert snap["plan:or"] == (1, 0.1)
         stats.reset()
         assert stats.snapshot() == {}
 
@@ -242,8 +215,7 @@ class TestKernelStats:
         KERNEL_STATS.reset()
         acts, weights = _operands(6)
         split_or_matmul_counts(acts, weights, length=64, bits=8,
-                               scheme="lfsr", seed=1, accumulator="or",
-                               kernel="word")
+                               scheme="lfsr", seed=1, accumulator="or")
         snap = KERNEL_STATS.snapshot()
         assert "word:or" in snap and snap["word:or"][0] == 1
         assert any(name.startswith("encode:") for name in snap)

@@ -284,7 +284,7 @@ class TestGoldenKernelAccounting:
             for seed in range(3):
                 split_or_matmul_counts(
                     acts, weights, length=64, bits=8, scheme="lfsr",
-                    seed=seed, accumulator="or", kernel="word")
+                    seed=seed, accumulator="or")
         flat = obs.KERNEL_COUNTERS.snapshot()
         spans = obs.aggregate_spans(category="kernel", prefix="kernel:")
 
@@ -305,7 +305,7 @@ class TestGoldenKernelAccounting:
         with obs.span("workload") as root:
             split_or_matmul_counts(
                 acts, weights, length=64, bits=8, scheme="lfsr",
-                seed=0, accumulator="or", kernel="word")
+                seed=0, accumulator="or")
         matmul = [s for s in obs.walk_spans([root])
                   if s.name == "kernel:word:or"]
         assert matmul

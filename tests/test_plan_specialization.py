@@ -2,11 +2,13 @@
 
 The planned matmuls (gather plans, zero-lane skipping, retiled block
 schedules, phase packing) are the only word kernel: every forward runs
-them, and the generic matmuls' word path builds one.  So the reference
-they are checked against is the byte kernel — across every zoo graph,
-both representations, every accumulator, and adversarial weight
-sparsity patterns.  Any deviation is a correctness bug: both kernels
-simulate the same gates on the same streams.
+them, and the generic matmuls build one.  So the reference they are
+checked against is the gate-level oracle
+(:func:`~repro.simulator.reference.reference_counts`, and
+:func:`~repro.simulator.reference.reference_step` for whole networks) —
+across every zoo graph, both representations, every accumulator, and
+adversarial weight sparsity patterns.  Any deviation is a correctness
+bug: both simulate the same gates on the same streams.
 """
 
 import pickle
@@ -27,9 +29,8 @@ from repro.simulator import SCConfig, SCNetwork
 from repro.simulator import jit as scjit
 from repro.core.bitstream import unpack_words
 from repro.simulator.engine import (ActivationEncodeCache, BipolarMatmulPlan,
-                                    SplitMatmulPlan,
-                                    bipolar_mux_matmul_counts,
-                                    split_or_matmul_counts)
+                                    SplitMatmulPlan)
+from repro.simulator.reference import reference_counts, reference_step
 from repro.training.im2col import im2col
 
 
@@ -41,7 +42,7 @@ def _network(name, phase_length=8, **cfg):
 
 
 # --------------------------------------------------------------------
-# Engine-level planned matmuls vs the byte reference kernel
+# Engine-level planned matmuls vs the gate-level oracle
 # --------------------------------------------------------------------
 
 class TestPlannedMatmuls:
@@ -55,7 +56,7 @@ class TestPlannedMatmuls:
         weights[:, 3] = 0.0     # dead fan-in lane
         kwargs = dict(length=length, bits=8, scheme="lfsr", seed=3,
                       accumulator=accumulator, chunk_positions=4)
-        ref = split_or_matmul_counts(acts, weights, kernel="byte", **kwargs)
+        ref = reference_counts(acts, weights, **kwargs)
         plan = SplitMatmulPlan(weights, **kwargs)
         assert np.array_equal(ref, plan.execute(acts))
 
@@ -78,8 +79,8 @@ class TestPlannedMatmuls:
         weights[:, 3] = 0.0
         kwargs = dict(length=length, bits=8, scheme="lfsr", seed=3,
                       chunk_positions=4)
-        ref = bipolar_mux_matmul_counts(acts, weights, kernel="byte",
-                                        **kwargs)
+        ref = reference_counts(acts, weights, representation="bipolar",
+                               **kwargs)
         plan = BipolarMatmulPlan(weights, **kwargs)
         assert np.array_equal(ref, plan.execute(acts))
         assert np.array_equal(ref, plan.retile(256).execute(acts))
@@ -117,8 +118,8 @@ class TestPlannedMatmuls:
         kwargs = dict(length=36, bits=8, scheme="lfsr", seed=11,
                       chunk_positions=3)
         for accumulator in ("or", "apc", "mux"):
-            ref = split_or_matmul_counts(acts, weights, kernel="byte",
-                                         accumulator=accumulator, **kwargs)
+            ref = reference_counts(acts, weights, accumulator=accumulator,
+                                   **kwargs)
             plan = SplitMatmulPlan(weights, accumulator=accumulator,
                                    **kwargs)
             assert np.array_equal(ref, plan.execute(acts))
@@ -182,7 +183,7 @@ class TestRowChannelTiler:
     @settings(max_examples=60, deadline=None)
     def test_tiles_match_generic(self, seed, n_rows, length, groups,
                                  pattern, block_bytes, variant):
-        """``execute`` and ``execute_rows`` equal the byte kernels for
+        """``execute`` and ``execute_rows`` equal the oracle for
         1 row up to more than two chunks (a ragged last chunk and
         tile), any budget from one byte to 16 MiB, channel groups and
         every zero-lane pattern."""
@@ -195,13 +196,13 @@ class TestRowChannelTiler:
         kwargs = dict(length=length, bits=8, scheme="lfsr", seed=5,
                       chunk_positions=chunk)
         if variant == "bipolar":
-            ref = bipolar_mux_matmul_counts(acts, weights, kernel="byte",
-                                            **kwargs)
+            ref = reference_counts(acts, weights, representation="bipolar",
+                                   **kwargs)
             plan = BipolarMatmulPlan(weights, block_bytes=block_bytes,
                                      channel_groups=groups, **kwargs)
         else:
-            ref = split_or_matmul_counts(acts, weights, kernel="byte",
-                                         accumulator=variant, **kwargs)
+            ref = reference_counts(acts, weights, accumulator=variant,
+                                   **kwargs)
             plan = SplitMatmulPlan(weights, accumulator=variant,
                                    block_bytes=block_bytes,
                                    channel_groups=groups, **kwargs)
@@ -288,7 +289,7 @@ class TestPhasePacking:
                                   encode_cache, bits, scheme, groups,
                                   pattern, accumulator):
         """Packed or not, ``execute`` and ``execute_rows`` equal the
-        per-phase byte kernel: every phase length around the word
+        per-phase gate-level oracle: every phase length around the word
         and half-word edges, offset windows, cached and comparator
         (bits > 8) encodes, row subsets across chunks, channel groups
         and zero-lane patterns.  Both phases share one plane exactly
@@ -300,10 +301,9 @@ class TestPhasePacking:
                               pattern, groups, rng)
         kwargs = dict(length=length, bits=bits, scheme=scheme, seed=5,
                       accumulator=accumulator, chunk_positions=8,
-                      encode_cache=encode_cache)
-        ref = split_or_matmul_counts(acts, weights, kernel="byte",
-                                     start_bit=bit_offset, **kwargs)
-        plan = SplitMatmulPlan(weights, bit_offset=bit_offset,
+                      bit_offset=bit_offset)
+        ref = reference_counts(acts, weights, **kwargs)
+        plan = SplitMatmulPlan(weights, encode_cache=encode_cache,
                                channel_groups=groups, **kwargs)
         up, down = (np.flatnonzero((sign * weights > 0).any(axis=0))
                     for sign in (1, -1))
@@ -387,15 +387,14 @@ class TestGatherPlan:
 # --------------------------------------------------------------------
 
 class TestPlanEquivalence:
-    """Compiled plans against the same network on the byte kernel."""
+    """Compiled plans against the same network walked with the oracle's
+    counts step."""
 
     @staticmethod
     def _check(name, x, **cfg):
         sc, shape = _network(name, **cfg)
-        reference, _ = _network(name, kernel="byte", **cfg)
+        want = sc.forward(x, counts=reference_step)
         plan = ExecutionPlan(sc, shape)
-        assert plan.specialization is not None
-        want = reference.forward(x)
         assert np.array_equal(plan.run(x), want)
         assert np.array_equal(sc.forward(x), want)
         return plan
@@ -420,13 +419,6 @@ class TestPlanEquivalence:
         x = np.random.default_rng(4).uniform(0, 1, (2, 1, 28, 28))
         self._check("lenet5", x, computation_skipping=False)
 
-    def test_byte_kernel_stays_generic(self):
-        sc, shape = _network("mnist_mlp", kernel="byte")
-        plan = ExecutionPlan(sc, shape)
-        assert plan.specialization is None
-        assert plan.specialization_summary() == {"enabled": False,
-                                                 "kernel": "byte"}
-
     def test_plan_pickles_and_stays_identical(self):
         sc, shape = _network("lenet5")
         x = np.random.default_rng(5).uniform(0, 1, (2,) + shape)
@@ -434,22 +426,45 @@ class TestPlanEquivalence:
         clone = pickle.loads(pickle.dumps(plan))
         assert np.array_equal(plan.run(x), clone.run(x))
 
-    def test_pruned_weights_skip_lanes(self):
-        # Magnitude-prune the conv weights: the plan must skip the dead
-        # lanes and still match the byte kernel bit for bit.
+    @staticmethod
+    def _pruned_lenet():
+        """lenet5 with 70% of each layer's weights zeroed by assignment."""
         sc, shape = _network("lenet5")
-        reference, _ = _network("lenet5", kernel="byte")
-        for layer, ref_layer in zip(sc.layers, reference.layers):
+        for layer in sc.layers:
             weight = getattr(layer, "weight", None)
             if weight is not None:
                 cut = np.quantile(np.abs(weight), 0.7)
-                layer.weight = ref_layer.weight = np.where(
-                    np.abs(weight) < cut, 0.0, weight)
+                layer.weight = np.where(np.abs(weight) < cut, 0.0, weight)
+        return sc, shape
+
+    def test_pruned_weights_skip_lanes(self):
+        # Magnitude-prune the conv weights: the plan must skip the dead
+        # lanes and still match the oracle bit for bit.
+        sc, shape = self._pruned_lenet()
         x = np.random.default_rng(6).uniform(0, 1, (2,) + shape)
         plan = ExecutionPlan(sc, shape)
         totals = plan.specialization.summary()["totals"]
         assert totals["lanes_skipped_pct"] > 15.0
-        assert np.array_equal(reference.forward(x), plan.run(x))
+        assert np.array_equal(sc.forward(x, counts=reference_step),
+                              plan.run(x))
+
+    def test_compile_reads_assigned_weights(self):
+        # The graph a compile walks is derived from the live layers, so
+        # its sparsity facts describe the weights the plans encode, not
+        # the arrays the network was built with.
+        sc, shape = self._pruned_lenet()
+        rows = ExecutionPlan(sc, shape).specialization_summary()["layers"]
+        assert [row["kind"] for row in rows] == ["conv", "conv", "linear"]
+        for row in rows:
+            weight = sc.layers[row["index"]].weight
+            dead = (weight.reshape(weight.shape[0], -1) == 0).all(axis=0)
+            assert row["zero_weight_lanes"] == int(dead.sum())
+            assert row["sparsity"] == pytest.approx(0.7, abs=0.01)
+        assert sum(row["zero_weight_lanes"] for row in rows) > 0
+        graph_weights = [node.params["weight"]
+                         for node in sc.to_graph().nodes if node.params]
+        assert all(w is sc.layers[row["index"]].weight
+                   for w, row in zip(graph_weights, rows))
 
     def test_describe_reports_decisions(self):
         sc, shape = _network("lenet5")
@@ -458,12 +473,14 @@ class TestPlanEquivalence:
         assert "block KiB" in text and "specialized" in text
 
     def test_runtime_matches_byte_kernel_forward(self):
+        # Named for the byte kernel it was first checked against; the
+        # reference is the oracle-walked forward.
         sc, shape = _network("mnist_mlp")
-        reference, _ = _network("mnist_mlp", kernel="byte")
         x = np.random.default_rng(7).uniform(0, 1, (4,) + shape)
+        want = sc.forward(x, counts=reference_step)
         with InferenceRuntime(sc, shape, config=RuntimeConfig(
                 backend="serial", shard_size=4)) as runtime:
-            assert np.array_equal(runtime.infer(x), reference.forward(x))
+            assert np.array_equal(runtime.infer(x), want)
 
 
 # --------------------------------------------------------------------

@@ -248,13 +248,6 @@ class TestResumableSemantics:
         with pytest.raises(ValueError, match="prefix-stable"):
             ProgressiveExecutor(sc)
 
-    def test_byte_kernel_rejected(self):
-        sc = SCNetwork.from_trained(mnist_mlp(seed=0),
-                                    SCConfig(phase_length=8,
-                                             kernel="byte"))
-        with pytest.raises(ValueError, match="word"):
-            ProgressiveExecutor(sc)
-
 
 class TestProgressivePolicy:
     def test_defaults_validate(self):
