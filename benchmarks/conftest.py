@@ -15,7 +15,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def pytest_collection_modifyitems(items):
     """Everything under benchmarks/ carries the ``bench`` marker, so the
     tier-1 default (``-m "not slow and not bench"``) never runs it; CI's
-    bench jobs select it back with an explicit ``-m bench``.
+    slow-suites job selects it back with ``-m "slow or bench"``.
 
     The hook sees the whole session's items (this conftest only scopes
     *loading*, not the hook's view), so filter by path before marking.

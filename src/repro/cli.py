@@ -30,12 +30,9 @@ Commands
 ``lint <network> [--config lp|ulp]``
     Compile a network and run the ISA discipline linter on the program.
 ``bench <network> [--workers N] [--batch N] [--repeats R]``
-    Benchmark the batched inference runtime: serial uncached vs planned
-    (weight-stream cache) vs planned parallel, with bit-identity
-    verification and the runtime metrics snapshot.  With
-    ``--progressive`` [--start-phase-length N --margin-z Z], benchmark
-    confidence-gated anytime inference against the fixed-length
-    baseline instead (docs/progressive.md).
+    Benchmark the batched inference runtime: planned serial vs planned
+    parallel, with bit-identity verification and the runtime metrics
+    snapshot.
 ``profile <network> [--out trace.json] [--format chrome|json]``
     Run a traced inference workload, write a Chrome-trace-loadable
     artifact, and print the top-N span summary with per-IR-layer wall
@@ -46,10 +43,6 @@ Commands
     control, request deadlines, a metrics endpoint, graceful drain on
     SIGINT (see docs/serving.md).  ``--progressive-*`` flags set the
     default anytime-inference policy for ``progressive: true`` requests.
-``loadtest <network> [--mode closed|open] [--duration S] [--rate RPS]``
-    Self-contained traffic-replay load bench: in-process server plus a
-    seeded Poisson trace, closed- or open-loop replay, latency
-    p50/p95/p99, shed rate; writes the BENCH_6.json artifact.
 """
 
 from __future__ import annotations
@@ -295,18 +288,6 @@ def _cmd_lint(args) -> int:
 def _cmd_bench(args) -> int:
     from .runtime import format_bench, run_bench
 
-    if args.progressive:
-        from .runtime import format_progressive_bench, run_progressive_bench
-
-        result = run_progressive_bench(
-            args.network, requests=args.repeats * args.batch, batch=1,
-            phase_length=args.phase_length,
-            start_phase_length=args.start_phase_length,
-            margin_z=args.margin_z, growth=args.growth,
-            seed=args.seed, train_epochs=args.train_epochs,
-        )
-        print(format_progressive_bench(result))
-        return 0 if result.agreement >= args.min_agreement else 1
     result = run_bench(
         args.network, batch=args.batch, repeats=args.repeats,
         workers=args.workers, backend=args.backend,
@@ -372,24 +353,6 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("\ninterrupted — drained in-flight requests, bye")
     return 0
-
-
-def _cmd_loadtest(args) -> int:
-    from .serve import format_loadtest, run_loadtest, write_bench_artifact
-
-    result = run_loadtest(
-        args.network, mode=args.mode, duration_s=args.duration,
-        rate_rps=args.rate, concurrency=args.concurrency,
-        batch=args.batch, phase_length=args.phase_length, seed=args.seed,
-        deadline_s=args.deadline, workers=args.workers,
-        backend=args.backend, max_queue_depth=args.max_queue_depth,
-        quota_rate=args.quota_rate,
-    )
-    print(format_loadtest(result))
-    if args.out:
-        path = write_bench_artifact(result, args.out)
-        print(f"[saved to {path}]")
-    return 0 if result.errors == 0 else 1
 
 
 def _cmd_map(args) -> int:
@@ -496,25 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="samples per shard (default: batch/workers)")
     bench_cmd.add_argument("--phase-length", type=int, default=32)
     bench_cmd.add_argument("--seed", type=int, default=0)
-    bench_cmd.add_argument("--progressive", action="store_true",
-                           help="benchmark confidence-gated anytime "
-                                "inference against the fixed-length "
-                                "baseline (docs/progressive.md); "
-                                "--batch*--repeats single-sample requests")
-    bench_cmd.add_argument("--start-phase-length", type=int, default=8,
-                           help="progressive starting length")
-    bench_cmd.add_argument("--margin-z", type=float, default=0.5,
-                           help="margin gate z-score (the bound is "
-                                "z/sqrt(n))")
-    bench_cmd.add_argument("--growth", type=float, default=2.0,
-                           help="geometric extension factor")
-    bench_cmd.add_argument("--min-agreement", type=float, default=0.9,
-                           help="exit nonzero when progressive/fixed "
-                                "argmax agreement falls below this")
-    bench_cmd.add_argument("--train-epochs", type=int, default=0,
-                           help="train on the synthetic dataset first so "
-                                "logit margins are real (0 = untrained "
-                                "random weights)")
 
     profile_cmd = sub.add_parser(
         "profile", help="trace a workload and write a Chrome-loadable "
@@ -593,37 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--progressive-growth", type=float, default=2.0,
                            help="default geometric extension factor")
 
-    loadtest_cmd = sub.add_parser(
-        "loadtest", help="traffic-replay load bench against an "
-                         "in-process server; writes BENCH_6.json"
-    )
-    loadtest_cmd.add_argument("network", choices=sorted(BENCH_NETWORKS))
-    loadtest_cmd.add_argument("--mode", choices=("closed", "open"),
-                              default="closed",
-                              help="closed: workers replay back-to-back; "
-                                   "open: Poisson arrivals on the wall "
-                                   "clock (overload => shed)")
-    loadtest_cmd.add_argument("--duration", type=float, default=5.0,
-                              help="trace duration [s]")
-    loadtest_cmd.add_argument("--rate", type=float, default=50.0,
-                              help="offered arrival rate [req/s]")
-    loadtest_cmd.add_argument("--concurrency", type=int, default=4,
-                              help="closed-loop worker connections")
-    loadtest_cmd.add_argument("--batch", type=int, default=4,
-                              help="max samples per request (trace draws "
-                                   "1..batch)")
-    loadtest_cmd.add_argument("--phase-length", type=int, default=16)
-    loadtest_cmd.add_argument("--seed", type=int, default=0)
-    loadtest_cmd.add_argument("--deadline", type=float, default=None,
-                              help="per-request deadline [s]")
-    loadtest_cmd.add_argument("--workers", type=int, default=2)
-    loadtest_cmd.add_argument("--backend", choices=("serial", "thread",
-                                                    "process"),
-                              default="thread")
-    loadtest_cmd.add_argument("--max-queue-depth", type=int, default=32)
-    loadtest_cmd.add_argument("--quota-rate", type=float, default=0.0)
-    loadtest_cmd.add_argument("--out", default="BENCH_6.json",
-                              help="artifact path ('' to skip writing)")
     return parser
 
 
@@ -645,6 +558,5 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
         "profile": _cmd_profile,
         "serve": _cmd_serve,
-        "loadtest": _cmd_loadtest,
     }[args.command]
     return handler(args)

@@ -154,9 +154,9 @@ def mobilenet_mini_graph(or_mode: str = "approx",
     what makes depthwise stages a natural fit for OR accumulation — an
     OR over 9 product lanes saturates far less than one over the
     hundreds of lanes a dense 3x3 conv feeds it (see
-    ``benchmarks/test_grouped_throughput.py``).  SC block ordering:
-    conv -> pool -> ReLU, because the output counters accumulate the
-    pooling window before the conversion-time ReLU.
+    ``tests/test_grouped_conv.py::TestOrSaturation``).  SC block
+    ordering: conv -> pool -> ReLU, because the output counters
+    accumulate the pooling window before the conversion-time ReLU.
     """
     m = dict(or_mode=or_mode, stream_length=stream_length)
     return NetworkGraph("mobilenet_mini", (3, 32, 32), [

@@ -26,9 +26,7 @@ adds the serving machinery a production deployment needs:
 """
 
 from .batcher import BatcherClosedError, DynamicBatcher
-from .bench import (BENCH_NETWORKS, BenchResult, ProgressiveBenchResult,
-                    format_bench, format_progressive_bench, run_bench,
-                    run_progressive_bench)
+from .bench import BENCH_NETWORKS, BenchResult, format_bench, run_bench
 from .config import RuntimeConfig
 from .metrics import MetricsSnapshot, RuntimeMetrics
 from .plan import ExecutionPlan, LayerPlan
@@ -46,9 +44,7 @@ from .specialize import (GatherPlan, KernelPlan, Specialization,
 from .workers import WorkerPool
 
 __all__ = [
-    "BENCH_NETWORKS", "BenchResult", "ProgressiveBenchResult",
-    "format_bench", "format_progressive_bench", "run_bench",
-    "run_progressive_bench",
+    "BENCH_NETWORKS", "BenchResult", "format_bench", "run_bench",
     "BatcherClosedError", "DynamicBatcher",
     "RuntimeConfig",
     "MetricsSnapshot", "RuntimeMetrics",

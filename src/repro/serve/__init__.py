@@ -17,10 +17,7 @@ network service that absorbs concurrent traffic.  The pieces:
   endpoint exporting every runtime :class:`MetricsSnapshot` plus the
   :data:`repro.obs.KERNEL_COUNTERS` delta since startup, and graceful
   drain (in-flight requests complete, new ones are refused);
-- :class:`Client` — the matching asyncio client;
-- :func:`run_loadtest` — the traffic-replay load benchmark behind
-  ``python -m repro loadtest`` (open/closed loop, latency percentiles,
-  shed rate, ``BENCH_6.json``).
+- :class:`Client` — the matching asyncio client.
 
 Layering: ``serve`` sits strictly above ``runtime``/``networks``/
 ``obs`` — nothing below may import it (enforced by
@@ -30,8 +27,6 @@ Layering: ``serve`` sits strictly above ``runtime``/``networks``/
 from .admission import AdmissionController, QuotaTable, TokenBucket
 from .client import Client
 from .config import ServeConfig
-from .loadtest import (LoadtestResult, format_loadtest, run_loadtest,
-                       write_bench_artifact)
 from .protocol import (MAX_MESSAGE_BYTES, ProtocolError, decode_array,
                        encode_array, read_message, write_message)
 from .registry import ModelRegistry
@@ -41,8 +36,6 @@ __all__ = [
     "AdmissionController", "QuotaTable", "TokenBucket",
     "Client",
     "ServeConfig",
-    "LoadtestResult", "format_loadtest", "run_loadtest",
-    "write_bench_artifact",
     "MAX_MESSAGE_BYTES", "ProtocolError", "decode_array", "encode_array",
     "read_message", "write_message",
     "ModelRegistry",

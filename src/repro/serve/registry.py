@@ -104,9 +104,6 @@ class ModelRegistry:
         with self._lock:
             return tuple(self._loaded)
 
-    def input_shape(self, name: str) -> tuple:
-        return BENCH_NETWORKS[name][1]
-
     def snapshots(self) -> dict:
         """``{name: MetricsSnapshot}`` for every resident runtime,
         without touching recency order."""

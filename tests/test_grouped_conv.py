@@ -32,7 +32,8 @@ from repro.simulator.config import SCConfig as _SCConfig
 from repro.simulator.engine import _group_channel_bounds
 from repro.simulator.jit import _reference_or_popcount
 from repro.simulator.layers import SCConv2d
-from repro.training.im2col import collapse_grouped_grad, expand_grouped_weight
+from repro.training.im2col import (collapse_grouped_grad,
+                                  expand_grouped_weight, im2col)
 from repro.training.network import Sequential
 
 SHAPE = (8, 6, 6)
@@ -171,22 +172,61 @@ class TestGroupAlignedTiling:
                 assert any(g0 <= c0 and c1 <= g1 for g0, g1 in bounds), \
                     f"block [{c0}, {c1}) crosses a group boundary"
 
-    def test_depthwise_skips_cross_group_lanes(self):
+    @pytest.mark.parametrize("block_kib", [4096, 16384, 65536])
+    def test_depthwise_skips_cross_group_lanes(self, block_kib):
         # groups == channels: at least 1 - 1/g of the product lanes are
-        # cross-group zeros, so the skip fraction must clear that floor.
+        # cross-group zeros.  Group-aligned blocks keep the skip above
+        # that floor at every block budget; the dense block-diagonal
+        # twin's blocks span several groups, so its skip falls below.
         rng = np.random.default_rng(6)
         g = 8
         w = rng.uniform(0.2, 1.0, size=(8, 1, 3, 3))   # no accidental zeros
-        graph = ir.NetworkGraph("dw", SHAPE, [
-            ir.conv(8, 8, 3, padding=1, groups=g, weight=w),
-            ir.flatten(),
-            ir.linear(8 * 6 * 6, 4,
-                      weight=rng.uniform(-1, 1, size=(4, 8 * 6 * 6))),
-        ])
-        plan = ExecutionPlan(SCNetwork.from_graph(
-            graph, SCConfig(phase_length=16)), SHAPE)
-        kp = plan.specialization.plans[0]
-        assert kp.lanes_skipped_fraction >= 1.0 - 1.0 / g
+
+        def plan(weight, groups):
+            # No head: a linear layer over 288 saturated lanes reads the
+            # same logit for every input, which would compare nothing.
+            graph = ir.NetworkGraph("dw", SHAPE, [
+                ir.conv(8, 8, 3, padding=1, groups=groups, weight=weight),
+            ])
+            config = SCConfig(phase_length=16, block_kib=block_kib)
+            # Autotune off: the block budget is the parameter under test.
+            return ExecutionPlan(SCNetwork.from_graph(graph, config), SHAPE,
+                                 autotune_budget_s=0)
+
+        grouped, dense = plan(w, g), plan(dense_twin(w, g, SHAPE[0]), 1)
+        x = rng.uniform(0, 1, (2,) + SHAPE)
+        np.testing.assert_array_equal(grouped.run(x), dense.run(x))
+        floor = 1.0 - 1.0 / g
+        assert grouped.specialization.plans[0].lanes_skipped_fraction >= floor
+        assert dense.specialization.plans[0].lanes_skipped_fraction < floor
+
+
+class TestOrSaturation:
+    def test_error_follows_fan_in(self):
+        # The OR gate's union bound saturates as more product lanes feed
+        # it: at matched stream lengths a depthwise 3x3 conv (fan-in 9)
+        # tracks the exact float conv more closely than a dense 3x3 conv
+        # over the same channels (fan-in 288).  Both weights sit at their
+        # trained scale, 1/sqrt(fan_in).
+        rng = np.random.default_rng(0)
+        c, k, pad = 32, 3, 1
+        w_dw = rng.uniform(-1, 1, size=(c, 1, k, k)) / np.sqrt(k * k)
+        w_dense = rng.uniform(-1, 1, size=(c, c, k, k)) / np.sqrt(c * k * k)
+        x = rng.uniform(0, 1, size=(2, c, 8, 8))
+        cols = im2col(x, k, k, pad=pad)
+
+        def rel_rmse(layer, weight_2d, length):
+            want = np.einsum("nhwk,ok->nohw", cols, weight_2d)
+            got = layer.forward(x, SCConfig(phase_length=length), 0)
+            return np.sqrt(np.mean((got - want) ** 2)
+                           / np.mean(want ** 2))
+
+        for length in (16, 64):
+            depthwise = rel_rmse(SCConv2d(w_dw, padding=pad, groups=c),
+                                 expand_grouped_weight(w_dw, c), length)
+            dense = rel_rmse(SCConv2d(w_dense, padding=pad),
+                             w_dense.reshape(c, -1), length)
+            assert depthwise < dense, (length, depthwise, dense)
 
 
 # --------------------------------------------------------------------------

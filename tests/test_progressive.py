@@ -401,3 +401,28 @@ class TestRuntimeProgressive:
         with InferenceRuntime(sc, SHAPES["mnist_mlp"]) as rt:
             with pytest.raises(ValueError, match="prefix-stable"):
                 rt.infer_progressive(x)
+
+
+@pytest.mark.slow
+class TestMatchedAccuracy:
+    def test_early_exit_keeps_fixed_length_decisions(self, trained_lenet):
+        # On trained margins the gate exits early on easy inputs, yet
+        # the decision stays the one the full fixed-length run makes.
+        net, x_test, _ = trained_lenet
+        sc = SCNetwork.from_trained(net, SCConfig(phase_length=256))
+        policy = ProgressivePolicy(start_phase_length=32, margin_z=1.0)
+        agree = exits = settled = 0
+        requests = x_test[:24]
+        with InferenceRuntime(sc, SHAPES["lenet5"],
+                              config=RuntimeConfig(backend="serial")) as rt:
+            for x in requests:
+                x = x[None]
+                fixed = rt.infer(x)
+                outcome = rt.infer_progressive(x, policy)
+                agree += int(np.argmax(outcome.logits)
+                             == np.argmax(fixed))
+                exits += int(outcome.early_exit)
+                settled += outcome.phase_length
+        assert agree / len(requests) >= 0.75
+        assert exits >= 1
+        assert settled / len(requests) < 256

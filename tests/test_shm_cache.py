@@ -23,7 +23,7 @@ from repro.runtime import (BENCH_NETWORKS, ExecutionPlan, RuntimeConfig,
                            RuntimeMetrics, WorkerPool, shm_supported)
 from repro.runtime import shm
 from repro.simulator import SCConfig, SCNetwork
-from repro.simulator.engine import ActivationEncodeCache
+from repro.simulator.engine import ENCODE_CACHE, ActivationEncodeCache
 from repro.training import (Flatten, ReLU, Sequential, SplitOrConv2d,
                             SplitOrLinear)
 
@@ -109,27 +109,37 @@ class TestBitIdentity:
             del payload, raw, view, segment
             drop_and_detach(ref)
 
-    def test_process_pool_end_to_end(self):
-        """One real pool: shm-warmed workers match the serial shards."""
+    @pytest.mark.parametrize("mode", ["always", "never"])
+    def test_process_pool_end_to_end(self, mode):
+        """One real pool per mode: workers match the serial shards, and
+        only shm-warmed workers skip building activation encode tables."""
         sc = tiny_network(phase_length=16)
         config = RuntimeConfig(workers=2, backend="process", shard_size=2,
-                               shm="always")
+                               shm=mode)
         serial = RuntimeConfig(shard_size=2)
         x = np.random.default_rng(3).uniform(0, 1, (5,) + SHAPE)
         with WorkerPool(ExecutionPlan(sc, SHAPE), serial,
                         RuntimeMetrics()) as pool:
             expected = pool.run_batch(x)
+        # Forked workers would otherwise inherit the tables the serial
+        # run just built, and the fallback would read zero misses too.
+        ENCODE_CACHE.clear()
         metrics = RuntimeMetrics()
         with WorkerPool(ExecutionPlan(sc, SHAPE), config, metrics,
                         name="e2e") as pool:
             assert np.array_equal(pool.run_batch(x), expected)
             stats = pool.shm_stats()
-        assert stats["enabled"]
-        assert stats["warm"]["attached"] == 2
-        # Every activation encode table came from the parent's
-        # publication: workers report zero cache misses.
-        assert metrics.act_cache_misses == 0
-        assert metrics.act_cache_hits > 0
+        if mode == "always":
+            assert stats["enabled"]
+            assert stats["warm"]["attached"] == 2
+            # Every activation encode table came from the parent's
+            # publication: workers report zero cache misses.
+            assert metrics.act_cache_misses == 0
+            assert metrics.act_cache_hits > 0
+        else:
+            assert not stats["enabled"]
+            # Without the publication every worker builds its own.
+            assert metrics.act_cache_misses > 0
 
 
 # Segment layouts: a handful of dtypes crossed with ragged shapes, so
