@@ -14,6 +14,7 @@ threshold is below ``p * 2**bits`` (see :mod:`repro.core.sng`).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "MAXIMAL_TAPS",
@@ -131,6 +132,12 @@ class LfsrSource:
     seeded differently (equivalently, a rotated copy of the shared
     sequence), which is how real designs decorrelate operands cheaply.
 
+    A lane's phase, bit rotation and XOR mask are wiring in hardware, so
+    its thresholds are a fixed row of one small table: the ``bits``
+    rotated copies of the register cycle (:meth:`_rotations`), cached
+    per ``(width, bits)``.  :meth:`thresholds` gathers one window per
+    lane from that table and XORs the lane masks in.
+
     Parameters
     ----------
     bits:
@@ -138,11 +145,11 @@ class LfsrSource:
     width:
         LFSR register width; must be >= bits.  Defaults to ``bits``.
     seed:
-        Base seed; lane ``k`` uses ``seed + k`` (wrapped to non-zero).
+        Base seed; lane ``k`` uses ``seed + k`` (mod ``2**64``).
     """
 
-    #: Cached full-period threshold cycles keyed by (width, bits).
-    _cycle_cache: dict = {}
+    #: Cached rotation tables keyed by (width, bits); see :meth:`_rotations`.
+    _table_cache: dict = {}
 
     #: Threshold column ``t`` depends only on the absolute clock index,
     #: never on the requested window length, so streams can be extended
@@ -163,22 +170,29 @@ class LfsrSource:
             raise ValueError("LFSR width must be at least the threshold bit-count")
         self.seed = seed
 
-    def _cycle(self) -> np.ndarray:
-        """The full maximal-length state cycle, reduced to thresholds.
+    def _rotations(self) -> np.ndarray:
+        """The ``(bits, period)`` table of rotated threshold cycles.
 
-        All non-zero seeds of a maximal LFSR lie on this single cycle, so
-        a lane seeded differently is exactly a phase-shifted view of it.
-        Computing the cycle once makes layer-scale encoding vectorizable.
+        Row 0 is the full maximal-length state cycle reduced to
+        thresholds; row ``r`` is that cycle with every threshold word
+        rotated left by ``r`` bits.  All non-zero seeds of a maximal
+        LFSR lie on this single cycle, so a lane seeded differently is
+        exactly a phase-shifted view of one row: the table is all the
+        thresholds any lane can read.
         """
         key = (self.width, self.bits)
-        cycle = LfsrSource._cycle_cache.get(key)
-        if cycle is None:
+        table = LfsrSource._table_cache.get(key)
+        if table is None:
             lfsr = Lfsr(self.width, seed=1)
-            cycle = (lfsr.sequence(lfsr.period) >> (self.width - self.bits)).astype(
-                np.uint32
-            )
-            LfsrSource._cycle_cache[key] = cycle
-        return cycle
+            cycle = lfsr.sequence(lfsr.period) >> np.uint32(self.width - self.bits)
+            bits = self.bits
+            mask = np.uint32((1 << bits) - 1)
+            table = np.stack([
+                ((cycle << np.uint32(r)) | (cycle >> np.uint32(bits - r))) & mask
+                for r in range(bits)])
+            table.setflags(write=False)
+            LfsrSource._table_cache[key] = table
+        return table
 
     def thresholds(self, lanes: int, length: int,
                    offset: int = 0) -> np.ndarray:
@@ -193,23 +207,30 @@ class LfsrSource:
         decorrelate many SNGs fed from one register.  Streams longer than
         the LFSR period wrap, exactly as the hardware register would.
 
+        With ``id = seed + k`` (uint64 arithmetic, wrapping), lane ``k``
+        is row ``id % bits`` of :meth:`_rotations` read from clock
+        ``(id * stride + offset) % period`` onwards, XORed with the mask
+        ``(id * 0xBF58476D1CE4E5B9) >> 43``, cut to ``bits`` bits.  Each
+        lane's window is one row of the rotation table, tiled past the
+        period and viewed as all its ``length``-clock windows, so the
+        whole bank is a single row gather.
+
         ``offset`` starts the window at absolute clock ``offset`` instead
         of 0: ``thresholds(l, a + b)`` equals ``thresholds(l, a)``
         concatenated with ``thresholds(l, b, offset=a)`` — the resumable
         kernels rely on this to extend streams without recomputing the
         prefix.
         """
-        cycle = self._cycle()
-        period = cycle.shape[0]
+        table = self._rotations()
+        bits, period = table.shape
         # Golden-ratio stride spreads lane phases over the whole cycle.
         stride = max(1, int(round(period * 0.6180339887)))
         lane_ids = np.uint64(self.seed) + np.arange(lanes, dtype=np.uint64)
-        offsets = (lane_ids * np.uint64(stride)) % np.uint64(period)
-        idx = (
-            offsets[:, None]
-            + np.arange(offset, offset + length, dtype=np.uint64)[None, :]
-        ) % np.uint64(period)
-        out = cycle[idx.astype(np.int64)]
+        starts = ((lane_ids * np.uint64(stride)) % np.uint64(period)
+                  + np.uint64(offset % period)) % np.uint64(period)
+        tiled = np.take(table, np.arange(period + length - 1) % period,
+                        axis=1)
+        windows = sliding_window_view(tiled, length, axis=1)
         # Per-lane decorrelation: a bit rotation followed by an XOR mask
         # of the threshold word.  Both are wiring/inverter tricks (free in
         # hardware) and both are bijections on the threshold space, so
@@ -217,19 +238,11 @@ class LfsrSource:
         # the phase offset they give ~500k distinct lane transforms, so
         # thousands of SNGs can share one small register without
         # identical-lane collisions.
-        bits = self.bits
-        mask = np.uint32((1 << bits) - 1)
-        rot = (lane_ids % np.uint64(bits)).astype(np.uint32)
-        for r in range(1, bits):
-            sel = rot == r
-            if not sel.any():
-                continue
-            vals = out[sel]
-            out[sel] = ((vals << np.uint32(r)) | (vals >> np.uint32(bits - r))) & mask
-        xor_masks = (
-            (lane_ids * np.uint64(0xBF58476D1CE4E5B9)) >> np.uint64(43)
-        ).astype(np.uint32) & mask
-        return out ^ xor_masks[:, None]
+        out = windows[(lane_ids % np.uint64(bits)).astype(np.intp),
+                      starts.astype(np.intp)]
+        out ^= ((lane_ids * np.uint64(0xBF58476D1CE4E5B9)) >> np.uint64(43)
+                ).astype(np.uint32)[:, None] & np.uint32((1 << bits) - 1)
+        return out
 
 
 class NumpyRandomSource:
@@ -273,22 +286,31 @@ class VanDerCorputSource:
     #: :meth:`thresholds`), so windows extend bit-exactly.
     prefix_stable = True
 
+    #: Cached bit-reversal tables keyed by ``bits``.
+    _reverse_cache: dict = {}
+
     def __init__(self, bits: int = 8, seed: int = 0):
         self.bits = bits
         self.seed = seed
 
     @staticmethod
     def _bit_reverse(values: np.ndarray, bits: int) -> np.ndarray:
-        out = np.zeros_like(values)
-        v = values.copy()
-        for _ in range(bits):
-            out = (out << 1) | (v & 1)
-            v >>= 1
-        return out
+        """Reverse the ``bits``-bit binary digits of each value in
+        ``[0, 2**bits)`` (the radical inverse), through a
+        ``2**bits``-entry lookup table."""
+        table = VanDerCorputSource._reverse_cache.get(bits)
+        if table is None:
+            table = np.zeros(1 << bits, dtype=np.uint32)
+            v = np.arange(1 << bits, dtype=np.uint32)
+            for _ in range(bits):
+                table = (table << np.uint32(1)) | (v & np.uint32(1))
+                v >>= np.uint32(1)
+            table.setflags(write=False)
+            VanDerCorputSource._reverse_cache[bits] = table
+        return np.take(table, values)
 
     def thresholds(self, lanes: int, length: int,
                    offset: int = 0) -> np.ndarray:
-        levels = 1 << self.bits
         # Lane k walks the index space with its own odd stride (a
         # bijection mod 2**bits, so every lane is perfectly
         # equidistributed over one period) before the radical-inverse
@@ -301,10 +323,12 @@ class VanDerCorputSource:
         offsets = ((lane_ids * np.uint64(0xD1B54A32D192ED03)) >> np.uint64(40)).astype(
             np.uint32
         )
+        # int64 holds stride * t exactly (both under 2**32), and the
+        # lookup indexes with it without a conversion pass.
         t = np.arange(offset, offset + length, dtype=np.uint32)
-        idx = (strides[:, None] * t[None, :] + offsets[:, None]) & np.uint32(
-            levels - 1
-        )
+        idx = np.multiply.outer(strides.astype(np.int64), t.astype(np.int64))
+        idx += offsets[:, None]
+        idx &= (1 << self.bits) - 1
         return self._bit_reverse(idx, self.bits)
 
 

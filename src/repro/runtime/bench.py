@@ -53,8 +53,6 @@ class BenchResult:
     identical: bool
     snapshot: object       # MetricsSnapshot of the parallel runtime
     plan_text: str
-    #: ``ExecutionPlan.specialization_summary()`` of the planned runtime.
-    specialization: dict = None
 
     @property
     def samples(self) -> int:
@@ -110,7 +108,6 @@ def run_bench(network: str = "mnist_mlp", *, batch: int = 8,
         parallel_s = time.perf_counter() - t0
         snapshot = parallel_runtime.snapshot()
         plan_text = parallel_runtime.describe()
-        specialization = parallel_runtime.plan.specialization_summary()
 
     return BenchResult(
         network=network, batch=batch, repeats=repeats, workers=workers,
@@ -118,7 +115,6 @@ def run_bench(network: str = "mnist_mlp", *, batch: int = 8,
         planned_s=planned_s, parallel_s=parallel_s,
         identical=np.array_equal(planned_logits, parallel_logits),
         snapshot=snapshot, plan_text=plan_text,
-        specialization=specialization,
     )
 
 

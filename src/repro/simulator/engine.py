@@ -59,8 +59,7 @@ import numpy as np
 from .. import obs
 from ..core.bitstream import (packed_popcount, pack_words, popcount_words,
                               words_from_bytes)
-from ..core.rng import make_source
-from ..core.sng import StochasticNumberGenerator
+from ..core.rng import NumpyRandomSource, make_source
 
 __all__ = ["popcount_packed", "encode_packed", "split_or_matmul_counts",
            "bipolar_mux_matmul_counts", "encode_split_weight_streams",
@@ -70,6 +69,10 @@ __all__ = ["popcount_packed", "encode_packed", "split_or_matmul_counts",
 
 #: Default working-set budget for one product intermediate.
 DEFAULT_BLOCK_BYTES = 4 << 20
+
+#: Lane-clocks (lanes x stream length) :func:`encode_packed` encodes at
+#: a time: its uint32 thresholds take 16 MiB per slab.
+_WEIGHT_SLAB_CLOCKS = 1 << 22
 
 # Consolidated popcount lives in repro.core.bitstream (bitwise_count
 # fast path + numpy<2 table fallback in one place); re-exported here
@@ -114,6 +117,13 @@ def _build_encode_table(scheme: str, bits: int, seed, lanes: int,
     continuation segment of a resumable evaluation.  A tuple ``seed``
     builds the windows of its seeds end to end along time (see
     :func:`_act_thresholds`).
+
+    Clock ``t`` of lane ``k`` is 1 exactly for the targets above its
+    threshold, so the table is built by scatter and accumulate: set the
+    clock's bit in row ``threshold + 1`` only, then OR every row into
+    the next (``np.bitwise_or.accumulate`` along the value axis).  Each
+    lane-clock is written once, instead of being compared against all
+    ``2**bits + 1`` values.
     """
     with _Timed("encode:table"):
         thresholds = _act_thresholds(scheme, bits, seed, lanes, length,
@@ -121,14 +131,17 @@ def _build_encode_table(scheme: str, bits: int, seed, lanes: int,
         span = thresholds.shape[-1]
         levels = 1 << bits
         n_words = (span + 63) // 64
-        table = np.empty((lanes, levels + 1, n_words), dtype=np.uint64)
-        # Build in value slabs so the 0/1 temporary stays bounded.
-        slab = max(1, (16 << 20) // max(1, lanes * span))
-        for v0 in range(0, levels + 1, slab):
-            v = np.arange(v0, min(v0 + slab, levels + 1), dtype=np.uint32)
-            table[:, v0:v0 + v.size] = pack_words(
-                thresholds[:, None, :] < v[None, :, None]
-            )
+        table = np.zeros((lanes, levels + 1, n_words), dtype=np.uint64)
+        # The byte view is the np.packbits layout (pack_words): clock t
+        # is bit 0x80 >> (t % 8) of byte t // 8.  Bit j of every byte
+        # holds clocks j, j + 8, ...: one clock per (lane, byte), so no
+        # scatter index repeats within a pass.
+        as_bytes = table.reshape(lanes * (levels + 1), n_words).view(np.uint8)
+        rows = (np.arange(lanes) * (levels + 1) + 1)[:, None] + thresholds
+        for j in range(min(8, span)):
+            as_bytes[rows[:, j::8], np.arange(j, span, 8) // 8] |= \
+                np.uint8(0x80 >> j)
+        np.bitwise_or.accumulate(table, axis=1, out=table)
         return table
 
 
@@ -426,9 +439,31 @@ def encode_packed(values: np.ndarray, length: int, bits: int, scheme: str,
     *weight* encoding path — every ``(channel, k)`` weight element keeps
     its own SNG lane; activations use the shared-lane chunk encoders.
     ``offset`` encodes clocks ``[offset, offset + length)``.
+
+    Element ``i`` (row-major) is lane ``i`` of ``make_source(scheme,
+    bits=bits, seed=seed)``.  The lanes are encoded in slabs of at most
+    ``_WEIGHT_SLAB_CLOCKS`` lane-clocks, so the threshold and comparator
+    temporaries stay bounded whatever the plane size.
     """
-    sng = StochasticNumberGenerator(length, bits=bits, scheme=scheme, seed=seed)
-    return np.packbits(sng.generate(values, offset=offset), axis=-1)
+    if length < 1:
+        raise ValueError("stream length must be positive")
+    values = np.asarray(values, dtype=np.float64)
+    flat = values.reshape(-1)
+    out = np.empty((flat.size, (length + 7) // 8), dtype=np.uint8)
+    first = make_source(scheme, bits=bits, seed=seed)
+    slab = max(1, _WEIGHT_SLAB_CLOCKS // length)
+    for start in range(0, flat.size, slab):
+        targets = _quantize_targets(flat[start:start + slab], bits)
+        # Lane k of an lfsr or vdc source depends only on seed + k
+        # (``first.seed`` is the seed after make_source clamps an lfsr
+        # seed of 0 to 1), so each slab re-seeds.  The stateful random
+        # source keeps drawing from its one generator, in lane order.
+        source = first if isinstance(first, NumpyRandomSource) else \
+            make_source(scheme, bits=bits, seed=first.seed + start)
+        thresholds = source.thresholds(targets.size, length, offset=offset)
+        out[start:start + slab] = np.packbits(thresholds < targets[:, None],
+                                              axis=-1)
+    return out.reshape(values.shape + out.shape[-1:])
 
 
 def encode_split_weight_streams(weights: np.ndarray, *, length: int,
