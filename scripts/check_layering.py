@@ -12,12 +12,14 @@ One sanctioned exception: ``repro.ir.passes`` (the lowering pipeline)
 may import ``repro.obs`` for its per-pass tracing spans — it is listed
 in :data:`EXCEPTIONS` and nothing else gets a waiver.
 
-``repro.serve`` sits at the *top* of the stack: it orchestrates the
-runtime, networks and obs layers to serve traffic, and nothing below it
-may import it (the CLI, which wires every subsystem to argv, is the one
-sanctioned consumer — see :data:`TOP_LAYERS`).  A lower layer importing
-serve would invert the dependency and make the core library drag the
-serving machinery into every import.
+``repro.serve`` and ``repro.runtime`` sit at the *top* of the stack
+(:data:`TOP_LAYERS`).  Serve orchestrates the runtime, networks and obs
+layers to serve traffic, and only the CLI, which wires every subsystem
+to argv, may import it.  The runtime compiles, ships and runs plans for
+serve and the CLI, and only those two may import it, so the simulator
+never depends on how the runtime moves plans between processes.  A
+lower layer importing either would invert the dependency and drag that
+machinery into every import.
 
 Walks every module under each bottom-layer root with the ``ast`` module
 (no imports are executed) and fails with a non-zero exit code listing
@@ -49,10 +51,12 @@ EXCEPTIONS = {
     _SRC / "ir" / "passes.py": ("obs",),
 }
 
-#: Top-layer package name -> files allowed to import it.  Everything
-#: else under src/repro (outside the package itself) must not.
+#: Top-layer package name -> the modules and packages (paths relative
+#: to src/repro) allowed to import it.  Everything else under src/repro
+#: (outside the package itself) must not.
 TOP_LAYERS = {
-    "serve": (_SRC / "cli.py",),
+    "serve": ("cli.py",),
+    "runtime": ("serve", "cli.py"),
 }
 
 # Historical single-root spellings, kept for check()'s callers/tests.
@@ -108,8 +112,9 @@ def check_top_layers(root: pathlib.Path = _SRC) -> list:
     """Flag imports of a top-layer package from anywhere below it."""
     violations = []
     for path in sorted(root.rglob("*.py")):
-        for package, allowed in TOP_LAYERS.items():
-            if path in allowed or (root / package) in path.parents:
+        for package, importers in TOP_LAYERS.items():
+            allowed = [root / name for name in (package, *importers)]
+            if any(p == path or p in path.parents for p in allowed):
                 continue
             tree = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(tree):
@@ -131,9 +136,9 @@ def check_top_layers(root: pathlib.Path = _SRC) -> list:
                             bad = package
                 if bad:
                     violations.append(
-                        f"{path}:{node.lineno}: imports repro.{bad} — the "
-                        f"serving layer sits on top; only the CLI may "
-                        f"import it")
+                        f"{path}:{node.lineno}: imports repro.{bad} — a "
+                        f"top layer; only "
+                        f"{', '.join(importers)} may import it")
     return violations
 
 
@@ -190,7 +195,7 @@ def main() -> int:
         return 1
     top = check_top_layers()
     if top:
-        print("lower layers must not import the serving layer:")
+        print("lower layers must not import the top layers:")
         for violation in top:
             print(f"  {violation}")
         return 1
@@ -203,9 +208,9 @@ def main() -> int:
         return 1
     print("layering OK: repro.ir and repro.obs import nothing from the "
           "upper layers (sole waiver: repro.ir.passes -> repro.obs), "
-          "repro.serve is imported only by the CLI, and the AlexNet "
-          "perfsim goldens are bit-equal to their pre-grouped-lowering "
-          "values")
+          "repro.serve is imported only by the CLI, repro.runtime only "
+          "by repro.serve and the CLI, and the AlexNet perfsim goldens "
+          "are bit-equal to their pre-grouped-lowering values")
     return 0
 
 

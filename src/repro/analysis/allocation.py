@@ -15,7 +15,7 @@ reaches the target (or lengths cap out).  The result feeds
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,13 +78,7 @@ def allocate_stream_lengths(network, x_calib, y_calib, *,
     lengths = {i: start_phase for i in stochastic}
 
     def current_config():
-        return SCConfig(
-            phase_length=base.phase_length, bits=base.bits,
-            scheme=base.scheme, accumulator=base.accumulator,
-            computation_skipping=base.computation_skipping,
-            seed=base.seed, representation=base.representation,
-            layer_phase_lengths=dict(lengths),
-        )
+        return replace(base, layer_phase_lengths=dict(lengths))
 
     def measure():
         sc = SCNetwork.from_trained(network, current_config())

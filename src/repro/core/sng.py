@@ -81,7 +81,8 @@ class StochasticNumberGenerator:
         stream (see :func:`repro.core.rng.prefix_stable_scheme`).
         """
         p = np.asarray(p, dtype=np.float64)
-        if p.size and (p.min() < 0 or p.max() > 1):
+        # Written so NaN fails it: every comparison with NaN is False.
+        if p.size and not (p.min() >= 0 and p.max() <= 1):
             raise ValueError("probabilities must lie in [0, 1]")
         flat = p.reshape(-1)
         levels = 1 << self.bits

@@ -18,8 +18,9 @@ adds the serving machinery a production deployment needs:
 - :class:`InferenceRuntime` — the assembled front-end, with optional
   graceful degradation to fixed-point reference execution;
 - :mod:`repro.runtime.shm` — zero-copy shared-memory publication of
-  compiled plans and activation encode tables for the process backend:
-  encode once per model, attach every worker;
+  compiled plans for the process backend: one copy of the weight words
+  per model, attached by every worker (each process builds its own
+  activation encode tables);
 - :func:`run_profile` — the ``python -m repro profile`` harness: a
   traced workload, a Chrome-loadable artifact, and per-IR-layer wall
   time attribution via :mod:`repro.obs`.
@@ -35,8 +36,8 @@ from .progressive import (ProgressiveOutcome, ProgressivePolicy,
                           run_progressive, top2_margin)
 from .runtime import InferenceRuntime
 from .shm import (SHARED_PLANS, PlanRef, SharedPlanRegistry, attach_plan,
-                  build_encode_tables, cleanup_orphan_segments, detach_plan,
-                  publish_plan, shm_supported)
+                  cleanup_orphan_segments, detach_plan, publish_plan,
+                  shm_supported)
 from .specialize import (GatherPlan, KernelPlan, Specialization,
                          clear_specialization_cache,
                          specialization_cache_info,
@@ -54,8 +55,8 @@ __all__ = [
     "top2_margin",
     "InferenceRuntime",
     "SHARED_PLANS", "PlanRef", "SharedPlanRegistry", "attach_plan",
-    "build_encode_tables", "cleanup_orphan_segments", "detach_plan",
-    "publish_plan", "shm_supported",
+    "cleanup_orphan_segments", "detach_plan", "publish_plan",
+    "shm_supported",
     "GatherPlan", "KernelPlan", "Specialization",
     "clear_specialization_cache", "specialization_cache_info",
     "specialization_fingerprint",

@@ -65,11 +65,11 @@ class RuntimeConfig:
         global ``SCConfig.block_kib``).
     shm:
         One of :data:`SHM_MODES`: whether the process backend publishes
-        the compiled plan and pre-built activation encode tables
-        through :mod:`repro.runtime.shm` (zero-copy shared segments,
-        encode-once-per-model) instead of shipping a pickled plan to
-        every worker.  Ignored by the serial/thread backends, which
-        share the caller's plan directly.
+        the compiled plan through :mod:`repro.runtime.shm` (one
+        zero-copy shared segment per model) instead of shipping a
+        pickled plan to every worker.  Either way each worker builds
+        its own activation encode tables.  Ignored by the serial/thread
+        backends, which share the caller's plan directly.
     """
 
     workers: int = 1

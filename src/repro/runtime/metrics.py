@@ -20,7 +20,7 @@ __all__ = ["RuntimeMetrics", "MetricsSnapshot", "StageTimer"]
 
 #: Canonical stage names, in pipeline order (rendering preserves this).
 #: ``publish`` is the one-time shared-memory publication (pickling the
-#: plan + pre-building encode tables into the segment).
+#: plan into the segment).
 STAGES = ("plan", "publish", "queue", "dispatch", "compute", "merge",
           "fallback")
 
@@ -74,16 +74,6 @@ class MetricsSnapshot:
     progressive_extensions: int = 0
     progressive_early_exits: int = 0
     progressive_final_length: int = 0
-    #: Shared-memory plan publication counters (process backend with
-    #: ``RuntimeConfig.shm`` enabled): publications made by this
-    #: runtime's pool, bytes and encode tables published, workers that
-    #: attached through the warm protocol, and their summed attach
-    #: time.  All zero on the per-process fallback path.
-    shm_publications: int = 0
-    shm_bytes: int = 0
-    shm_tables: int = 0
-    shm_attached_workers: int = 0
-    shm_attach_seconds: float = 0.0
 
     @property
     def progressive_mean_final_length(self) -> float:
@@ -129,14 +119,6 @@ class MetricsSnapshot:
             ("act-encode-cache hit rate", f"{self.act_cache_hit_rate:.3f}"),
             ("queue depth (now/max)",
              f"{self.queue_depth}/{self.max_queue_depth}"),
-            *([("shm publications", self.shm_publications),
-               ("shm bytes published", self.shm_bytes),
-               ("shm tables published", self.shm_tables),
-               ("shm workers attached", self.shm_attached_workers),
-               ("shm attach wall [ms]",
-                f"{self.shm_attach_seconds * 1e3:.2f}")]
-              if self.shm_publications or self.shm_attached_workers
-              else []),
             *([("progressive requests", self.progressive_requests),
                ("progressive extensions", self.progressive_extensions),
                ("progressive early-exit rate",
@@ -205,11 +187,6 @@ class RuntimeMetrics:
     progressive_final_length: int = 0
     act_cache_hits: int = 0
     act_cache_misses: int = 0
-    shm_publications: int = 0
-    shm_bytes: int = 0
-    shm_tables: int = 0
-    shm_attached_workers: int = 0
-    shm_attach_seconds: float = 0.0
     stage_seconds: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _started: float = field(default_factory=time.perf_counter, repr=False)
@@ -246,17 +223,6 @@ class RuntimeMetrics:
             self.progressive_extensions += progressive_extensions
             self.progressive_early_exits += progressive_early_exits
             self.progressive_final_length += progressive_final_length
-
-    def observe_shm(self, *, publications: int = 0, nbytes: int = 0,
-                    tables: int = 0, attached_workers: int = 0,
-                    attach_seconds: float = 0.0) -> None:
-        """Record shared-memory publication / warm-protocol events."""
-        with self._lock:
-            self.shm_publications += publications
-            self.shm_bytes += nbytes
-            self.shm_tables += tables
-            self.shm_attached_workers += attached_workers
-            self.shm_attach_seconds += attach_seconds
 
     def observe_queue_depth(self, depth: int) -> None:
         with self._lock:
@@ -296,11 +262,6 @@ class RuntimeMetrics:
                 kernel_seconds=dict(kernel_seconds or {}),
                 act_cache_hits=self.act_cache_hits + act_cache_hits,
                 act_cache_misses=self.act_cache_misses + act_cache_misses,
-                shm_publications=self.shm_publications,
-                shm_bytes=self.shm_bytes,
-                shm_tables=self.shm_tables,
-                shm_attached_workers=self.shm_attached_workers,
-                shm_attach_seconds=self.shm_attach_seconds,
                 layer_seconds=dict(layer_seconds or {}),
             )
 

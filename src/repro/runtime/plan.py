@@ -216,12 +216,6 @@ class ExecutionPlan:
         """
         return self._fingerprint
 
-    def encode_table_keys(self, max_samples: int) -> list:
-        """Activation encode-table keys a run of ``max_samples`` rows
-        touches (see :meth:`~repro.runtime.specialize.Specialization.
-        encode_table_keys`)."""
-        return self.specialization.encode_table_keys(max_samples)
-
     @property
     def bits_per_sample(self) -> int:
         """Product-lane bits simulated for one input sample."""

@@ -1,25 +1,24 @@
-"""Shared-memory publication of compiled plans and encode tables.
+"""Shared-memory publication of compiled plans.
 
-The process backend's scaling problem is not compute, it is redundant
-stream generation: every pool worker used to rebuild the activation
-value -> stream encode tables (and, under spawn, unpickle its own copy
-of the warm plan) that the parent could have produced exactly once.
-This module moves the compiled artifacts into
-``multiprocessing.shared_memory`` segments:
+Without it, each process-pool worker gets the warm plan through the
+pool initializer: a copy-on-write copy of the parent's under ``fork``,
+its own unpickled copy under ``spawn`` and ``forkserver``.  This module
+moves the compiled plan into one ``multiprocessing.shared_memory``
+segment instead:
 
-- :func:`publish_plan` pickles a payload (the
+- :func:`publish_plan` pickles the
   :class:`~repro.runtime.plan.ExecutionPlan` with its layers' warm
-  :class:`~repro.simulator.layers.LayerPlanCache` contents — engine
-  plans and gather tables — plus the pre-built activation encode
-  tables) with pickle protocol 5, hoisting every contiguous numpy
-  buffer out of band, and lays payload + buffers into one segment.
+  :class:`~repro.simulator.layers.LayerPlanCache` contents (engine
+  plans: weight words and channel blocks; gather tables) with pickle
+  protocol 5, hoisting every contiguous numpy buffer out of band, and
+  lays the pickle stream and the buffers into one segment.
 - :func:`attach_plan` maps the segment read-only in a worker and
-  reconstructs the payload **zero-copy**: every hoisted array is a
+  reconstructs the plan **zero-copy**: every hoisted array is a
   read-only numpy view directly onto the shared pages, so N workers
-  share one physical copy of the weights and tables.  Attached encode
-  tables are installed into the worker's process-global
-  :data:`~repro.simulator.engine.ENCODE_CACHE` as *pinned* entries, so
-  the byte-budget LRU never evicts a view whose pages cost nothing.
+  share one physical copy of the weights.  Activation encode tables are
+  not published: each worker builds the ones its shards touch in its
+  own :data:`~repro.simulator.engine.ENCODE_CACHE`, like every other
+  process that runs a plan.
 - :data:`SHARED_PLANS` refcounts publications keyed by
   ``(model, specialization_fingerprint, bit_offset)``: pools serving
   the same compiled model share one segment, and the segment is
@@ -49,8 +48,6 @@ import threading
 import uuid
 from dataclasses import dataclass
 
-from ..simulator.engine import ENCODE_CACHE
-
 try:  # pragma: no cover - present on every supported platform
     from multiprocessing import resource_tracker, shared_memory
     _HAVE_SHM = True
@@ -64,7 +61,6 @@ __all__ = [
     "SHARED_PLANS",
     "attach_plan",
     "attached_segments",
-    "build_encode_tables",
     "cleanup_orphan_segments",
     "detach_plan",
     "list_repro_segments",
@@ -137,8 +133,6 @@ class PlanRef:
     payload: tuple          # (offset, length) of the pickle stream
     buffers: tuple          # ((offset, length), ...) hoisted arrays
     total_bytes: int
-    table_count: int
-    table_bytes: int
     weight_bytes: int
 
 
@@ -166,19 +160,15 @@ def _pack(obj) -> tuple:
     return payload, raws, spans, offset
 
 
-def publish_plan(key, plan, tables: dict = None) -> PlanRef:
-    """Write ``{"plan": plan, "tables": tables}`` into a new segment.
+def publish_plan(key, plan) -> PlanRef:
+    """Write ``plan`` into a new segment.
 
-    ``tables`` maps :data:`ENCODE_CACHE` keys to pre-built encode
-    tables (see :func:`build_encode_tables`); pass ``None``/empty to
-    let workers build their own.  Returns the
-    :class:`PlanRef` a worker needs to :func:`attach_plan`.  Prefer
-    :meth:`SharedPlanRegistry.acquire` for refcounted lifetime.
+    Returns the :class:`PlanRef` a worker needs to :func:`attach_plan`.
+    Prefer :meth:`SharedPlanRegistry.acquire` for refcounted lifetime.
     """
     if not shm_supported():
         raise RuntimeError("shared memory is not supported on this host")
-    tables = dict(tables or {})
-    payload, raws, spans, total = _pack({"plan": plan, "tables": tables})
+    payload, raws, spans, total = _pack(plan)
     with _TRACKER_LOCK:
         segment = shared_memory.SharedMemory(
             name=_segment_name(), create=True, size=max(total, _ALIGN))
@@ -193,9 +183,7 @@ def publish_plan(key, plan, tables: dict = None) -> PlanRef:
     ref = PlanRef(
         key=tuple(key), segment=segment.name, owner_pid=os.getpid(),
         payload=(0, len(payload)), buffers=tuple(spans),
-        total_bytes=total, table_count=len(tables),
-        table_bytes=sum(t.nbytes for t in tables.values()),
-        weight_bytes=_weight_bytes(plan),
+        total_bytes=total, weight_bytes=_weight_bytes(plan),
     )
     # The creating SharedMemory object is handed to the registry (or the
     # caller) for lifetime management; attach-side objects are tracked
@@ -217,62 +205,42 @@ def _weight_bytes(plan) -> int:
                for ph in kp.matmul.phases)
 
 
-def build_encode_tables(plan, max_samples: int) -> dict:
-    """Materialize every activation encode table a forward pass of up
-    to ``max_samples`` rows will need, via the parent's cache.
-
-    Returns ``{cache key: table}``.
-    """
-    tables = {}
-    for key in plan.encode_table_keys(max_samples):
-        scheme, bits, seed, lanes, length, offset = key
-        tables[key] = ENCODE_CACHE.table(scheme, bits, seed, lanes, length,
-                                         offset=offset)
-    return tables
-
-
 # --------------------------------------------------------------------
 # Attach / detach (worker side)
 # --------------------------------------------------------------------
 
-_ATTACHED = {}   # segment name -> [SharedMemory, payload dict or None]
+_ATTACHED = {}   # segment name -> [SharedMemory, plan or None]
 _ATTACH_LOCK = threading.Lock()
 _ATTACH_EXIT_HOOKED = False
 
 
-def attach_plan(ref: PlanRef, *, install_tables: bool = True) -> dict:
-    """Map ``ref``'s segment and reconstruct its payload zero-copy.
+def attach_plan(ref: PlanRef):
+    """Map ``ref``'s segment and reconstruct its plan zero-copy.
 
-    Every hoisted array in the returned ``{"plan": ..., "tables":
-    ...}`` payload is a read-only view onto the shared pages.  With
-    ``install_tables`` the encode tables are pinned into this process's
-    :data:`ENCODE_CACHE`, so the plan's forward passes gather from the
-    shared tables instead of rebuilding them.  Idempotent per segment.
+    Every hoisted array in the returned plan is a read-only view onto
+    the shared pages.  Idempotent per segment.
     """
     global _ATTACH_EXIT_HOOKED
     with _ATTACH_LOCK:
         entry = _ATTACHED.get(ref.segment)
         if entry is not None and entry[1] is not None:
-            payload = entry[1]
+            plan = entry[1]
         else:
             # Either a fresh attach or a re-read after a detach that
             # failed under live views (which keeps the mapping but
-            # drops the cached payload).
+            # drops the cached plan).
             segment = entry[0] if entry is not None \
                 else _attach_segment(ref.segment)
             views = [segment.buf[off:off + length].toreadonly()
                      for off, length in ref.buffers]
             off, length = ref.payload
-            payload = pickle.loads(bytes(segment.buf[off:off + length]),
-                                   buffers=views)
-            _ATTACHED[ref.segment] = [segment, payload]
+            plan = pickle.loads(bytes(segment.buf[off:off + length]),
+                                buffers=views)
+            _ATTACHED[ref.segment] = [segment, plan]
         if not _ATTACH_EXIT_HOOKED:
             _ATTACH_EXIT_HOOKED = True
             atexit.register(_abandon_attachments_at_exit)
-    if install_tables:
-        for key, table in payload.get("tables", {}).items():
-            ENCODE_CACHE.install(key, table, pinned=True)
-    return payload
+    return plan
 
 
 def detach_plan(segment_name: str) -> bool:
@@ -282,7 +250,7 @@ def detach_plan(segment_name: str) -> bool:
     arrays reconstructed from the segment are still alive *outside*
     this module — the mapping cannot be torn down under live views,
     which is exactly the safety property the refcount tests rely on.
-    The attachment survives a failed detach (minus its cached payload),
+    The attachment survives a failed detach (minus its cached plan),
     so dropping the views and calling again succeeds.
     """
     with _ATTACH_LOCK:
@@ -290,7 +258,7 @@ def detach_plan(segment_name: str) -> bool:
         if entry is None:
             return False
         segment = entry[0]
-        # Drop this module's own payload reference before closing: the
+        # Drop this module's own plan reference before closing: the
         # cache itself must not count as a live view.
         entry[1] = None
         del entry
@@ -386,10 +354,9 @@ class SharedPlanRegistry:
         self._pid = os.getpid()
 
     def acquire(self, key, build) -> PlanRef:
-        """The publication for ``key``; ``build()`` must return the
-        ``(plan, tables)`` payload parts and runs only on first
-        acquire (under the registry lock, so concurrent acquirers of
-        one key publish exactly once)."""
+        """The publication for ``key``; ``build()`` returns the plan and
+        runs only on first acquire (under the registry lock, so
+        concurrent acquirers of one key publish exactly once)."""
         key = tuple(key)
         with self._lock:
             entry = self._pubs.get(key)
@@ -399,8 +366,7 @@ class SharedPlanRegistry:
             # Publish opportunistically reclaims segments of crashed
             # owners before adding a new one.
             cleanup_orphan_segments()
-            plan, tables = build()
-            ref = publish_plan(key, plan, tables)
+            ref = publish_plan(key, build())
             self._pubs[key] = [ref, 1]
             return ref
 
@@ -434,8 +400,6 @@ class SharedPlanRegistry:
                  "bit_offset": ref.key[2],
                  "segment": ref.segment,
                  "bytes": ref.total_bytes,
-                 "tables": ref.table_count,
-                 "table_bytes": ref.table_bytes,
                  "weight_bytes": ref.weight_bytes,
                  "refcount": count}
                 for ref, count in self._pubs.values()

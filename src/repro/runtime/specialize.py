@@ -98,27 +98,6 @@ class Specialization:
         self.build_seconds = build_seconds
         self.autotune_budget_s = autotune_budget_s
 
-    def encode_table_keys(self, max_samples: int) -> list:
-        """Every activation encode-table key a forward pass of up to
-        ``max_samples`` rows will touch, across all specialized layers.
-
-        Conv layers see ``samples * oh * ow`` activation positions (the
-        gathered patch matrix), linear layers one per sample; the engine
-        plans enumerate the per-chunk SNG seeds from there.  This is the
-        publication manifest for :mod:`repro.runtime.shm`: the parent
-        builds exactly these tables once and every pool worker attaches
-        them instead of rebuilding.  Deduplicated, insertion-ordered.
-        """
-        keys = {}
-        for index in sorted(self.plans):
-            plan = self.plans[index]
-            positions = max_samples
-            if plan.gather is not None:
-                positions = max_samples * plan.gather.positions
-            for key in plan.matmul.encode_table_keys(positions):
-                keys[key] = None
-        return list(keys)
-
     def summary(self) -> dict:
         """JSON-ready decision record for describe/metrics/bench."""
         layers = []
@@ -177,7 +156,7 @@ def specialization_fingerprint(network, input_shape, config) -> str:
         config.scheme, config.accumulator, config.seed,
         config.computation_skipping,
         sorted((config.layer_phase_lengths or {}).items()),
-        config.block_kib, config.encode_cache,
+        config.block_kib,
     )).encode())
 
     def walk(layers, prefix):

@@ -65,21 +65,19 @@ def _init_worker_shm(ref, token: int, barrier) -> None:
     """Pool initializer for the shared-memory path.
 
     Attaches the parent's published segment (zero-copy read-only views
-    of the plan's weight words and the pre-built activation encode
-    tables, pinned into this process's encode cache) and stows
-    the warm-up barrier for the handshake tasks.
+    of the plan's weight words) and stows the warm-up barrier for the
+    handshake tasks.  The worker builds its activation encode tables
+    itself, on first use.
     """
     global _WORKER_PLAN, _WORKER_TOKEN, _WORKER_BARRIER, _WORKER_ATTACH
     t0 = time.perf_counter()
-    payload = shm.attach_plan(ref)
-    _WORKER_PLAN = payload["plan"]
+    _WORKER_PLAN = shm.attach_plan(ref)
     _WORKER_TOKEN = token
     _WORKER_BARRIER = barrier
     _WORKER_ATTACH = {
         "pid": os.getpid(),
         "segment": ref.segment,
         "segment_bytes": ref.total_bytes,
-        "tables": ref.table_count,
         "attach_seconds": time.perf_counter() - t0,
     }
 
@@ -344,10 +342,10 @@ class WorkerPool:
         """Build the process executor (caller holds the lock).
 
         Each executor generation gets a fresh token; with shared memory
-        enabled the parent publishes the plan + encode tables once and
-        runs the warm protocol so every worker is attached before the
-        first wave.  The fallback initializer ships a pickled warm plan
-        per worker — the canonical, bit-identical path.
+        enabled the parent publishes the plan once and runs the warm
+        protocol so every worker is attached before the first wave.
+        The fallback initializer ships a pickled warm plan per worker —
+        the canonical, bit-identical path.
         """
         self._plan_token += 1
         token = self._plan_token
@@ -386,18 +384,9 @@ class WorkerPool:
         """Acquire (or reuse) the shared publication for this plan."""
         if self._plan_ref is None:
             key = (self.name, self.plan.fingerprint(), 0)
-
-            def build():
-                tables = shm.build_encode_tables(self.plan,
-                                                 self.config.shard_size)
-                return self.plan, tables
-
             with self.metrics.stage("publish"):
-                self._plan_ref = shm.SHARED_PLANS.acquire(key, build)
-            self.metrics.observe_shm(
-                publications=1, nbytes=self._plan_ref.total_bytes,
-                tables=self._plan_ref.table_count,
-            )
+                self._plan_ref = shm.SHARED_PLANS.acquire(
+                    key, lambda: self.plan)
         return self._plan_ref
 
     def _warm_up(self, workers: int) -> None:
@@ -427,10 +416,6 @@ class WorkerPool:
             "broken": sum(1 for i in infos if i.get("barrier_broken")),
             "attach_seconds": sum(i["attach_seconds"] for i in attached),
         }
-        self.metrics.observe_shm(
-            attached_workers=len(attached),
-            attach_seconds=self._warm_info["attach_seconds"],
-        )
 
     def shm_stats(self) -> dict:
         """This pool's view of the shared publication (or fallback)."""
@@ -444,8 +429,6 @@ class WorkerPool:
             "mode": self.config.shm,
             "segment": ref.segment,
             "bytes": ref.total_bytes,
-            "tables": ref.table_count,
-            "table_bytes": ref.table_bytes,
             "weight_bytes": ref.weight_bytes,
             "warm": warm,
         }

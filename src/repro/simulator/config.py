@@ -52,9 +52,6 @@ class SCConfig:
     #: AND/OR tiles cache-resident.  A compiled ExecutionPlan may
     #: autotune a per-layer budget instead.
     block_kib: int = 4096
-    #: Use the global activation value -> packed-stream table cache
-    #: (bit-identical either way; purely a speed knob).
-    encode_cache: bool = True
 
     def __post_init__(self):
         if self.phase_length < 1:

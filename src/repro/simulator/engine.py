@@ -160,6 +160,11 @@ class ActivationEncodeCache:
     budget (``REPRO_ENCODE_CACHE_MB``, default 128) so huge layers
     cannot wedge a worker.
 
+    Every process owns its entries: whatever runs a plan builds the
+    tables that plan touches on first use, and every entry counts
+    against the budget.  A forked pool worker starts with copy-on-write
+    copies of the entries its parent held at the fork.
+
     Safe for concurrent readers; a race at worst builds the same
     deterministic table twice.
     """
@@ -173,7 +178,6 @@ class ActivationEncodeCache:
         self.misses = 0
         self._bytes = 0
         self._entries = OrderedDict()
-        self._pinned = set()
         self._lock = threading.Lock()
 
     def table(self, scheme: str, bits: int, seed, lanes: int,
@@ -194,41 +198,11 @@ class ActivationEncodeCache:
                 self._evict_locked()
             return self._entries[key]
 
-    def install(self, key, table: np.ndarray, *,
-                pinned: bool = True) -> np.ndarray:
-        """Install a pre-built table under ``key`` without encoding.
-
-        This is the shared-memory attach path
-        (:mod:`repro.runtime.shm`): a worker receives the parent's
-        value -> stream tables as zero-copy read-only views and seeds
-        its cache with them, so its first forward pass gathers instead
-        of rebuilding.  ``pinned`` entries are excluded from the byte
-        budget and never evicted — a shared segment's pages are not
-        this process's private memory, so evicting the view would save
-        nothing and force a rebuild.  If ``key`` is already present the
-        existing entry wins (installs never clobber live tables).
-        """
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                return existing
-            self._entries[key] = table
-            if pinned:
-                self._pinned.add(key)
-            else:
-                self._bytes += table.nbytes
-                self._evict_locked()
-            return table
-
     def _evict_locked(self):
-        """Drop oldest unpinned entries beyond the byte budget (but
-        always keep at least one, so a single over-budget table still
-        serves)."""
-        while self._bytes > self.max_bytes:
-            victims = [k for k in self._entries if k not in self._pinned]
-            if len(victims) <= 1:
-                break
-            evicted = self._entries.pop(victims[0])
+        """Drop the oldest entries beyond the byte budget (but always
+        keep one, so a single over-budget table still serves)."""
+        while self._bytes > self.max_bytes and len(self._entries) > 1:
+            _, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes
 
     def counters(self) -> tuple:
@@ -237,10 +211,9 @@ class ActivationEncodeCache:
             return self.hits, self.misses
 
     def info(self) -> dict:
-        """Point-in-time cache accounting (entries, pinned, bytes)."""
+        """Point-in-time cache accounting (entries, bytes)."""
         with self._lock:
             return {"entries": len(self._entries),
-                    "pinned": len(self._pinned),
                     "bytes": self._bytes,
                     "max_bytes": self.max_bytes,
                     "hits": self.hits,
@@ -249,7 +222,6 @@ class ActivationEncodeCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._pinned.clear()
             self._bytes = 0
             self.hits = 0
             self.misses = 0
@@ -344,7 +316,7 @@ def _time_major(words: np.ndarray) -> np.ndarray:
 
 
 def _encode_chunk_words(values: np.ndarray, length: int, bits: int,
-                        scheme: str, seed: int, use_cache: bool,
+                        scheme: str, seed: int,
                         lane_subset: np.ndarray = None, offset: int = 0,
                         positions: np.ndarray = None) -> np.ndarray:
     """Shared-lane chunk encode, time-major: ``(P, K) -> (P, W, K)``.
@@ -352,9 +324,11 @@ def _encode_chunk_words(values: np.ndarray, length: int, bits: int,
     A bank of ``fan_in`` SNG lanes is time-multiplexed across the
     chunk's positions with the :func:`_lane_rotation` assignment; bit
     ``[p, t, k]`` is ``threshold[(p+k) % K, offset + t] <
-    round(v[p, k] * 2**bits)``.  With the cache enabled this is a pure
-    ``np.take`` gather from the value -> stream table (one row per
-    (lane, value) pair).
+    round(v[p, k] * 2**bits)``.  For ``bits <= 8`` this is a pure
+    ``np.take`` gather from the :data:`ENCODE_CACHE` value -> stream
+    table (one row per (lane, value) pair); wider comparators, whose
+    tables would hold ``2**bits + 1`` rows per lane, compare against
+    the thresholds directly.
 
     ``lane_subset`` (sorted fan-in indices) restricts the encode to the
     requested lanes, returning ``(P, W, len(lane_subset))`` — the same
@@ -379,7 +353,7 @@ def _encode_chunk_words(values: np.ndarray, length: int, bits: int,
     lanes = values.shape[1]
     if lane_subset is not None and lane_subset.size == lanes:
         lane_subset = None
-    if use_cache and bits <= 8 and lanes > 0:
+    if bits <= 8 and lanes > 0:
         traced = obs.enabled()
         if traced:
             h0, m0 = ENCODE_CACHE.counters()
@@ -528,7 +502,6 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
                            chunk_positions: int = 256,
                            weight_streams: tuple = None,
                            block_bytes: int = None,
-                           encode_cache: bool = True,
                            start_bit: int = 0) -> np.ndarray:
     """Bitstream-exact split-unipolar matrix multiply.
 
@@ -559,9 +532,6 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
     block_bytes:
         Working-set budget for one product tile (default
         :data:`DEFAULT_BLOCK_BYTES`).
-    encode_cache:
-        Use the global :data:`ENCODE_CACHE` value -> stream tables for
-        activation encoding (bit-identical either way).
 
     Returns
     -------
@@ -600,7 +570,7 @@ def split_or_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
             weights, length=length, bits=bits, scheme=scheme, seed=seed,
             accumulator=accumulator, block_bytes=block_bytes,
             chunk_positions=chunk_positions, weight_streams=weight_streams,
-            encode_cache=encode_cache, bit_offset=start_bit,
+            bit_offset=start_bit,
         ).execute(acts, record=False)
 
 
@@ -818,8 +788,7 @@ class _TiledMatmulPlan:
     """
 
     def __init__(self, shape: tuple, *, length, bits, scheme, seed,
-                 chunk_positions, encode_cache, bit_offset,
-                 channel_groups):
+                 chunk_positions, bit_offset, channel_groups):
         if len(shape) != 2:
             raise ValueError("weights must be (C, K)")
         if bit_offset < 0:
@@ -834,7 +803,6 @@ class _TiledMatmulPlan:
         self.scheme = scheme
         self.seed = seed
         self.chunk_positions = chunk_positions
-        self.encode_cache = encode_cache
         #: Absolute clock the plan's window starts at: the plan counts
         #: bits ``[bit_offset, bit_offset + length)`` of the conceptual
         #: streams.  A segment plan of a resumable evaluation; 0 for the
@@ -902,34 +870,6 @@ class _TiledMatmulPlan:
         if not dense:
             return 0.0
         return 1.0 - self.active_product_lanes / dense
-
-    # -- encode-table publication -------------------------------------
-
-    def encode_table_keys(self, n_positions: int) -> list:
-        """Every :data:`ENCODE_CACHE` key a call of up to ``n_positions``
-        activation rows will touch.
-
-        The per-chunk SNG seed is a pure function of (phase, chunk
-        start), so the tables a worker would build are enumerable at
-        compile time — this is what lets the parent pre-build them once
-        and publish them through shared memory
-        (:mod:`repro.runtime.shm`) instead of paying the build in every
-        pool process.  Keys match the cache-eligibility conditions of
-        ``_encode_chunk_words`` exactly (cache on, ``bits <= 8``,
-        non-empty fan-in, a plane with blocks to run); a packed plane's
-        key carries the tuple of its phase seeds.
-        """
-        keys = []
-        if not self.encode_cache or self.bits > 8 or self.fan_in == 0:
-            return keys
-        for ph in self.phases:
-            if not ph.blocks:
-                continue
-            for start in range(0, n_positions, self.chunk_positions):
-                keys.append((self.scheme, self.bits,
-                             ph.chunk_seed(self.seed, start),
-                             self.fan_in, self.length, self.bit_offset))
-        return keys
 
     # -- execution ----------------------------------------------------
 
@@ -1027,7 +967,7 @@ class _TiledMatmulPlan:
                     a_words = _encode_chunk_words(
                         values[sel], self.length, self.bits, self.scheme,
                         seed=ph.chunk_seed(self.seed, start),
-                        use_cache=self.encode_cache, lane_subset=subset,
+                        lane_subset=subset,
                         offset=self.bit_offset, positions=positions,
                     )
                     if ph.select_words is not None:
@@ -1099,16 +1039,15 @@ class SplitMatmulPlan(_TiledMatmulPlan):
     def __init__(self, weights: np.ndarray, *, length: int, bits: int,
                  scheme: str, seed: int, accumulator: str = "or",
                  block_bytes: int = None, chunk_positions: int = 256,
-                 weight_streams: tuple = None, encode_cache: bool = True,
-                 bit_offset: int = 0, channel_groups: int = 1):
+                 weight_streams: tuple = None, bit_offset: int = 0,
+                 channel_groups: int = 1):
         weights = np.asarray(weights, dtype=np.float64)
         if accumulator not in ("or", "apc", "mux"):
             raise ValueError(f"unknown accumulator {accumulator!r}")
         super().__init__(
             weights.shape, length=length, bits=bits, scheme=scheme,
             seed=seed, chunk_positions=chunk_positions,
-            encode_cache=encode_cache, bit_offset=bit_offset,
-            channel_groups=channel_groups)
+            bit_offset=bit_offset, channel_groups=channel_groups)
         self.accumulator = accumulator
         self._op = "apc" if accumulator == "apc" else "or"
         self._section = f"plan:{accumulator}"
@@ -1163,15 +1102,13 @@ class BipolarMatmulPlan(_TiledMatmulPlan):
     def __init__(self, weights: np.ndarray, *, length: int, bits: int,
                  scheme: str, seed: int, block_bytes: int = None,
                  chunk_positions: int = 256,
-                 weight_stream: np.ndarray = None,
-                 encode_cache: bool = True, bit_offset: int = 0,
+                 weight_stream: np.ndarray = None, bit_offset: int = 0,
                  channel_groups: int = 1):
         weights = np.asarray(weights, dtype=np.float64)
         super().__init__(
             weights.shape, length=length, bits=bits, scheme=scheme,
             seed=seed, chunk_positions=chunk_positions,
-            encode_cache=encode_cache, bit_offset=bit_offset,
-            channel_groups=channel_groups)
+            bit_offset=bit_offset, channel_groups=channel_groups)
         if weight_stream is None:
             weight_stream = encode_bipolar_weight_stream(
                 weights, length=length, bits=bits, scheme=scheme, seed=seed,
@@ -1196,7 +1133,6 @@ def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
                               chunk_positions: int = 256,
                               weight_stream: np.ndarray = None,
                               block_bytes: int = None,
-                              encode_cache: bool = True,
                               start_bit: int = 0) -> np.ndarray:
     """Bitstream-exact *bipolar* matrix multiply with MUX accumulation.
 
@@ -1209,7 +1145,7 @@ def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
     ACOUSTIC's OR-unipolar design.
 
     ``acts`` in [0, 1] (post-ReLU), ``weights`` in [-1, 1].
-    ``block_bytes``/``encode_cache``/``start_bit`` as in
+    ``block_bytes``/``start_bit`` as in
     :func:`split_or_matmul_counts` (the matmul is a transient
     :class:`BipolarMatmulPlan`; a pre-encoded ``weight_stream`` must
     match ``start_bit``).
@@ -1234,6 +1170,5 @@ def bipolar_mux_matmul_counts(acts: np.ndarray, weights: np.ndarray, *,
         return BipolarMatmulPlan(
             weights, length=length, bits=bits, scheme=scheme, seed=seed,
             block_bytes=block_bytes, chunk_positions=chunk_positions,
-            weight_stream=weight_stream, encode_cache=encode_cache,
-            bit_offset=start_bit,
+            weight_stream=weight_stream, bit_offset=start_bit,
         ).execute(acts, record=False)

@@ -182,8 +182,7 @@ class _MatmulLayer:
         variant = ("bipolar" if config.representation == "bipolar"
                    else f"split-{config.accumulator}")
         return (variant, length, config.bits, config.scheme,
-                config.layer_seed(layer_index, 0), offset,
-                config.encode_cache)
+                config.layer_seed(layer_index, 0), offset)
 
     def build_plan(self, config: SCConfig, layer_index: int, length: int,
                    offset: int = 0):
@@ -192,8 +191,7 @@ class _MatmulLayer:
         common = dict(length=length, bits=config.bits, scheme=config.scheme,
                       seed=config.layer_seed(layer_index, 0),
                       block_bytes=config.block_kib * 1024,
-                      encode_cache=config.encode_cache, bit_offset=offset,
-                      channel_groups=self.groups)
+                      bit_offset=offset, channel_groups=self.groups)
         if config.representation == "bipolar":
             return BipolarMatmulPlan(self.weight_2d, **common)
         return SplitMatmulPlan(self.weight_2d,

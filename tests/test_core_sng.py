@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.bitstream import scc
 from repro.core.errors import rms_error_unipolar
+from repro.core.mac import SplitUnipolarMac
 from repro.core.sng import StochasticNumberGenerator, quantize_probability
 
 
@@ -87,6 +88,12 @@ class TestStochasticNumberGenerator:
             sng.generate(np.array([1.2]))
         with pytest.raises(ValueError):
             sng.generate(np.array([-0.1]))
+        # NaN is out of range too, also where a MAC encodes through the
+        # SNG (it once encoded as an all-zero stream).
+        with pytest.raises(ValueError):
+            sng.generate(np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError):
+            SplitUnipolarMac(length=16).compute([np.nan, 0.5], [0.5, 0.5])
 
     def test_bad_lane_mode_rejected(self):
         sng = StochasticNumberGenerator(16)

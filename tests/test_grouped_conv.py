@@ -142,8 +142,8 @@ class TestCompiledPathsBitIdentity:
         pg, pd, _, _ = self._plans(accumulator, rng)
         x = rng.uniform(0, 1, size=(2,) + SHAPE)
         want = pd.run(x)
-        ref = shm.publish_plan(("grouped", accumulator, 0), pg, {})
-        attached = shm.attach_plan(ref, install_tables=False)["plan"]
+        ref = shm.publish_plan(("grouped", accumulator, 0), pg)
+        attached = shm.attach_plan(ref)
         try:
             assert np.array_equal(attached.run(x), want)
         finally:

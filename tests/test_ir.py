@@ -296,3 +296,24 @@ class TestLayering:
         assert len(violations) == 2
         assert "repro.training" in violations[0]
         assert "repro.arch" in violations[1]
+
+    def test_runtime_is_a_top_layer(self, tmp_path):
+        # The simulator may not import the runtime; serve and the CLI
+        # may.
+        sys.path.insert(0, str(REPO_ROOT / "scripts"))
+        try:
+            from check_layering import check_top_layers
+        finally:
+            sys.path.pop(0)
+        for rel, text in [
+                ("simulator/engine.py", "from ..runtime import shm\n"),
+                ("simulator/layers.py", "import repro.runtime.workers\n"),
+                ("serve/registry.py", "from ..runtime import shm\n"),
+                ("cli.py", "from .runtime import RuntimeConfig\n")]:
+            path = tmp_path / rel
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+        violations = check_top_layers(tmp_path)
+        assert len(violations) == 2
+        assert all("simulator" in v and "repro.runtime" in v
+                   for v in violations)

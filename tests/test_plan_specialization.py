@@ -277,7 +277,6 @@ class TestPhasePacking:
            length=st.sampled_from([1, 7, 16, 31, 32, 33, 64, 65, 96, 100,
                                    130]),
            bit_offset=st.sampled_from([0, 5, 64]),
-           encode_cache=st.booleans(),
            bits=st.sampled_from([8, 10]),
            scheme=st.sampled_from(["lfsr", "vdc"]),
            groups=st.sampled_from([1, 2]),
@@ -286,14 +285,15 @@ class TestPhasePacking:
            accumulator=st.sampled_from(["or", "apc", "mux"]))
     @settings(max_examples=80, deadline=None)
     def test_planes_match_generic(self, seed, n_rows, length, bit_offset,
-                                  encode_cache, bits, scheme, groups,
-                                  pattern, accumulator):
+                                  bits, scheme, groups, pattern,
+                                  accumulator):
         """Packed or not, ``execute`` and ``execute_rows`` equal the
         per-phase gate-level oracle: every phase length around the word
-        and half-word edges, offset windows, cached and comparator
-        (bits > 8) encodes, row subsets across chunks, channel groups
-        and zero-lane patterns.  Both phases share one plane exactly
-        when they encode the same lanes and ``1 <= L mod 64 <= 32``."""
+        and half-word edges, offset windows, table (bits <= 8) and
+        comparator (bits > 8) encodes, row subsets across chunks,
+        channel groups and zero-lane patterns.  Both phases share one
+        plane exactly when they encode the same lanes and
+        ``1 <= L mod 64 <= 32``."""
         rng = np.random.default_rng(seed)
         n_chan, fan_in = 3 * groups, 5 * groups
         acts = rng.random((n_rows, fan_in))
@@ -303,8 +303,7 @@ class TestPhasePacking:
                       accumulator=accumulator, chunk_positions=8,
                       bit_offset=bit_offset)
         ref = reference_counts(acts, weights, **kwargs)
-        plan = SplitMatmulPlan(weights, encode_cache=encode_cache,
-                               channel_groups=groups, **kwargs)
+        plan = SplitMatmulPlan(weights, channel_groups=groups, **kwargs)
         up, down = (np.flatnonzero((sign * weights > 0).any(axis=0))
                     for sign in (1, -1))
         packed = 1 <= length % 64 <= 32 and np.array_equal(up, down)

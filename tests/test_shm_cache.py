@@ -4,14 +4,18 @@ refcounted lifecycle, orphan cleanup, and encode-cache eviction.
 The shm path must be invisible in the numbers: a plan attached from a
 segment (read-only zero-copy views) produces exactly the logits of the
 plan it was published from, for every zoo graph and every accumulator /
-representation combination.  Lifecycle tests pin the safety property
-that a mapping cannot be torn down under live views, and that crashed
-owners never leak ``/dev/shm`` entries.
+representation combination, and pool workers build their own activation
+encode tables whether the plan reached them through a segment or a
+pickle.  Lifecycle tests pin the safety property that a mapping cannot
+be torn down under live views, and that crashed owners never leak
+``/dev/shm`` entries.
 """
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -31,6 +35,7 @@ pytestmark = pytest.mark.skipif(not shm_supported(),
                                 reason="no shared memory on this host")
 
 SHAPE = (1, 8, 8)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def tiny_network(seed=0, **config_kwargs):
@@ -46,9 +51,8 @@ def tiny_network(seed=0, **config_kwargs):
 
 def publish_and_attach(plan, key=("test", "fp", 0)):
     """Publish ``plan`` and hand back ``(ref, attached plan)``."""
-    ref = shm.publish_plan(key, plan, {})
-    payload = shm.attach_plan(ref, install_tables=False)
-    return ref, payload["plan"]
+    ref = shm.publish_plan(key, plan)
+    return ref, shm.attach_plan(ref)
 
 
 def drop_and_detach(ref):
@@ -95,24 +99,25 @@ class TestBitIdentity:
     def test_attached_arrays_are_zero_copy_views(self):
         arrays = {"a": np.arange(64, dtype=np.float64),
                   "b": np.ones((8, 8), dtype=np.uint8)}
-        ref = shm.publish_plan(("views", "fp", 0), arrays, {})
-        payload = shm.attach_plan(ref, install_tables=False)
+        ref = shm.publish_plan(("views", "fp", 0), arrays)
+        attached = shm.attach_plan(ref)
         segment = shm._ATTACHED[ref.segment][0]
         raw = np.frombuffer(segment.buf, dtype=np.uint8)
         try:
             for name, original in arrays.items():
-                view = payload["plan"][name]
+                view = attached[name]
                 assert np.array_equal(view, original)
                 assert not view.flags.writeable
                 assert np.shares_memory(view, raw)
         finally:
-            del payload, raw, view, segment
+            del attached, raw, view, segment
             drop_and_detach(ref)
 
     @pytest.mark.parametrize("mode", ["always", "never"])
     def test_process_pool_end_to_end(self, mode):
-        """One real pool per mode: workers match the serial shards, and
-        only shm-warmed workers skip building activation encode tables."""
+        """One real pool per mode: workers match the serial shards and
+        build their own activation encode tables, published plan or
+        not."""
         sc = tiny_network(phase_length=16)
         config = RuntimeConfig(workers=2, backend="process", shard_size=2,
                                shm=mode)
@@ -122,24 +127,65 @@ class TestBitIdentity:
                         RuntimeMetrics()) as pool:
             expected = pool.run_batch(x)
         # Forked workers would otherwise inherit the tables the serial
-        # run just built, and the fallback would read zero misses too.
+        # run just built and read zero misses.
         ENCODE_CACHE.clear()
         metrics = RuntimeMetrics()
         with WorkerPool(ExecutionPlan(sc, SHAPE), config, metrics,
                         name="e2e") as pool:
             assert np.array_equal(pool.run_batch(x), expected)
             stats = pool.shm_stats()
+        assert stats["enabled"] == (mode == "always")
         if mode == "always":
-            assert stats["enabled"]
             assert stats["warm"]["attached"] == 2
-            # Every activation encode table came from the parent's
-            # publication: workers report zero cache misses.
-            assert metrics.act_cache_misses == 0
-            assert metrics.act_cache_hits > 0
-        else:
-            assert not stats["enabled"]
-            # Without the publication every worker builds its own.
-            assert metrics.act_cache_misses > 0
+        assert metrics.act_cache_misses > 0
+
+    def test_process_pool_under_spawn(self):
+        """Under ``spawn`` a worker unpickles the plan itself unless it
+        attaches the published one; with either, the logits equal the
+        serial shards and every worker builds its own encode tables."""
+        code = textwrap.dedent("""
+            import json, multiprocessing
+            import numpy as np
+            multiprocessing.set_start_method("spawn")
+            from repro.runtime import (ExecutionPlan, RuntimeConfig,
+                                       RuntimeMetrics, WorkerPool)
+            from tests.test_shm_cache import SHAPE, tiny_network
+
+            sc = tiny_network(phase_length=16)
+            x = np.random.default_rng(6).uniform(0, 1, (5,) + SHAPE)
+            with WorkerPool(ExecutionPlan(sc, SHAPE),
+                            RuntimeConfig(shard_size=2),
+                            RuntimeMetrics()) as pool:
+                expected = pool.run_batch(x)
+            out = {"start_method": multiprocessing.get_start_method()}
+            for mode in ("always", "never"):
+                config = RuntimeConfig(workers=2, backend="process",
+                                       shard_size=2, shm=mode)
+                metrics = RuntimeMetrics()
+                with WorkerPool(ExecutionPlan(sc, SHAPE), config, metrics,
+                                name="spawn") as pool:
+                    logits = pool.run_batch(x)
+                    stats = pool.shm_stats()
+                out[mode] = {
+                    "equal": bool(np.array_equal(logits, expected)),
+                    "enabled": stats["enabled"],
+                    "attached": stats.get("warm", {}).get("attached"),
+                    "misses": metrics.act_cache_misses,
+                }
+            print(json.dumps(out))
+        """)
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              cwd=REPO_ROOT, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["start_method"] == "spawn"
+        assert out["always"]["enabled"] and out["always"]["attached"] == 2
+        assert not out["never"]["enabled"]
+        for mode in ("always", "never"):
+            assert out[mode]["equal"], mode
+            assert out[mode]["misses"] > 0, mode
 
 
 # Segment layouts: a handful of dtypes crossed with ragged shapes, so
@@ -156,31 +202,30 @@ class TestLayoutRoundTrip:
     @settings(max_examples=30, deadline=None)
     def test_attach_detach_reattach(self, specs):
         arrays = [np.arange(n, dtype=dtype) for dtype, n in specs]
-        ref = shm.publish_plan(("prop", "fp", 0), arrays, {})
+        ref = shm.publish_plan(("prop", "fp", 0), arrays)
         try:
             assert all(off % 64 == 0 for off, _ in ref.buffers)
             spans = sorted(ref.buffers)
             assert all(a + alen <= b for (a, alen), (b, _)
                        in zip(spans, spans[1:]))
             for _ in range(2):      # attach -> detach -> reattach
-                payload = shm.attach_plan(ref, install_tables=False)
-                out = payload["plan"]
+                out = shm.attach_plan(ref)
                 assert len(out) == len(arrays)
                 for got, want in zip(out, arrays):
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want)
                     del got, want
-                del payload, out
+                del out
                 assert shm.detach_plan(ref.segment)
             assert ref.segment not in shm.attached_segments()
         finally:
             shm.unlink_segment(ref.segment)
 
     def test_attach_is_idempotent(self):
-        ref = shm.publish_plan(("idem", "fp", 0), np.arange(10), {})
+        ref = shm.publish_plan(("idem", "fp", 0), np.arange(10))
         try:
-            first = shm.attach_plan(ref, install_tables=False)
-            second = shm.attach_plan(ref, install_tables=False)
+            first = shm.attach_plan(ref)
+            second = shm.attach_plan(ref)
             assert first is second
             assert shm.attached_segments().count(ref.segment) == 1
         finally:
@@ -192,7 +237,7 @@ class TestLifecycle:
     def test_refcount_unlinks_on_last_release(self):
         registry = shm.SharedPlanRegistry()
         key = ("model", "fp", 0)
-        build = lambda: (np.arange(32), {})
+        build = lambda: np.arange(32)
         ref = registry.acquire(key, build)
         assert registry.acquire(key, build) is ref
         assert registry.refcount(key) == 2
@@ -226,10 +271,8 @@ class TestLifecycle:
         assert seg_a not in shm.list_repro_segments()
 
     def test_detach_refuses_under_live_views(self):
-        ref = shm.publish_plan(("live", "fp", 0), np.arange(128.0), {})
-        payload = shm.attach_plan(ref, install_tables=False)
-        view = payload["plan"]
-        del payload
+        ref = shm.publish_plan(("live", "fp", 0), np.arange(128.0))
+        view = shm.attach_plan(ref)
         try:
             with pytest.raises(BufferError):
                 shm.detach_plan(ref.segment)
@@ -264,7 +307,7 @@ class TestLifecycle:
             "import numpy as np\n"
             "from multiprocessing import resource_tracker\n"
             "from repro.runtime import shm\n"
-            "ref = shm.publish_plan(('orphan', 'fp', 0), np.arange(8), {})\n"
+            "ref = shm.publish_plan(('orphan', 'fp', 0), np.arange(8))\n"
             # Drop the child's own tracker registration: this test kills
             # the child and reclaims via cleanup_orphan_segments, so the
             # surviving tracker process would otherwise warn about a
@@ -277,8 +320,7 @@ class TestLifecycle:
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.Popen([sys.executable, "-c", code], env=env,
                                 stdout=subprocess.PIPE, text=True,
-                                cwd=os.path.dirname(os.path.dirname(
-                                    os.path.abspath(__file__))))
+                                cwd=REPO_ROOT)
         try:
             segment = proc.stdout.readline().strip()
             assert segment in shm.list_repro_segments()
@@ -301,7 +343,7 @@ class TestLifecycle:
     def test_shm_info_reports_publications(self):
         registry = shm.SharedPlanRegistry()
         ref = registry.acquire(("info", "fp", 3),
-                               lambda: (np.arange(16), {}))
+                               lambda: np.arange(16))
         try:
             stats = registry.stats()
             assert stats["supported"]
@@ -317,8 +359,7 @@ class TestLifecycle:
 
 class TestEncodeCacheEviction:
     """REPRO_ENCODE_CACHE_MB byte-budget behaviour of the activation
-    encode cache (satellite of the shm work: pinned shared views must
-    never count against — or be evicted by — the budget)."""
+    encode cache."""
 
     def _filler(self, cache, seed, lanes=4, length=32):
         return cache.table("lfsr", 8, seed, lanes, length)
@@ -350,22 +391,6 @@ class TestEncodeCacheEviction:
         assert len(cache) == 1
         self._filler(cache, seed=7)
         assert cache.counters() == (1, 1)
-
-    def test_pinned_entries_excluded_and_never_evicted(self):
-        one = self._filler(ActivationEncodeCache(max_bytes=1 << 30),
-                           seed=1).nbytes
-        cache = ActivationEncodeCache(max_bytes=2 * one)
-        key = ("lfsr", 8, 5, 4, 32, 0)
-        shared = np.zeros((4, 321), dtype=np.uint8)
-        cache.install(key, shared, pinned=True)
-        assert cache.info()["bytes"] == 0          # not in the budget
-        assert cache.info()["pinned"] == 1
-        for seed in range(10, 20):                 # flood past budget
-            self._filler(cache, seed=seed)
-        assert cache.info()["bytes"] <= cache.max_bytes
-        assert cache.table(*key) is shared         # pinned: still there
-        # First-writer-wins: installs never clobber a live table.
-        assert cache.install(key, np.ones_like(shared)) is shared
 
     def test_offset_keys_do_not_alias(self):
         cache = ActivationEncodeCache(max_bytes=1 << 30)
