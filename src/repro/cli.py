@@ -330,8 +330,7 @@ def _cmd_serve(args) -> int:
         phase_length=args.phase_length, seed=args.seed,
         runtime=RuntimeConfig(
             workers=args.workers, backend=args.backend,
-            shard_size=args.shard, max_batch=args.max_batch,
-            max_wait_s=args.max_wait,
+            shard_size=args.shard,
         ),
         progressive=progressive,
     )
@@ -517,13 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
                            default="thread")
     serve_cmd.add_argument("--shard", type=int, default=4,
                            help="samples per worker shard")
-    serve_cmd.add_argument("--max-batch", type=int, default=16,
-                           help="most samples in one batcher wave; a "
-                                "wave flushes once every worker has a "
-                                "full shard")
-    serve_cmd.add_argument("--max-wait", type=float, default=0.002,
-                           help="longest batcher wait for a wave that "
-                                "does not fill the workers [s]")
+    serve_cmd.add_argument("--max-wait", type=float, default=None,
+                           help="ignored: requests go to the worker pool "
+                                "as they arrive (accepted so existing "
+                                "command lines still parse)")
     serve_cmd.add_argument("--progressive-start", type=int, default=16,
                            help="default anytime-inference starting "
                                 "length for 'progressive: true' requests")

@@ -1,4 +1,4 @@
-"""Batched inference runtime for the bitstream-exact SC simulator.
+"""Inference runtime for the bitstream-exact SC simulator.
 
 The functional simulator is honest but slow — "SC is extremely slow to
 accurately simulate in software" (paper Sec. IV).  Every forward runs
@@ -9,10 +9,9 @@ adds the serving machinery a production deployment needs:
 - :class:`ExecutionPlan` — compile once: shape validation, per-layer
   engine plans built, autotuned and installed (or reused from the
   fingerprint cache), per-layer cost metadata;
-- :class:`DynamicBatcher` — coalesce requests into max-batch/max-wait
-  windows without changing any request's bits;
 - :class:`WorkerPool` — serial / thread / process shard execution,
-  bit-identical to serial at any worker count;
+  bit-identical to serial at any worker count; a submitted request is
+  dispatched on arrival, every shard at once, and resolves a future;
 - :class:`RuntimeMetrics` — per-stage wall time, activation
   encode-cache hit rate, simulated bits/sec, queue depth;
 - :class:`InferenceRuntime` — the assembled front-end, with optional
@@ -26,7 +25,6 @@ adds the serving machinery a production deployment needs:
   time attribution via :mod:`repro.obs`.
 """
 
-from .batcher import BatcherClosedError, DynamicBatcher
 from .bench import BENCH_NETWORKS, BenchResult, format_bench, run_bench
 from .config import RuntimeConfig
 from .metrics import MetricsSnapshot, RuntimeMetrics
@@ -42,11 +40,11 @@ from .specialize import (GatherPlan, KernelPlan, Specialization,
                          clear_specialization_cache,
                          specialization_cache_info,
                          specialization_fingerprint)
-from .workers import WorkerPool
+from .workers import BatcherClosedError, WorkerPool
 
 __all__ = [
     "BENCH_NETWORKS", "BenchResult", "format_bench", "run_bench",
-    "BatcherClosedError", "DynamicBatcher",
+    "BatcherClosedError",
     "RuntimeConfig",
     "MetricsSnapshot", "RuntimeMetrics",
     "ExecutionPlan", "LayerPlan",

@@ -20,7 +20,8 @@ __all__ = ["RuntimeMetrics", "MetricsSnapshot", "StageTimer"]
 
 #: Canonical stage names, in pipeline order (rendering preserves this).
 #: ``publish`` is the one-time shared-memory publication (pickling the
-#: plan into the segment).
+#: plan into the segment); ``queue`` is each submitted request's wait
+#: from ``submit`` until its first shard starts.
 STAGES = ("plan", "publish", "queue", "dispatch", "compute", "merge",
           "fallback")
 
@@ -224,10 +225,12 @@ class RuntimeMetrics:
             self.progressive_early_exits += progressive_early_exits
             self.progressive_final_length += progressive_final_length
 
-    def observe_queue_depth(self, depth: int) -> None:
+    def add_queue_depth(self, delta: int) -> None:
+        """Count requests in (``+1``) and out (``-1``) of flight."""
         with self._lock:
-            self.queue_depth = depth
-            self.max_queue_depth = max(self.max_queue_depth, depth)
+            self.queue_depth += delta
+            self.max_queue_depth = max(self.max_queue_depth,
+                                       self.queue_depth)
 
     def snapshot(self, kernel_seconds: dict = None,
                  act_cache_hits: int = 0,

@@ -1,15 +1,19 @@
-"""The batched inference runtime: plan + batcher + worker pool + metrics.
+"""The inference runtime: plan + worker pool + metrics.
 
 :class:`InferenceRuntime` is the serving front-end for the bitstream-
 exact functional simulator.  Construction compiles an
 :class:`~repro.runtime.plan.ExecutionPlan` (installing every layer's
 engine plans), then requests flow::
 
-    submit(x) -> DynamicBatcher -> WorkerPool shards -> merge -> Future
-    infer(x)  ----------------------^ (synchronous, no coalescing)
+    submit(x) -> WorkerPool.submit: shards -> executor -> merge -> Future
+    infer(x)  -> WorkerPool.run_batch: the same shards, caller waits
+
+A submitted request is dispatched the moment it arrives: shards never
+span requests, so holding one back to coalesce it with others would
+buy no compute.
 
 Determinism: logits are a pure function of (request contents, SC
-config, shard_size) — independent of backend, worker count, co-batched
+config, shard_size) — independent of backend, worker count, concurrent
 traffic, and timing.  See ``docs/runtime.md`` for the argument.
 """
 
@@ -21,17 +25,16 @@ from .. import obs
 from ..simulator.config import SCConfig
 from ..simulator.fixedpoint import FixedPointNetwork
 from ..simulator.network import SCNetwork
-from .batcher import BatcherClosedError, DynamicBatcher
 from .config import RuntimeConfig
 from .metrics import RuntimeMetrics
 from .plan import ExecutionPlan
-from .workers import WorkerPool
+from .workers import BatcherClosedError, WorkerPool
 
 __all__ = ["InferenceRuntime"]
 
 
 class InferenceRuntime:
-    """Batched, parallel, observable SC inference.
+    """Parallel, observable SC inference.
 
     Parameters
     ----------
@@ -42,8 +45,8 @@ class InferenceRuntime:
     sc_config:
         Optional :class:`SCConfig` override (defaults to the network's).
     config:
-        :class:`RuntimeConfig` (workers, backend, batching windows,
-        shard size, fallback policy).
+        :class:`RuntimeConfig` (workers, backend, shard size, fallback
+        policy).
     reference:
         Optional fallback executor for ``fallback="fixedpoint"`` — a
         :class:`FixedPointNetwork`, or a trained
@@ -74,16 +77,6 @@ class InferenceRuntime:
             )
         self.pool = WorkerPool(self.plan, self.config, self.metrics,
                                reference=reference, name=name)
-        # One full shard per worker is the most a wave can use at once.
-        workers = 1 if self.config.backend == "serial" else self.config.workers
-        self.batcher = DynamicBatcher(
-            self.pool.execute_many,
-            max_batch=self.config.max_batch,
-            max_wait_s=self.config.max_wait_s,
-            metrics=self.metrics,
-            flush_at=min(self.config.max_batch,
-                         workers * self.config.shard_size),
-        )
         self._closed = False
 
     # -- inference ---------------------------------------------------
@@ -91,8 +84,9 @@ class InferenceRuntime:
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Synchronous inference on one ``(N, C, H, W)`` batch.
 
-        Bypasses the dynamic batcher (no coalescing latency) but uses
-        the same sharded execution path, so results are bit-identical to
+        Runs :meth:`WorkerPool.run_batch` on the calling thread's
+        schedule (the serial backend computes inline); it shards as
+        :meth:`submit` does, so results are bit-identical to
         :meth:`submit` and to serial execution.
         """
         self._check_input(x)
@@ -102,14 +96,16 @@ class InferenceRuntime:
     def submit(self, x: np.ndarray):
         """Asynchronous inference; returns a Future of the logits.
 
-        Requests are coalesced by the dynamic batcher into waves
-        (capped at ``max_batch`` samples), flushed once every worker has
-        a full shard (``workers * shard_size`` samples) or after
-        ``max_wait_s``, then sharded per request — coalescing never
-        changes a request's bits.
+        The request goes straight to the worker pool
+        (:meth:`WorkerPool.submit`): its shards start as soon as a
+        worker is free, whatever other traffic is in flight.  Cancelling
+        the future skips the shards that have not started.  Each
+        request counts as one batch in :meth:`snapshot`.
         """
         self._check_input(x)
-        return self.batcher.submit(x)
+        future = self.pool.submit(x)
+        self.metrics.add_counts(requests=1, batches=1)
+        return future
 
     def infer_progressive(self, x: np.ndarray, policy=None):
         """Synchronous anytime inference with confidence-gated early
@@ -120,9 +116,9 @@ class InferenceRuntime:
         :class:`~repro.runtime.progressive.ProgressivePolicy`; default
         if ``None``) and returns the
         :class:`~repro.runtime.progressive.ProgressiveOutcome`.
-        Bypasses the dynamic batcher and worker sharding — a
-        progressive request is one resumable evaluation whose state
-        lives across extension rounds.  Chosen-length and early-exit
+        Bypasses the worker pool and its sharding — a progressive
+        request is one resumable evaluation whose state lives across
+        extension rounds.  Chosen-length and early-exit
         counters land in :meth:`snapshot`.
         """
         self._check_input(x)
@@ -183,10 +179,12 @@ class InferenceRuntime:
     # -- lifecycle ---------------------------------------------------
 
     def close(self) -> None:
+        """Refuse new requests with :class:`BatcherClosedError` and wait
+        for every in-flight shard, so each accepted request resolves;
+        idempotent."""
         if self._closed:
             return
         self._closed = True
-        self.batcher.close()
         self.pool.close()
 
     def __enter__(self):

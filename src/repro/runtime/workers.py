@@ -9,6 +9,12 @@ pool therefore always splits identically and always merges in shard
 order, making any backend and any worker count bit-identical to the
 serial reference execution.
 
+Two entry points share that sharding: :meth:`WorkerPool.run_batch`
+executes one batch for a waiting caller (the serial backend computes it
+inline), and :meth:`WorkerPool.submit` dispatches a request the moment
+it arrives — every shard goes to the executor at once — and returns a
+:class:`~concurrent.futures.Future` of the merged logits.
+
 On shard failure the pool can degrade gracefully: with
 ``fallback="fixedpoint"`` the failed shard is re-run on the 8-bit
 fixed-point reference network in the parent, the batch completes, and
@@ -17,23 +23,34 @@ the failure is recorded in the metrics instead of crashing the caller.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
 from .. import obs
 from ..simulator.engine import ENCODE_CACHE
 from . import shm
-from .batcher import BatcherClosedError
 from .config import RuntimeConfig
 from .metrics import RuntimeMetrics
 from .plan import ExecutionPlan
 
-__all__ = ["WorkerPool"]
+__all__ = ["BatcherClosedError", "WorkerPool"]
+
+
+class BatcherClosedError(RuntimeError):
+    """Submit refused because the worker pool (or its runtime) is
+    closing.
+
+    A typed subclass of the historical ``RuntimeError`` so existing
+    callers keep working, while serving layers can map it to a clean
+    "shed: draining" response instead of a generic 500.
+    """
+
 
 # Per-process plan installed by the ProcessPoolExecutor initializer; the
 # plan is either attached zero-copy from the parent's shared-memory
@@ -125,7 +142,9 @@ class WorkerPool:
 
     Thread and serial backends share the caller's plan (and its layers'
     plan caches); the process backend ships a warm copy of the plan to
-    each worker via the pool initializer.
+    each worker via the pool initializer.  :meth:`run_batch` serves a
+    waiting caller; :meth:`submit` dispatches a request on arrival and
+    returns a future.
     """
 
     def __init__(self, plan: ExecutionPlan, config: RuntimeConfig,
@@ -148,54 +167,70 @@ class WorkerPool:
     # -- public API --------------------------------------------------
 
     def run_batch(self, x: np.ndarray) -> np.ndarray:
-        """Shard, execute, and merge one ``(N, ...)`` batch."""
-        return self.execute_many([x])[0]
-
-    def execute_many(self, arrays) -> list:
-        """Execute several independent request arrays as one wave.
-
-        Each array is sharded on its own (shards never span requests, so
-        a request's logits do not depend on what it was co-batched
-        with), all shards are dispatched together, and per-request
-        results are reassembled in order.
-        """
+        """Shard, execute, and merge one ``(N, ...)`` batch, returning
+        when its last shard is in (the serial backend computes it
+        inline, on the calling thread)."""
         with obs.span("pool:wave", category="pool") as wave:
             with self.metrics.stage("dispatch"):
-                jobs = []  # (request_idx, shard)
-                for idx, x in enumerate(arrays):
-                    x = np.asarray(x, dtype=np.float64)
-                    for start in range(0, x.shape[0],
-                                       self.config.shard_size):
-                        jobs.append(
-                            (idx, x[start:start + self.config.shard_size])
-                        )
-            wave.add_counter("requests", len(arrays))
-            wave.add_counter("shards", len(jobs))
-            futures = self._submit([shard for _, shard in jobs])
-            outputs = [self._collect(f, shard) for f, (_, shard)
-                       in zip(futures, jobs)]
+                shards = self._shards(x)
+            wave.add_counter("shards", len(shards))
+            futures = self._submit(shards)
+            outputs = [self._collect(future, shard)
+                       for future, shard in zip(futures, shards)]
             with self.metrics.stage("merge"):
-                results = []
-                for idx, x in enumerate(arrays):
-                    parts = [out for (i, _), out in zip(jobs, outputs)
-                             if i == idx]
-                    if not parts:
-                        results.append(
-                            np.zeros((0,) + self.plan.output_shape)
-                        )
-                    else:
-                        results.append(np.concatenate(parts, axis=0))
-            return results
+                return self._merge(outputs)
+
+    def submit(self, x: np.ndarray) -> Future:
+        """Dispatch one ``(N, ...)`` request now; returns a
+        :class:`~concurrent.futures.Future` of its logits.
+
+        The request is sharded exactly as :meth:`run_batch` shards it
+        (so its bits are :meth:`run_batch`'s), every shard goes to the
+        executor at once, and the future resolves to the shard-ordered
+        merge when the last shard lands.  The serial backend runs
+        submitted shards on one pool thread, in arrival order, never on
+        the caller's thread.
+
+        Cancelling the future before it resolves cancels the shards that
+        have not started, which are then never computed; shards already
+        running finish and their results are dropped.  A shard failure
+        resolves the future with the error, or, under
+        ``fallback="fixedpoint"``, with the shard recomputed on the
+        reference.  Raises :class:`BatcherClosedError` once
+        :meth:`close` has begun.
+        """
+        submitted_at = time.perf_counter()
+        with self.metrics.stage("dispatch"):
+            request = _Request(self._shards(x), submitted_at)
+        if not request.shards:
+            request.resolve(self._merge([]))
+            return request.future
+        request.shard_futures = self._submit(request.shards, request)
+        self.metrics.add_queue_depth(1)
+        request.future.add_done_callback(
+            functools.partial(self._settle, request))
+        for index, shard_future in enumerate(request.shard_futures):
+            shard_future.add_done_callback(
+                functools.partial(self._land, request, index))
+        return request.future
+
+    def start(self) -> None:
+        """Build the executor now (spawning process workers and running
+        their warm protocol), so the first :meth:`submit` does not pay
+        for it on the caller's thread — an event loop, when serving."""
+        with self._executor_lock:
+            self._open_executor()
 
     def close(self) -> None:
         """Shut the executor down; idempotent and thread-safe.
 
         Concurrent closers all wait for in-flight shards to finish
-        (``shutdown(wait=True)`` is itself reentrant); submits racing a
-        close fail with :class:`BatcherClosedError` instead of silently
-        respawning an executor after shutdown.  Releases this pool's
-        reference on the shared-memory publication — the segment is
-        unlinked when the last pool serving this compiled model closes.
+        (``shutdown(wait=True)`` is itself reentrant), so every request
+        :meth:`submit` accepted resolves; submits racing a close fail
+        with :class:`BatcherClosedError` instead of silently respawning
+        an executor after shutdown.  Releases this pool's reference on
+        the shared-memory publication — the segment is unlinked when the
+        last pool serving this compiled model closes.
         """
         with self._executor_lock:
             self._closed = True
@@ -240,34 +275,72 @@ class WorkerPool:
 
     # -- execution backends ------------------------------------------
 
-    def _submit(self, shards) -> list:
-        """Dispatch shards; returns one result-thunk per shard, in order.
+    def _shards(self, x) -> list:
+        """``x`` cut into contiguous slices of at most ``shard_size``."""
+        x = np.asarray(x, dtype=np.float64)
+        size = self.config.shard_size
+        return [x[start:start + size] for start in range(0, x.shape[0], size)]
 
-        The current span (the wave) is captured here, on the submitting
-        thread, and handed to thread-pool shards so their
-        ``shard:compute`` spans attach under the right parent."""
-        backend = self.config.backend
-        parent = obs.current()
-        if backend == "serial":
-            # The reference order: compute eagerly, in shard order.
+    def _merge(self, outputs) -> np.ndarray:
+        """Shard logits concatenated in shard order."""
+        if not outputs:
+            return np.zeros((0,) + self.plan.output_shape)
+        return np.concatenate(outputs, axis=0)
+
+    def _submit(self, shards, request=None) -> list:
+        """Dispatch shards; returns one future per shard, in order.
+
+        :meth:`run_batch`'s shards (no ``request``) on the serial
+        backend are computed eagerly, in shard order, on the calling
+        thread — the reference order.  Everything else goes to the
+        executor, under the executor lock, so a :meth:`close` either
+        refuses every shard of a request or waits for all of them.  A
+        wave's span is captured here, on the submitting thread, and
+        handed to thread-pool shards so their ``shard:compute`` spans
+        attach under it; a submitted request's shards start root spans.
+        """
+        parent = obs.current() if request is None else None
+        if request is None and self.config.backend == "serial":
             return [_Immediate(self._run_local, shard, parent)
                     for shard in shards]
-        executor = self._ensure_executor()
-        try:
-            if backend == "thread":
-                return [executor.submit(self._run_local, shard, parent)
-                        for shard in shards]
-            token = self._plan_token
-            return [executor.submit(_run_shard_in_worker, shard, token)
-                    for shard in shards]
-        except RuntimeError as exc:
-            # close() may shut the executor down between _ensure_executor
-            # and submit (a registry evicting this model during an
-            # in-flight wave); that is a closed pool, not an internal
-            # error.
-            raise BatcherClosedError("worker pool is closed") from exc
+        with self._executor_lock:
+            executor = self._open_executor()
+            try:
+                if self.config.backend == "process":
+                    token = self._plan_token
+                    return [executor.submit(_run_shard_in_worker, shard,
+                                            token) for shard in shards]
+                return [executor.submit(self._run_local, shard, parent,
+                                        request) for shard in shards]
+            except RuntimeError as exc:
+                # A broken process pool refuses new work; to the caller
+                # that is a closed pool, not an internal error.
+                raise BatcherClosedError("worker pool is closed") from exc
 
-    def _collect(self, future, shard: np.ndarray) -> np.ndarray:
+    def _land(self, request: "_Request", index: int, future) -> None:
+        """Done-callback of a submitted shard: collect it and resolve
+        the request when its last shard is in."""
+        if future.cancelled():
+            return
+        try:
+            logits = self._collect(future, request.shards[index], request)
+        except Exception as exc:   # the request's error, not the pool's
+            request.resolve(error=exc)
+            return
+        if request.land(index, logits) and not request.future.done():
+            with self.metrics.stage("merge"):
+                merged = self._merge(request.outputs)
+            request.resolve(merged)
+
+    def _settle(self, request: "_Request", future) -> None:
+        """Done-callback of a request: cancel its shards that have not
+        started (none are left once it resolved normally)."""
+        for shard_future in request.shard_futures:
+            shard_future.cancel()
+        self.metrics.add_queue_depth(-1)
+
+    def _collect(self, future, shard: np.ndarray,
+                 request: "_Request" = None) -> np.ndarray:
         """Resolve one shard, applying the fallback policy on failure."""
         try:
             result = future.result()
@@ -278,6 +351,11 @@ class WorkerPool:
             return self._run_fallback(shard)
         if self.config.backend == "process":
             logits, compute_s, act_hits, act_misses = result
+            if request is not None:
+                # A worker process's clock is not this one: date the
+                # shard's start back from its landing by its compute.
+                request.start(self.metrics,
+                              time.perf_counter() - compute_s)
             self.metrics.add_stage_time("compute", compute_s)
             self.metrics.add_counts(act_cache_hits=act_hits,
                                     act_cache_misses=act_misses)
@@ -299,8 +377,11 @@ class WorkerPool:
         )
         return logits
 
-    def _run_local(self, x: np.ndarray, parent=None) -> np.ndarray:
+    def _run_local(self, x: np.ndarray, parent=None,
+                   request: "_Request" = None) -> np.ndarray:
         """Serial/thread execution against the shared plan."""
+        if request is not None:
+            request.start(self.metrics)
         with obs.span("shard:compute", category="shard",
                       parent=parent) as span:
             t0 = time.perf_counter()
@@ -324,19 +405,22 @@ class WorkerPool:
                                 fallbacks=1, errors=1)
         return logits
 
-    def _ensure_executor(self):
-        with self._executor_lock:
-            if self._closed:
-                raise BatcherClosedError("worker pool is closed")
-            if self._executor is None:
-                if self.config.backend == "thread":
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.config.workers,
-                        thread_name_prefix="repro-runtime",
-                    )
-                else:
-                    self._spawn_process_pool()
-            return self._executor
+    def _open_executor(self):
+        """The live executor, built on first use (caller holds the
+        lock).  The serial backend's is one thread, for submitted
+        requests only."""
+        if self._closed:
+            raise BatcherClosedError("worker pool is closed")
+        if self._executor is None:
+            if self.config.backend == "process":
+                self._spawn_process_pool()
+            else:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=(1 if self.config.backend == "serial"
+                                 else self.config.workers),
+                    thread_name_prefix="repro-runtime",
+                )
+        return self._executor
 
     def _spawn_process_pool(self) -> None:
         """Build the process executor (caller holds the lock).
@@ -432,6 +516,61 @@ class WorkerPool:
             "weight_bytes": ref.weight_bytes,
             "warm": warm,
         }
+
+
+class _Request:
+    """One submitted request in flight: its shards, their futures, and
+    the future that resolves to the shard-ordered merge."""
+
+    __slots__ = ("shards", "outputs", "future", "shard_futures",
+                 "submitted_at", "_pending", "_started", "_resolved",
+                 "_lock")
+
+    def __init__(self, shards: list, submitted_at: float):
+        self.shards = shards
+        self.outputs = [None] * len(shards)
+        self.future = Future()
+        self.shard_futures = []
+        self.submitted_at = submitted_at
+        self._pending = len(shards)
+        self._started = False
+        self._resolved = False
+        self._lock = threading.Lock()
+
+    def start(self, metrics: RuntimeMetrics, at: float = None) -> None:
+        """Record the request's ``queue`` time when its first shard
+        starts (``at``, default now); later shards record nothing."""
+        with self._lock:
+            if self._started:
+                return
+            self._started = True
+        if at is None:
+            at = time.perf_counter()
+        metrics.add_stage_time("queue", max(0.0, at - self.submitted_at))
+
+    def land(self, index: int, logits: np.ndarray) -> bool:
+        """Store shard ``index``'s logits; True once every shard is in."""
+        with self._lock:
+            self.outputs[index] = logits
+            self._pending -= 1
+            return self._pending == 0
+
+    def resolve(self, result: np.ndarray = None,
+                error: BaseException = None) -> None:
+        """Settle the future once.  A future the caller cancelled stays
+        cancelled; one that is not can no longer be cancelled once this
+        has marked it running, so setting it never raises
+        ``InvalidStateError``."""
+        with self._lock:
+            if self._resolved:
+                return
+            self._resolved = True
+        if not self.future.set_running_or_notify_cancel():
+            return
+        if error is not None:
+            self.future.set_exception(error)
+        else:
+            self.future.set_result(result)
 
 
 class _Immediate:

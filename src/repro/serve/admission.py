@@ -8,10 +8,11 @@ Two independent gates run before a request touches the runtime:
    sheds with reason ``"quota"``.  Buckets refill lazily on access, so
    an idle client costs nothing.
 2. **Queue depth** — a hard bound on concurrently admitted requests.
-   The dynamic batcher itself never refuses work, so without this gate
-   an overloaded server grows its queue (and every request's latency)
-   without bound; with it, request ``max_depth + 1`` is shed with
-   reason ``"queue_full"`` while the admitted ones keep their latency.
+   The worker pool itself never refuses work (its executor queue is
+   unbounded), so without this gate an overloaded server grows that
+   queue (and every request's latency) without bound; with it, request
+   ``max_depth + 1`` is shed with reason ``"queue_full"`` while the
+   admitted ones keep their latency.
 
 Both gates are synchronous and O(1); the server calls them on the event
 loop.  Time is injected (``now``) so tests are deterministic.

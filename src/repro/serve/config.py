@@ -38,8 +38,8 @@ class ServeConfig:
     default_deadline_s:
         Deadline applied to requests that do not carry their own;
         ``None`` means no default.  An expired deadline cancels the
-        queued request (compute is skipped when cancellation wins the
-        race to the batcher) and answers ``error: deadline``.
+        request's future (its shards that have not started are never
+        computed) and answers ``error: deadline``.
     phase_length / seed:
         SC stream phase length and weight seed for registry-built
         networks (untrained zoo weights; serving cost does not depend
@@ -66,8 +66,7 @@ class ServeConfig:
     phase_length: int = 16
     seed: int = 0
     runtime: RuntimeConfig = field(default_factory=lambda: RuntimeConfig(
-        workers=2, backend="thread", shard_size=4, max_batch=16,
-        max_wait_s=0.002,
+        workers=2, backend="thread", shard_size=4,
     ))
     progressive: ProgressivePolicy = None
 

@@ -6,7 +6,7 @@ pay on the request path.  The registry compiles the configured warm set
 at startup (so the first request to each warm model is already fast),
 loads any other known zoo network on first use, and evicts the
 least-recently-used cold models beyond ``max_loaded`` (closing their
-runtimes, which drains their batcher and pool).  Warm models are
+runtimes, which drains their pools).  Warm models are
 pinned: they are never evicted.
 
 Registry keys are the :data:`~repro.runtime.BENCH_NETWORKS` zoo names;
@@ -204,7 +204,15 @@ class ModelRegistry:
                 builder(seed=self.seed),
                 SCConfig(phase_length=self.phase_length),
             )
-            return InferenceRuntime(
+            runtime = InferenceRuntime(
                 network, shape, config=dataclasses.replace(self._template),
                 name=name,
             )
+            # The server's event loop submits requests: start the pool
+            # here, off the loop, not on the first request.
+            try:
+                runtime.pool.start()
+            except BaseException:
+                runtime.close()
+                raise
+            return runtime

@@ -10,23 +10,24 @@ length-prefixed JSON protocol.  Request flow::
          -> decode_array(x)                           [base64 float64]
          -> registry.resident(model)                  [on the loop]
             | to_thread(registry.get(model))          [miss: compile]
-         -> runtime.submit(x)                         [DynamicBatcher]
-         -> await Future (deadline => cancel)         [WorkerPool]
+         -> runtime.submit(x)           [WorkerPool: shards dispatched now]
+         -> await Future (deadline => cancel)
          -> write_message(encode_array(logits) | shed | error)
 
 Everything compute-bound stays on the runtime's worker threads, and a
 plan compile (a registry miss) on a helper thread.  The event loop only
-frames messages, converts base64 arrays, looks up resident models and
-awaits futures, so thousands of idle connections are cheap.  Deadlines
-cancel the queued request — when cancellation wins the race to the
-batcher flush, the samples are never computed (see
-``DynamicBatcher._flush``).
+frames messages, converts base64 arrays, looks up resident models,
+hands requests to the pool and awaits futures, so thousands of idle
+connections are cheap.  Deadlines cancel the request's future: its
+shards that have not started are never computed, and a shard already
+running finishes with its result dropped (see
+:meth:`~repro.runtime.WorkerPool.submit`).
 
 Graceful drain (:meth:`Server.drain`): stop accepting connections, shed
 every new ``predict`` with reason ``"draining"``, wait for the admitted
 in-flight requests to finish, then close the registry (which drains
-each runtime's batcher and pool).  ``ping`` keeps answering throughout,
-reporting ``draining: true``.
+each runtime's pool).  ``ping`` keeps answering throughout, reporting
+``draining: true``.
 """
 
 from __future__ import annotations
@@ -252,8 +253,8 @@ class Server:
             else:
                 logits = await wrapped
         except asyncio.TimeoutError:
-            # wait_for already cancelled the future; if it was still
-            # queued, the batcher will skip computing it entirely.
+            # wait_for already cancelled the future, so the pool skips
+            # the request's shards that have not started.
             self.counters["deadline_expired"] += 1
             return {"ok": False, "error": "deadline", "id": rid,
                     "deadline_s": deadline_s}
@@ -284,9 +285,9 @@ class Server:
                                deadline_s, t0: float) -> dict:
         """Anytime-inference branch of ``predict``.
 
-        Runs the runtime's confidence-gated extension loop on a worker
+        Runs the runtime's confidence-gated extension loop on a helper
         thread (a progressive request is one resumable evaluation, so
-        it bypasses the dynamic batcher).  The deadline is best-effort:
+        it bypasses the worker pool).  The deadline is best-effort:
         an expiry answers ``error: deadline`` but cannot interrupt the
         extension round already computing on its thread.
         """

@@ -1,6 +1,7 @@
 """Shared fixtures and Hypothesis profiles for the test suite."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -34,3 +35,55 @@ def trained_lenet():
                       loss=CrossEntropyLoss(logit_gain=8.0))
     trainer.fit(x_train, y_train, epochs=7, batch_size=64)
     return net, x_test, y_test
+
+
+class ComputeGate:
+    """Holds every shard a plan runs until :meth:`open`.
+
+    Installed over ``plan.run`` (serial and thread backends run the
+    parent's plan), it records each shard that reaches it, with the
+    thread that ran it, so a test can wait until work is provably
+    parked instead of sleeping.  A parked shard gives up after
+    ``timeout`` seconds, so a failing test cannot wedge a worker.
+    """
+
+    def __init__(self, plan, timeout: float = 30.0):
+        self.shards = []
+        self.threads = []
+        self._open = threading.Event()
+        self._arrived = threading.Condition()
+        run = plan.run
+
+        def gated(x):
+            with self._arrived:
+                self.shards.append(np.array(x))
+                self.threads.append(threading.current_thread())
+                self._arrived.notify_all()
+            self._open.wait(timeout)
+            return run(x)
+
+        plan.run = gated
+
+    def wait_for(self, count: int, timeout: float = 10.0) -> bool:
+        """Block until ``count`` shards have reached the gate."""
+        with self._arrived:
+            return self._arrived.wait_for(
+                lambda: len(self.shards) >= count, timeout)
+
+    def open(self) -> None:
+        self._open.set()
+
+
+@pytest.fixture
+def compute_gate():
+    """``compute_gate(plan)`` installs a :class:`ComputeGate`; every
+    gate opens at teardown so no parked shard outlives the test."""
+    gates = []
+
+    def install(plan):
+        gates.append(ComputeGate(plan))
+        return gates[-1]
+
+    yield install
+    for gate in gates:
+        gate.open()

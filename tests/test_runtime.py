@@ -1,15 +1,14 @@
-"""Tests for the batched inference runtime (repro.runtime)."""
+"""Tests for the inference runtime (repro.runtime)."""
 
-import time
+import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.runtime import (BENCH_NETWORKS, DynamicBatcher, ExecutionPlan,
-                           InferenceRuntime, RuntimeConfig, RuntimeMetrics,
-                           clear_specialization_cache, format_bench,
-                           run_bench)
+from repro.runtime import (BENCH_NETWORKS, ExecutionPlan, InferenceRuntime,
+                           RuntimeConfig, clear_specialization_cache,
+                           format_bench, run_bench)
 from repro.simulator import SCConfig, SCNetwork
 from repro.training import (Flatten, ReLU, Sequential, SplitOrConv2d,
                             SplitOrLinear)
@@ -40,7 +39,8 @@ class TestRuntimeConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0}, {"backend": "gpu"}, {"shard_size": 0},
-        {"max_batch": 0}, {"max_wait_s": -1}, {"fallback": "retry"},
+        {"fallback": "retry"}, {"autotune_budget_s": -1},
+        {"shm": "sometimes"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -133,21 +133,24 @@ class TestDeterminism:
             self._infer(x, workers=5, backend="thread"),
         )
 
-    def test_coalescing_does_not_change_bits(self, rng):
-        """A request's logits are independent of co-batched traffic."""
+    def test_coalescing_does_not_change_bits(self, rng, compute_gate):
+        """A request's logits are independent of concurrent traffic."""
         _, sc = tiny_network()
         a = rng.uniform(0, 1, (3,) + SHAPE)
         b = rng.uniform(0, 1, (2,) + SHAPE)
-        config = RuntimeConfig(workers=2, shard_size=2, max_batch=8,
-                               max_wait_s=0.2)
+        config = RuntimeConfig(workers=2, shard_size=2)
         with InferenceRuntime(sc, SHAPE, config=config) as runtime:
+            gate = compute_gate(runtime.plan)
             fa, fb = runtime.submit(a), runtime.submit(b)
-            coalesced_a = fa.result(timeout=30)
-            coalesced_b = fb.result(timeout=30)
+            assert gate.wait_for(2)    # both workers hold shards
+            assert not fa.done() and not fb.done()
+            gate.open()
+            served_a = fa.result(timeout=30)
+            served_b = fb.result(timeout=30)
             alone_a = runtime.infer(a)
             alone_b = runtime.infer(b)
-        assert np.array_equal(coalesced_a, alone_a)
-        assert np.array_equal(coalesced_b, alone_b)
+        assert np.array_equal(served_a, alone_a)
+        assert np.array_equal(served_b, alone_b)
 
 
 class TestInferenceRuntime:
@@ -261,6 +264,15 @@ class TestGracefulDegradation:
         _, sc = tiny_network()
         assert np.array_equal(out[2:4], sc.forward(clean))
 
+    def test_submit_falls_back_like_infer(self, rng):
+        runtime = self._failing_runtime("fixedpoint", fail_on=2.0)
+        x = rng.uniform(0, 1, (4,) + SHAPE)
+        x[0] = 2.0
+        with runtime:
+            served = runtime.submit(x).result(timeout=30)
+            assert np.array_equal(served, runtime.infer(x))
+            assert runtime.snapshot().fallbacks == 2
+
     def test_no_fallback_propagates(self, rng):
         runtime = self._failing_runtime("none")
         with runtime:
@@ -269,97 +281,58 @@ class TestGracefulDegradation:
             assert runtime.snapshot().errors == 1
 
 
-class TestDynamicBatcher:
-    def test_flush_on_max_batch(self):
-        waves = []
+class TestDispatch:
+    """``submit`` hands each request straight to the worker pool."""
 
-        def process(arrays):
-            waves.append([a.shape[0] for a in arrays])
-            return [np.zeros(a.shape[0]) for a in arrays]
-
-        with DynamicBatcher(process, max_batch=4, max_wait_s=10.0) as b:
-            futures = [b.submit(np.zeros((2, 1))) for _ in range(2)]
-            for f in futures:
-                f.result(timeout=30)
-        assert waves[0] == [2, 2]   # flushed by size, not by the 10s wait
-
-    def test_flush_on_timeout(self):
-        def process(arrays):
-            return [np.zeros(a.shape[0]) for a in arrays]
-
-        with DynamicBatcher(process, max_batch=64, max_wait_s=0.02) as b:
-            t0 = time.perf_counter()
-            b.submit(np.zeros((1, 1))).result(timeout=30)
-            assert time.perf_counter() - t0 < 5.0
-
-    def test_close_flushes_pending(self):
-        def process(arrays):
-            return [a.sum(axis=-1) for a in arrays]
-
-        b = DynamicBatcher(process, max_batch=64, max_wait_s=60.0)
-        f = b.submit(np.ones((2, 3)))
-        b.close()
-        assert np.array_equal(f.result(timeout=1), [3.0, 3.0])
-        with pytest.raises(RuntimeError):
-            b.submit(np.zeros((1, 1)))
-
-    def test_processor_error_sets_exception(self):
-        def process(arrays):
-            raise ValueError("boom")
-
-        with DynamicBatcher(process, max_batch=1, max_wait_s=0.01) as b:
-            f = b.submit(np.zeros((1, 1)))
-            with pytest.raises(ValueError, match="boom"):
-                f.result(timeout=30)
-
-    def test_queue_metrics(self):
-        metrics = RuntimeMetrics()
-
-        def process(arrays):
-            return [np.zeros(a.shape[0]) for a in arrays]
-
-        with DynamicBatcher(process, max_batch=2, max_wait_s=0.5,
-                            metrics=metrics) as b:
-            b.submit(np.zeros((2, 1))).result(timeout=30)
-        snap = metrics.snapshot()
-        assert snap.requests == 1 and snap.batches == 1
-        assert snap.max_queue_depth >= 1
-        assert snap.stage_seconds["queue"] >= 0
-
-
-class TestFlushThreshold:
-    """The runtime's batcher flushes as soon as every worker has a full
-    shard; ``max_wait_s`` only bounds the waves that do not."""
-
-    def test_full_shard_per_worker_flushes_at_once(self, rng):
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_submit_matches_infer(self, rng, backend):
         _, sc = tiny_network()
-        config = RuntimeConfig(workers=2, shard_size=2, max_wait_s=60)
-        x = rng.uniform(0, 1, (4,) + SHAPE)
+        config = RuntimeConfig(workers=2, backend=backend, shard_size=2)
+        requests = [rng.uniform(0, 1, (n,) + SHAPE) for n in (1, 4, 3, 2)]
         with InferenceRuntime(sc, SHAPE, config=config) as runtime:
-            logits = runtime.submit(x).result(timeout=10)
-            assert np.array_equal(logits, runtime.infer(x))
+            futures = [runtime.submit(x) for x in requests]
+            served = [f.result(timeout=30) for f in futures]
+            for x, logits in zip(requests, served):
+                assert np.array_equal(logits, runtime.infer(x))
 
-    def test_short_wave_still_waits(self, rng):
+    def test_serial_submit_runs_on_one_pool_thread_in_order(
+            self, rng, compute_gate):
+        # serve's event loop calls submit, so the serial backend must
+        # not compute there; infer still computes inline.
         _, sc = tiny_network()
-        config = RuntimeConfig(workers=2, shard_size=2, max_wait_s=60)
-        runtime = InferenceRuntime(sc, SHAPE, config=config)
-        future = runtime.submit(rng.uniform(0, 1, (1,) + SHAPE))
-        time.sleep(0.2)
-        assert not future.done()
-        runtime.close()   # close flushes the parked request
-        assert future.result(timeout=10).shape == (1, 4)
+        config = RuntimeConfig(backend="serial", shard_size=2)
+        requests = [rng.uniform(0, 1, (n,) + SHAPE) for n in (3, 1, 2)]
+        with InferenceRuntime(sc, SHAPE, config=config) as runtime:
+            gate = compute_gate(runtime.plan)
+            futures = [runtime.submit(x) for x in requests]
+            gate.open()
+            for future in futures:
+                future.result(timeout=30)
+            runtime.infer(requests[0])
+        submitted = gate.threads[:-2]
+        assert len(set(submitted)) == 1
+        assert submitted[0] is not threading.current_thread()
+        assert gate.threads[-2:] == [threading.current_thread()] * 2
+        shards = [x[s:s + 2] for x in requests for s in range(0, len(x), 2)]
+        for seen, shard in zip(gate.shards, shards):
+            assert np.array_equal(seen, shard)
 
-    def test_threshold_per_backend(self, rng):
+    def test_queue_metrics(self, rng, compute_gate):
         _, sc = tiny_network()
-        cases = [({"backend": "serial", "workers": 4}, 2),
-                 ({"backend": "thread", "workers": 4}, 8),
-                 ({"backend": "thread", "workers": 4, "max_batch": 6}, 6)]
-        for kwargs, flush_at in cases:
-            config = RuntimeConfig(shard_size=2, max_wait_s=60, **kwargs)
-            with InferenceRuntime(sc, SHAPE, config=config) as runtime:
-                assert runtime.batcher.flush_at == flush_at
-                x = rng.uniform(0, 1, (flush_at,) + SHAPE)
-                runtime.submit(x).result(timeout=10)
+        config = RuntimeConfig(workers=2, shard_size=2)
+        with InferenceRuntime(sc, SHAPE, config=config) as runtime:
+            gate = compute_gate(runtime.plan)
+            future = runtime.submit(rng.uniform(0, 1, (3,) + SHAPE))
+            assert gate.wait_for(2)
+            held = runtime.snapshot()
+            gate.open()
+            future.result(timeout=30)
+            snap = runtime.snapshot()
+        assert held.queue_depth == 1
+        assert snap.queue_depth == 0 and snap.max_queue_depth == 1
+        assert snap.requests == 1 and snap.batches == 1
+        assert snap.shards == 2 and snap.samples == 3
+        assert 0 <= snap.stage_seconds["queue"] < snap.elapsed_s
 
 
 class TestBench:

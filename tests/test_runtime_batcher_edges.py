@@ -1,86 +1,116 @@
-"""Batcher/pool edge cases the serving layer leans on.
+"""Dispatch edge cases the serving layer leans on.
 
-The asyncio server (repro.serve) turns request deadlines into Future
-cancellations and maps :class:`BatcherClosedError` to shed responses,
-so the exact close/cancel semantics of the batcher and pool are load-
-bearing: a request must never be silently dropped, a cancelled request
-must never be computed if cancellation wins the race to the flush, and
-close must be callable from any number of threads at once.
+``WorkerPool.submit`` (behind ``InferenceRuntime.submit``) hands every
+request to the executor on arrival.  The asyncio server (repro.serve)
+turns request deadlines into Future cancellations and maps
+:class:`BatcherClosedError` to shed responses, so the exact
+close/cancel semantics of the pool are load-bearing: a request must
+never be silently dropped, a cancelled request's shards that have not
+started must never be computed, and close must be callable from any
+number of threads at once.  Work is held with a gated shard run
+(``compute_gate``), never with sleeps.
 """
 
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.networks import mnist_mlp
-from repro.runtime import (BatcherClosedError, DynamicBatcher,
-                           InferenceRuntime, RuntimeConfig)
+from repro.runtime import (BatcherClosedError, ExecutionPlan,
+                           InferenceRuntime, RuntimeConfig, RuntimeMetrics,
+                           WorkerPool)
 from repro.simulator import SCConfig, SCNetwork
 
+SHAPE = (1, 28, 28)
 
-def _echo_process(arrays):
-    return [np.asarray(x) * 2.0 for x in arrays]
+
+def _network():
+    return SCNetwork.from_trained(mnist_mlp(seed=0),
+                                  SCConfig(phase_length=4))
 
 
 def _runtime(**overrides):
-    defaults = dict(workers=2, backend="thread", shard_size=2,
-                    max_batch=8, max_wait_s=0.005)
+    defaults = dict(workers=2, backend="thread", shard_size=2)
     defaults.update(overrides)
-    sc = SCNetwork.from_trained(mnist_mlp(seed=0),
-                                SCConfig(phase_length=4))
-    return InferenceRuntime(sc, (1, 28, 28),
+    return InferenceRuntime(_network(), SHAPE,
                             config=RuntimeConfig(**defaults))
 
 
+def _pool(workers=1):
+    plan = ExecutionPlan(_network(), SHAPE)
+    return WorkerPool(plan, RuntimeConfig(workers=workers, shard_size=2),
+                      RuntimeMetrics())
+
+
+def _x(n, value=None, seed=0):
+    if value is not None:
+        return np.full((n,) + SHAPE, value)
+    return np.random.default_rng(seed).uniform(0, 1, (n,) + SHAPE)
+
+
 class TestZeroTimeoutFlush:
-    def test_zero_wait_flushes_immediately(self):
-        with DynamicBatcher(_echo_process, max_batch=64,
-                            max_wait_s=0.0) as batcher:
-            future = batcher.submit(np.ones((1, 2)))
-            np.testing.assert_array_equal(
-                future.result(timeout=5.0), np.full((1, 2), 2.0))
+    def test_zero_wait_flushes_immediately(self, compute_gate):
+        # An idle 2-worker pool starts a 1-sample request with no other
+        # request in sight: nothing waits for a fuller batch.
+        with _pool(workers=2) as pool:
+            gate = compute_gate(pool.plan)
+            future = pool.submit(_x(1))
+            assert gate.wait_for(1)
+            assert not future.done()
+            assert pool.metrics.snapshot().queue_depth == 1
+            gate.open()
+            assert future.result(timeout=10.0).shape == (1, 10)
 
     def test_zero_wait_through_runtime(self):
-        with _runtime(max_wait_s=0.0) as runtime:
-            x = np.random.default_rng(0).uniform(0, 1, (2, 1, 28, 28))
+        with _runtime() as runtime:
+            x = _x(1)
             logits = runtime.submit(x).result(timeout=30.0)
-            assert logits.shape[0] == 2
+            np.testing.assert_array_equal(logits, runtime.infer(x))
 
 
 class TestCloseSemantics:
     def test_submit_after_close_raises_typed_error(self):
-        batcher = DynamicBatcher(_echo_process, max_batch=4,
-                                 max_wait_s=0.01)
-        batcher.close()
+        pool = _pool()
+        pool.submit(_x(1)).result(timeout=10.0)
+        pool.close()
         with pytest.raises(BatcherClosedError):
-            batcher.submit(np.ones((1, 2)))
+            pool.submit(_x(1))
         # Typed, but still the historical RuntimeError for old callers.
         assert issubclass(BatcherClosedError, RuntimeError)
 
     def test_close_idempotent_and_reentrant(self):
-        batcher = DynamicBatcher(_echo_process, max_batch=4,
-                                 max_wait_s=0.01)
-        batcher.close()
-        batcher.close()
-        batcher.close()
+        pool = _pool()
+        pool.submit(_x(1)).result(timeout=10.0)
+        pool.close()
+        pool.close()
+        pool.close()
 
-    def test_drain_on_close_resolves_queued_requests_in_order(self):
-        # Nothing can flush on its own (huge window, huge batch): close
-        # must drain the queue, and results must land per-request.
-        with DynamicBatcher(_echo_process, max_batch=1024,
-                            max_wait_s=60.0) as batcher:
-            futures = [batcher.submit(np.full((1, 2), float(i)))
-                       for i in range(5)]
-            batcher.close()
-            for i, future in enumerate(futures):
-                np.testing.assert_array_equal(
-                    future.result(timeout=1.0), np.full((1, 2), 2.0 * i))
+    def test_drain_on_close_resolves_queued_requests_in_order(
+            self, compute_gate):
+        # One worker, held: the first request runs, four queue behind
+        # it.  close() must wait for all five, which compute in arrival
+        # order and resolve per request.
+        pool = _pool()
+        expected = [pool.run_batch(_x(1, float(i) / 8)) for i in range(5)]
+        gate = compute_gate(pool.plan)
+        futures = [pool.submit(_x(1, float(i) / 8)) for i in range(5)]
+        assert gate.wait_for(1)
+        closer = threading.Thread(target=pool.close)
+        closer.start()
+        gate.open()
+        closer.join(timeout=30.0)
+        assert not closer.is_alive()
+        for future, logits in zip(futures, expected):
+            assert future.done()
+            np.testing.assert_array_equal(future.result(), logits)
+        assert [float(s[0, 0, 0, 0]) for s in gate.shards] == [
+            float(i) / 8 for i in range(5)]
 
     def test_concurrent_close_and_submit_never_drops_a_request(self):
-        batcher = DynamicBatcher(_echo_process, max_batch=4,
-                                 max_wait_s=0.001)
+        pool = _pool(workers=2)
+        expected = pool.run_batch(_x(1))
         futures, refused = [], []
         start = threading.Barrier(5)
 
@@ -88,13 +118,13 @@ class TestCloseSemantics:
             start.wait()
             for i in range(20):
                 try:
-                    futures.append(batcher.submit(np.full((1, 2), 1.0)))
+                    futures.append(pool.submit(_x(1)))
                 except BatcherClosedError:
                     refused.append(i)
 
         def closer():
             start.wait()
-            batcher.close()
+            pool.close()
 
         threads = ([threading.Thread(target=submitter) for _ in range(3)]
                    + [threading.Thread(target=closer),
@@ -102,85 +132,100 @@ class TestCloseSemantics:
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=10.0)
+            t.join(timeout=30.0)
         assert not any(t.is_alive() for t in threads)
+        assert len(futures) + len(refused) == 60
         # Every accepted submission resolved; none hangs or errors.
         for future in futures:
-            np.testing.assert_array_equal(
-                future.result(timeout=1.0), np.full((1, 2), 2.0))
+            assert future.done()
+            np.testing.assert_array_equal(future.result(), expected)
 
 
 class TestCancellation:
-    def test_cancelled_queued_request_is_never_computed(self):
-        release = threading.Event()
-        calls = []
-
-        def gated(arrays):
-            calls.append([np.array(a) for a in arrays])
-            release.wait(timeout=5.0)
-            return [np.asarray(x) for x in arrays]
-
-        batcher = DynamicBatcher(gated, max_batch=1, max_wait_s=0.0)
-        try:
-            first = batcher.submit(np.full((1, 2), 1.0))
-            # Wait until the collector is inside gated() with request 1.
-            deadline = time.monotonic() + 5.0
-            while not calls and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert calls, "collector never picked up the first wave"
-            second = batcher.submit(np.full((1, 2), 2.0))
+    def test_cancelled_queued_request_is_never_computed(self, compute_gate):
+        with _pool() as pool:
+            gate = compute_gate(pool.plan)
+            first = pool.submit(_x(1, 0.25))
+            assert gate.wait_for(1)   # the only worker is held
+            second = pool.submit(_x(1, 0.5))
             assert second.cancel()
-            release.set()
-            first.result(timeout=5.0)
-        finally:
-            release.set()
-            batcher.close()
+            gate.open()
+            first.result(timeout=10.0)
         assert second.cancelled()
-        # The cancelled request's samples were never processed.
-        assert all(float(wave[0][0, 0]) == 1.0 for wave in calls)
+        # The cancelled request's samples were never computed.
+        assert [float(s[0, 0, 0, 0]) for s in gate.shards] == [0.25]
+        assert pool.metrics.snapshot().queue_depth == 0
 
     def test_cancel_losing_the_race_still_gets_a_result(self):
-        # Deadline expiry racing a flush: once the wave is marked
-        # RUNNING, cancel() must fail cleanly and the result must land
-        # without InvalidStateError.
-        entered = threading.Event()
-        release = threading.Event()
+        # A deadline expiring after the request resolved: cancel() must
+        # fail cleanly and the result must stand.
+        with _pool() as pool:
+            future = pool.submit(_x(1))
+            logits = future.result(timeout=10.0)
+            assert not future.cancel()
+            assert not future.cancelled()
+            np.testing.assert_array_equal(future.result(), logits)
 
-        def gated(arrays):
-            entered.set()
-            release.wait(timeout=5.0)
-            return [np.asarray(x) * 2.0 for x in arrays]
+    def test_cancel_while_running_drops_the_result(self, compute_gate):
+        # The shard already running finishes; the request stays
+        # cancelled, and landing its result raises nothing.
+        with _pool() as pool:
+            gate = compute_gate(pool.plan)
+            future = pool.submit(_x(3))
+            assert gate.wait_for(1)
+            assert future.cancel()
+            gate.open()
+        assert future.cancelled()
+        assert len(gate.shards) == 1   # the queued second shard never ran
+        snap = pool.metrics.snapshot()
+        assert snap.shards == 1 and snap.errors == 0
+        assert snap.queue_depth == 0
 
-        with DynamicBatcher(gated, max_batch=1, max_wait_s=0.0) as batcher:
-            future = batcher.submit(np.full((1, 2), 3.0))
-            assert entered.wait(timeout=5.0)
-            assert not future.cancel()   # already running: too late
-            release.set()
-            np.testing.assert_array_equal(
-                future.result(timeout=5.0), np.full((1, 2), 6.0))
-
-    def test_wave_of_only_cancelled_requests_skips_processing(self):
-        calls = []
-        with DynamicBatcher(lambda arrays: calls.append(len(arrays))
-                            or [np.asarray(x) for x in arrays],
-                            max_batch=1024, max_wait_s=60.0) as batcher:
-            futures = [batcher.submit(np.ones((1, 2))) for _ in range(3)]
+    def test_wave_of_only_cancelled_requests_skips_processing(
+            self, compute_gate):
+        with _pool() as pool:
+            gate = compute_gate(pool.plan)
+            first = pool.submit(_x(1, 0.25))
+            assert gate.wait_for(1)
+            futures = [pool.submit(_x(2, 0.5)) for _ in range(3)]
             for future in futures:
                 assert future.cancel()
-            batcher.close()
-        assert calls == []
+            gate.open()
+            first.result(timeout=10.0)
         assert all(f.cancelled() for f in futures)
+        assert len(gate.shards) == 1
+
+
+class TestShardLandingStress:
+    def test_many_requests_landing_on_many_threads(self):
+        # More workers than cores, one sample per shard and a short
+        # switch interval: shards of one request land on different
+        # threads at once, so a lost update in a request's pending
+        # count or the pool's counters would hang or corrupt a merge.
+        plan = ExecutionPlan(_network(), SHAPE)
+        metrics = RuntimeMetrics()
+        requests = [_x(n, seed=n) for n in (3, 5, 8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(plan, RuntimeConfig(workers=4, shard_size=1),
+                            metrics) as pool:
+                expected = [pool.run_batch(x) for x in requests]
+                futures = [(k, pool.submit(requests[k]))
+                           for k in range(len(requests)) for _ in range(8)]
+                for k, future in futures:
+                    np.testing.assert_array_equal(
+                        future.result(timeout=60.0), expected[k])
+        finally:
+            sys.setswitchinterval(interval)
+        snap = metrics.snapshot()
+        assert snap.shards == 9 * 16
+        assert snap.queue_depth == 0 and snap.max_queue_depth >= 1
 
 
 class TestWorkerPoolClose:
     def _pool(self):
-        sc = SCNetwork.from_trained(mnist_mlp(seed=0),
-                                    SCConfig(phase_length=4))
-        runtime = InferenceRuntime(
-            sc, (1, 28, 28),
-            config=RuntimeConfig(workers=2, backend="thread",
-                                 shard_size=2))
-        return runtime
+        return _runtime()
 
     def test_close_concurrent_from_many_threads(self):
         runtime = self._pool()

@@ -1,11 +1,13 @@
-"""Failure-path and lifecycle tests for the batched runtime.
+"""Failure-path and lifecycle tests for the inference runtime.
 
 The happy paths are covered by ``test_runtime.py``; this module hardens
 the edges: worker exceptions surfacing across every backend (including
 the process pool, where the error crosses a pickle boundary), repeated
 and mid-flight ``close()``, and degenerate batches (zero rows, empty
-waves) round-tripping through ``execute_many``.
+requests) round-tripping through ``run_batch`` and ``submit``.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -68,9 +70,7 @@ class TestWorkerExceptionSurfacing:
             assert np.array_equal(healthy.infer(x), good)
 
     def test_submit_surfaces_failure_via_future(self):
-        config = RuntimeConfig(max_batch=2, max_wait_s=0.01)
-        with InferenceRuntime(_network(exploding=True), SHAPE,
-                              config=config) as runtime:
+        with InferenceRuntime(_network(exploding=True), SHAPE) as runtime:
             future = runtime.submit(
                 np.random.default_rng(3).uniform(0, 1, (1, IN_FEATURES)))
             with pytest.raises(RuntimeError, match="injected shard failure"):
@@ -91,14 +91,22 @@ class TestCloseLifecycle:
             runtime.infer(np.zeros((1, IN_FEATURES)))
         runtime.close()     # already closed by __exit__
 
-    def test_close_resolves_pending_submissions(self):
-        # A request sitting in the batcher queue when close() arrives is
-        # flushed, not dropped: the future must resolve with real logits.
-        config = RuntimeConfig(max_batch=64, max_wait_s=60.0)
-        runtime = InferenceRuntime(_network(), SHAPE, config=config)
+    def test_close_resolves_pending_submissions(self, compute_gate):
+        # A request queued behind a held worker when close() arrives is
+        # computed, not dropped: the future must resolve with real logits.
+        runtime = InferenceRuntime(_network(), SHAPE,
+                                   config=RuntimeConfig(workers=1))
+        gate = compute_gate(runtime.plan)
         x = np.random.default_rng(4).uniform(0, 1, (2, IN_FEATURES))
+        held = runtime.submit(x)
+        assert gate.wait_for(1)
         future = runtime.submit(x)
-        runtime.close()
+        closer = threading.Thread(target=runtime.close)
+        closer.start()
+        gate.open()
+        closer.join(timeout=30.0)
+        assert not closer.is_alive()
+        assert held.done()
         logits = future.result(timeout=10.0)
         assert logits.shape == (2, OUT_FEATURES)
 
@@ -118,14 +126,20 @@ class TestDegenerateBatches:
         plan = ExecutionPlan(_network(), SHAPE)
         pool = WorkerPool(plan, RuntimeConfig(), RuntimeMetrics())
         with pool:
-            (out,) = pool.execute_many([np.zeros((0, IN_FEATURES))])
+            out = pool.run_batch(np.zeros((0, IN_FEATURES)))
         assert out.shape == (0, OUT_FEATURES)
 
     def test_empty_wave(self):
+        # A zero-row request has no shards: its future resolves at once
+        # and nothing reaches the executor.
         plan = ExecutionPlan(_network(), SHAPE)
         pool = WorkerPool(plan, RuntimeConfig(), RuntimeMetrics())
         with pool:
-            assert pool.execute_many([]) == []
+            future = pool.submit(np.zeros((0, IN_FEATURES)))
+            assert future.done()
+            assert future.result().shape == (0, OUT_FEATURES)
+            assert pool._executor is None
+        assert pool.metrics.snapshot().max_queue_depth == 0
 
     def test_mixed_zero_and_nonzero_requests(self):
         plan = ExecutionPlan(_network(), SHAPE)
@@ -133,10 +147,11 @@ class TestDegenerateBatches:
         rng = np.random.default_rng(5)
         full = rng.uniform(0, 1, (3, IN_FEATURES))
         with pool:
-            empty_out, full_out = pool.execute_many(
-                [np.zeros((0, IN_FEATURES)), full])
-            (solo_out,) = pool.execute_many([full])
+            futures = [pool.submit(np.zeros((0, IN_FEATURES))),
+                       pool.submit(full)]
+            empty_out, full_out = (f.result(timeout=10.0) for f in futures)
+            solo_out = pool.run_batch(full)
         assert empty_out.shape == (0, OUT_FEATURES)
         assert full_out.shape == (3, OUT_FEATURES)
-        # Co-batching with an empty request never changes the bits.
+        # Running beside an empty request never changes the bits.
         assert np.array_equal(full_out, solo_out)

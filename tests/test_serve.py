@@ -384,6 +384,19 @@ class TestModelRegistry:
         with pytest.raises(RuntimeError, match="closed"):
             registry.resident("zoo_a")
 
+    def test_loaded_runtime_has_its_pool_started(self, fast_zoo):
+        # The server's event loop submits requests, so the registry
+        # spawns a model's workers when it loads it, on its own thread.
+        from repro.runtime import RuntimeConfig
+        with ModelRegistry(warm=(), max_loaded=1, phase_length=4,
+                           runtime_config=RuntimeConfig(
+                               workers=1, backend="process"),
+                           ) as registry:
+            runtime = registry.get("zoo_a")
+            assert runtime.pool._executor is not None
+            future = runtime.submit(np.zeros((1, 1, 28, 28)))
+            assert future.result(timeout=30).shape == (1, 10)
+
     def test_unknown_model_raises_keyerror(self):
         registry = ModelRegistry(warm=(), max_loaded=1)
         with pytest.raises(KeyError, match="unknown model"):

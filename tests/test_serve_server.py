@@ -26,8 +26,7 @@ SHAPE = (1, 28, 28)
 def _config(**overrides):
     defaults = dict(
         port=0, models=("mnist_mlp",), phase_length=PHASE, seed=0,
-        runtime=RuntimeConfig(workers=2, backend="thread", shard_size=2,
-                              max_batch=16, max_wait_s=0.002),
+        runtime=RuntimeConfig(workers=2, backend="thread", shard_size=2),
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
@@ -35,6 +34,20 @@ def _config(**overrides):
 
 def _x(n=2, seed=0):
     return np.random.default_rng(seed).uniform(0.0, 1.0, (n,) + SHAPE)
+
+
+def _held(server, compute_gate):
+    """Gate the warm model's compute, so a request stays in flight
+    until the test opens it."""
+    return compute_gate(server.registry.resident("mnist_mlp").plan)
+
+
+async def _until(predicate, timeout=10.0):
+    """Yield to the loop until ``predicate()`` holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.001)
 
 
 class TestPredict:
@@ -223,27 +236,30 @@ class TestRegistryLookup:
 
 
 class TestAdmission:
-    def test_queue_full_sheds_with_backpressure(self):
-        # Depth 1 and a wide batch window: the first request is parked
-        # in the batcher while the rest arrive, so exactly one is
-        # admitted and the others get an explicit shed — the queue
-        # never grows past the bound.
+    def test_queue_full_sheds_with_backpressure(self, compute_gate):
+        # Depth 1 and a held compute: the first request stays in flight
+        # while the rest arrive, so exactly one is admitted and the
+        # others get an explicit shed — the queue never grows past the
+        # bound.
         config = _config(
             max_queue_depth=1,
             runtime=RuntimeConfig(workers=1, backend="thread",
-                                  shard_size=2, max_batch=64,
-                                  max_wait_s=0.1),
+                                  shard_size=2),
         )
 
         async def run():
             async with Server(config) as server:
+                gate = _held(server, compute_gate)
 
                 async def one(i):
                     async with Client("127.0.0.1", server.port) as c:
                         return await c.predict_raw("mnist_mlp", _x(1))
 
-                responses = await asyncio.gather(
-                    *(one(i) for i in range(5)))
+                tasks = [asyncio.ensure_future(one(i)) for i in range(5)]
+                await _until(
+                    lambda: server.counters["shed_queue_full"] == 4)
+                gate.open()
+                responses = await asyncio.gather(*tasks)
                 return responses, server.admission.peak_in_flight
 
         responses, peak = asyncio.run(run())
@@ -274,20 +290,22 @@ class TestAdmission:
                           "reason": "quota", "id": second["id"]}
         assert third["ok"]
 
-    def test_deadline_expiry_answers_deadline_error(self):
-        # Batch window far beyond the deadline: the request sits queued
-        # until the deadline cancels it.
+    def test_deadline_expiry_answers_deadline_error(self, compute_gate):
+        # Compute held past the deadline: the request is still in
+        # flight when the deadline cancels it.
         config = _config(
             runtime=RuntimeConfig(workers=1, backend="thread",
-                                  shard_size=2, max_batch=64,
-                                  max_wait_s=0.5),
+                                  shard_size=2),
         )
 
         async def run():
             async with Server(config) as server:
+                gate = _held(server, compute_gate)
                 async with Client("127.0.0.1", server.port) as client:
-                    return await client.predict_raw(
+                    response = await client.predict_raw(
                         "mnist_mlp", _x(1), deadline_s=0.02)
+                gate.open()
+                return response
 
         response = asyncio.run(run())
         assert response["ok"] is False
@@ -340,28 +358,30 @@ class TestMetricsEndpoint:
 
 
 class TestGracefulDrain:
-    def test_inflight_completes_while_new_requests_are_refused(self):
-        # Wide batch window parks the in-flight request long enough to
-        # start the drain underneath it.
+    def test_inflight_completes_while_new_requests_are_refused(
+            self, compute_gate):
+        # Held compute keeps the in-flight request running while the
+        # drain starts underneath it.
         config = _config(
             runtime=RuntimeConfig(workers=1, backend="thread",
-                                  shard_size=2, max_batch=64,
-                                  max_wait_s=0.15),
+                                  shard_size=2),
         )
 
         async def run():
             server = Server(config)
             await server.start()
+            gate = _held(server, compute_gate)
             inflight_client = await Client("127.0.0.1",
                                            server.port).connect()
             inflight = asyncio.ensure_future(
                 inflight_client.predict_raw("mnist_mlp", _x(1)))
-            await asyncio.sleep(0.03)   # request parked in the batcher
+            await _until(lambda: gate.shards)   # request is computing
             late_client = await Client("127.0.0.1",
                                        server.port).connect()
             drain = asyncio.ensure_future(server.drain())
-            await asyncio.sleep(0.01)   # draining flag is now set
+            await _until(lambda: server.admission.draining)
             late = await late_client.predict_raw("mnist_mlp", _x(1))
+            gate.open()
             first = await inflight
             await drain
             await inflight_client.close()
@@ -387,26 +407,27 @@ class TestGracefulDrain:
         with pytest.raises(RuntimeError):
             server.registry.get("mnist_mlp")
 
-    def test_ping_reports_draining(self):
+    def test_ping_reports_draining(self, compute_gate):
         # The listening socket closes on drain, so probe via a
         # connection opened before the drain started.
         config = _config(
             runtime=RuntimeConfig(workers=1, backend="thread",
-                                  shard_size=2, max_batch=64,
-                                  max_wait_s=0.15),
+                                  shard_size=2),
         )
 
         async def run():
             server = Server(config)
             await server.start()
+            gate = _held(server, compute_gate)
             client = await Client("127.0.0.1", server.port).connect()
             inflight = asyncio.ensure_future(
                 client.predict_raw("mnist_mlp", _x(1)))
-            await asyncio.sleep(0.03)
+            await _until(lambda: gate.shards)
             probe = await Client("127.0.0.1", server.port).connect()
             drain = asyncio.ensure_future(server.drain())
-            await asyncio.sleep(0.01)
+            await _until(lambda: server.admission.draining)
             pong = await probe.ping()
+            gate.open()
             await inflight
             await drain
             await client.close()
