@@ -12,14 +12,12 @@ adds the serving machinery a production deployment needs:
 - :class:`WorkerPool` — serial / thread / process shard execution,
   bit-identical to serial at any worker count; a submitted request is
   dispatched on arrival, every shard at once, and resolves a future;
+  process workers receive the compiled plan through the pool
+  initializer and each builds its own activation encode tables;
 - :class:`RuntimeMetrics` — per-stage wall time, activation
   encode-cache hit rate, simulated bits/sec, queue depth;
 - :class:`InferenceRuntime` — the assembled front-end, with optional
   graceful degradation to fixed-point reference execution;
-- :mod:`repro.runtime.shm` — zero-copy shared-memory publication of
-  compiled plans for the process backend: one copy of the weight words
-  per model, attached by every worker (each process builds its own
-  activation encode tables);
 - :func:`run_profile` — the ``python -m repro profile`` harness: a
   traced workload, a Chrome-loadable artifact, and per-IR-layer wall
   time attribution via :mod:`repro.obs`.
@@ -33,9 +31,6 @@ from .profile import ProfileResult, format_profile, run_profile
 from .progressive import (ProgressiveOutcome, ProgressivePolicy,
                           run_progressive, top2_margin)
 from .runtime import InferenceRuntime
-from .shm import (SHARED_PLANS, PlanRef, SharedPlanRegistry, attach_plan,
-                  cleanup_orphan_segments, detach_plan, publish_plan,
-                  shm_supported)
 from .specialize import (GatherPlan, KernelPlan, Specialization,
                          clear_specialization_cache,
                          specialization_cache_info,
@@ -52,9 +47,6 @@ __all__ = [
     "ProgressiveOutcome", "ProgressivePolicy", "run_progressive",
     "top2_margin",
     "InferenceRuntime",
-    "SHARED_PLANS", "PlanRef", "SharedPlanRegistry", "attach_plan",
-    "cleanup_orphan_segments", "detach_plan", "publish_plan",
-    "shm_supported",
     "GatherPlan", "KernelPlan", "Specialization",
     "clear_specialization_cache", "specialization_cache_info",
     "specialization_fingerprint",

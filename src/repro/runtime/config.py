@@ -10,8 +10,10 @@ __all__ = ["RuntimeConfig", "BACKENDS", "FALLBACKS", "SHM_MODES"]
 #: calling thread (the reference execution order) and submitted requests'
 #: shards on one pool thread, ``"thread"`` shares the plan across a
 #: thread pool (numpy releases the GIL in the packed-bit kernels), and
-#: ``"process"`` forks/spawns workers that each hold a warm copy of the
-#: plan — the right choice for CPU-bound fan-out on multi-core hosts.
+#: ``"process"`` forks/spawns workers that each receive the plan
+#: through the pool initializer (copy-on-write under ``fork``, unpickled
+#: under ``spawn``/``forkserver``) — the right choice for CPU-bound
+#: fan-out on multi-core hosts.
 #: Threads overlap only the kernels' native sections: each forward also
 #: holds the GIL for its Python-level work, so in probes of ``plan.run``
 #: on ``mnist_mlp`` at L=16 (1-2 rows per call, 2 vCPUs) two thread
@@ -24,11 +26,10 @@ BACKENDS = ("serial", "thread", "process")
 #: SC datapath) and records the degradation in the metrics.
 FALLBACKS = ("none", "fixedpoint")
 
-#: Shared-memory plan publication for the process backend.  ``"auto"``
-#: uses :mod:`repro.runtime.shm` when the platform supports it and
-#: falls back to shipping a pickled plan per worker otherwise;
-#: ``"always"`` raises if shared memory is unavailable; ``"never"``
-#: pins the per-process fallback (the canonical, bit-identical path).
+#: Accepted values of :attr:`RuntimeConfig.shm`, which has no effect:
+#: process workers always receive the plan through the pool
+#: initializer.  Kept only until the benchmark stops passing
+#: ``shm="auto"``.
 SHM_MODES = ("auto", "always", "never")
 
 
@@ -60,12 +61,10 @@ class RuntimeConfig:
         measurement pass (``0`` disables measurement and keeps the
         global ``SCConfig.block_kib``).
     shm:
-        One of :data:`SHM_MODES`: whether the process backend publishes
-        the compiled plan through :mod:`repro.runtime.shm` (one
-        zero-copy shared segment per model) instead of shipping a
-        pickled plan to every worker.  Either way each worker builds
-        its own activation encode tables.  Ignored by the serial/thread
-        backends, which share the caller's plan directly.
+        One of :data:`SHM_MODES`, validated and otherwise ignored: no
+        backend publishes the plan to shared memory.  The field stays
+        only because the benchmark's ``resnet_pool`` workload passes
+        ``shm="auto"``; it goes when that read goes.
     """
 
     workers: int = 1

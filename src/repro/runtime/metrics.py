@@ -19,11 +19,9 @@ from ..analysis import format_table
 __all__ = ["RuntimeMetrics", "MetricsSnapshot", "StageTimer"]
 
 #: Canonical stage names, in pipeline order (rendering preserves this).
-#: ``publish`` is the one-time shared-memory publication (pickling the
-#: plan into the segment); ``queue`` is each submitted request's wait
-#: from ``submit`` until its first shard starts.
-STAGES = ("plan", "publish", "queue", "dispatch", "compute", "merge",
-          "fallback")
+#: ``queue`` is each submitted request's wait from ``submit`` until its
+#: first shard starts.
+STAGES = ("plan", "queue", "dispatch", "compute", "merge", "fallback")
 
 
 def _layer_order(item):

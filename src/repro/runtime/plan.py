@@ -209,9 +209,7 @@ class ExecutionPlan:
         :func:`~repro.runtime.specialize.specialization_fingerprint`
         the artifact cache uses (input shape, SC config, layer
         structure, exact weight bytes) — two plans with equal
-        fingerprints produce bit-identical logits, which is what makes
-        it the shared-memory publication key: pools serving the same
-        compiled model attach to one segment.  Computed at compile
+        fingerprints produce bit-identical logits.  Computed at compile
         time.
         """
         return self._fingerprint

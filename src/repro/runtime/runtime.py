@@ -51,15 +51,11 @@ class InferenceRuntime:
         Optional fallback executor for ``fallback="fixedpoint"`` — a
         :class:`FixedPointNetwork`, or a trained
         :class:`~repro.training.network.Sequential` to wrap in one.
-    name:
-        Optional model name; becomes the model component of the
-        shared-memory publication key (the serve registry passes its
-        registry name so segment accounting reads naturally).
     """
 
     def __init__(self, network: SCNetwork, input_shape: tuple,
                  sc_config: SCConfig = None, config: RuntimeConfig = None,
-                 reference=None, name: str = None):
+                 reference=None):
         self.config = config if config is not None else RuntimeConfig()
         if self.config.trace:
             obs.enable()
@@ -76,7 +72,7 @@ class InferenceRuntime:
                 "fallback='fixedpoint' requires a reference network"
             )
         self.pool = WorkerPool(self.plan, self.config, self.metrics,
-                               reference=reference, name=name)
+                               reference=reference)
         self._closed = False
 
     # -- inference ---------------------------------------------------
@@ -172,9 +168,10 @@ class InferenceRuntime:
         return self.plan.describe()
 
     def shm_stats(self) -> dict:
-        """The pool's shared-memory publication record (see
-        :meth:`~repro.runtime.workers.WorkerPool.shm_stats`)."""
-        return self.pool.shm_stats()
+        """``{"enabled": False, "mode": config.shm}``: no plan is
+        published to shared memory.  Kept only because the benchmark's
+        offline workloads still read it (see ``RuntimeConfig.shm``)."""
+        return {"enabled": False, "mode": self.config.shm}
 
     # -- lifecycle ---------------------------------------------------
 

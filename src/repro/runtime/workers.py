@@ -34,7 +34,6 @@ import numpy as np
 
 from .. import obs
 from ..simulator.engine import ENCODE_CACHE
-from . import shm
 from .config import RuntimeConfig
 from .metrics import RuntimeMetrics
 from .plan import ExecutionPlan
@@ -52,69 +51,38 @@ class BatcherClosedError(RuntimeError):
     """
 
 
-# Per-process plan installed by the ProcessPoolExecutor initializer; the
-# plan is either attached zero-copy from the parent's shared-memory
-# publication (shm path) or shipped as a warm pickled copy per worker
-# (fallback path).  The token identifies the executor generation that
-# installed it: shards carry the generation they were compiled against,
-# so a stale module-global plan (e.g. left behind by a respawned pool)
-# can never silently serve new traffic.
+# Per-process plan installed by the ProcessPoolExecutor initializer: a
+# copy-on-write copy of the parent's under ``fork``, an unpickled copy
+# under ``spawn`` and ``forkserver``.  The token identifies the executor
+# generation that installed it: shards carry the generation they were
+# compiled against, so a stale module-global plan (e.g. left behind by a
+# respawned pool) can never silently serve new traffic.
 _WORKER_PLAN = None
 _WORKER_TOKEN = None
 _WORKER_BARRIER = None
-_WORKER_ATTACH = None
 
 #: Workers wait at most this long for the warm-up barrier; a broken
-#: barrier degrades to serving without the all-attached guarantee
-#: rather than wedging the pool.
+#: barrier is counted as an error rather than wedging the pool.
 _HANDSHAKE_TIMEOUT_S = 30.0
 
 
-def _init_worker(plan: ExecutionPlan, token: int) -> None:
-    global _WORKER_PLAN, _WORKER_TOKEN, _WORKER_BARRIER, _WORKER_ATTACH
+def _init_worker(plan: ExecutionPlan, token: int, barrier) -> None:
+    global _WORKER_PLAN, _WORKER_TOKEN, _WORKER_BARRIER
     _WORKER_PLAN = plan
     _WORKER_TOKEN = token
-    _WORKER_BARRIER = None
-    _WORKER_ATTACH = None
-
-
-def _init_worker_shm(ref, token: int, barrier) -> None:
-    """Pool initializer for the shared-memory path.
-
-    Attaches the parent's published segment (zero-copy read-only views
-    of the plan's weight words) and stows the warm-up barrier for the
-    handshake tasks.  The worker builds its activation encode tables
-    itself, on first use.
-    """
-    global _WORKER_PLAN, _WORKER_TOKEN, _WORKER_BARRIER, _WORKER_ATTACH
-    t0 = time.perf_counter()
-    _WORKER_PLAN = shm.attach_plan(ref)
-    _WORKER_TOKEN = token
     _WORKER_BARRIER = barrier
-    _WORKER_ATTACH = {
-        "pid": os.getpid(),
-        "segment": ref.segment,
-        "segment_bytes": ref.total_bytes,
-        "attach_seconds": time.perf_counter() - t0,
-    }
 
 
-def _worker_handshake() -> dict:
-    """One warm-protocol task per worker: rendezvous, report attach.
+def _worker_handshake() -> int:
+    """One warm-protocol task per worker: rendezvous, return the pid.
 
-    The parent submits exactly ``workers`` of these before the first
-    wave; each blocks on the shared barrier, so every worker process is
-    spawned *and attached* before any returns — no wave can land on a
-    cold worker, and the parent gets per-worker attach stats back.
+    The parent submits exactly ``workers`` of these when it builds the
+    executor; each blocks on the shared barrier, so every worker process
+    is spawned *and initialized* before any returns — no shard can land
+    on a cold worker.
     """
-    info = dict(_WORKER_ATTACH or {"pid": os.getpid()})
-    barrier = _WORKER_BARRIER
-    if barrier is not None:
-        try:
-            barrier.wait(timeout=_HANDSHAKE_TIMEOUT_S)
-        except threading.BrokenBarrierError:
-            info["barrier_broken"] = True
-    return info
+    _WORKER_BARRIER.wait(timeout=_HANDSHAKE_TIMEOUT_S)
+    return os.getpid()
 
 
 def _run_shard_in_worker(x: np.ndarray, token: int) -> tuple:
@@ -141,28 +109,23 @@ class WorkerPool:
     """Execute shards of samples on the configured backend.
 
     Thread and serial backends share the caller's plan (and its layers'
-    plan caches); the process backend ships a warm copy of the plan to
-    each worker via the pool initializer.  :meth:`run_batch` serves a
-    waiting caller; :meth:`submit` dispatches a request on arrival and
-    returns a future.
+    plan caches); the process backend hands the plan to each worker
+    through the pool initializer — copy-on-write under ``fork``,
+    unpickled under ``spawn`` and ``forkserver``.  :meth:`run_batch`
+    serves a waiting caller; :meth:`submit` dispatches a request on
+    arrival and returns a future.
     """
 
     def __init__(self, plan: ExecutionPlan, config: RuntimeConfig,
-                 metrics: RuntimeMetrics, reference=None,
-                 name: str = None):
+                 metrics: RuntimeMetrics, reference=None):
         self.plan = plan
         self.config = config
         self.metrics = metrics
         self.reference = reference
-        #: Model name component of the shared-memory publication key
-        #: (the serve registry passes its registry name through).
-        self.name = name or "plan"
         self._executor = None
         self._executor_lock = threading.Lock()
         self._closed = False
         self._plan_token = 0
-        self._plan_ref = None
-        self._warm_info = None
 
     # -- public API --------------------------------------------------
 
@@ -215,9 +178,10 @@ class WorkerPool:
         return request.future
 
     def start(self) -> None:
-        """Build the executor now (spawning process workers and running
-        their warm protocol), so the first :meth:`submit` does not pay
-        for it on the caller's thread — an event loop, when serving."""
+        """Build the executor now, so the first :meth:`submit` does not
+        pay for it on the caller's thread — an event loop, when serving.
+        A process pool has spawned and initialized every worker when
+        this returns (the warm protocol, :meth:`_warm_up`)."""
         with self._executor_lock:
             self._open_executor()
 
@@ -228,18 +192,14 @@ class WorkerPool:
         (``shutdown(wait=True)`` is itself reentrant), so every request
         :meth:`submit` accepted resolves; submits racing a close fail
         with :class:`BatcherClosedError` instead of silently respawning
-        an executor after shutdown.  Releases this pool's reference on
-        the shared-memory publication — the segment is unlinked when the
-        last pool serving this compiled model closes.
+        an executor after shutdown.  A process pool's workers have
+        exited when this returns.
         """
         with self._executor_lock:
             self._closed = True
             executor = self._executor
-            ref, self._plan_ref = self._plan_ref, None
         if executor is not None:
             executor.shutdown(wait=True)
-        if ref is not None:
-            shm.SHARED_PLANS.release(ref.key)
 
     def respawn(self, plan: ExecutionPlan = None) -> None:
         """Tear down the executor and reopen the pool, optionally with a
@@ -247,8 +207,7 @@ class WorkerPool:
 
         A closed (or live) pool comes back serving the *current* plan:
         the old executor's workers — whose module-global plan is now
-        stale — are shut down, the shared-memory publication for the
-        old plan is released, and the next wave builds a fresh executor
+        stale — are shut down, and the next wave builds a fresh executor
         whose initializer installs ``self.plan`` under a new generation
         token.  Shards always carry their generation, so a worker that
         somehow survived with the old plan fails loudly instead of
@@ -256,15 +215,11 @@ class WorkerPool:
         """
         with self._executor_lock:
             executor, self._executor = self._executor, None
-            ref, self._plan_ref = self._plan_ref, None
-            self._warm_info = None
             self._closed = False
             if plan is not None:
                 self.plan = plan
         if executor is not None:
             executor.shutdown(wait=True)
-        if ref is not None:
-            shm.SHARED_PLANS.release(ref.key)
 
     def __enter__(self):
         return self
@@ -425,97 +380,37 @@ class WorkerPool:
     def _spawn_process_pool(self) -> None:
         """Build the process executor (caller holds the lock).
 
-        Each executor generation gets a fresh token; with shared memory
-        enabled the parent publishes the plan once and runs the warm
-        protocol so every worker is attached before the first wave.
-        The fallback initializer ships a pickled warm plan per worker —
-        the canonical, bit-identical path.
+        Each executor generation gets a fresh token.  Every worker
+        receives the plan through the pool initializer, and the warm
+        protocol runs before the first shard.
         """
         self._plan_token += 1
-        token = self._plan_token
         workers = self.config.workers
-        if self._shm_enabled():
-            ref = self._publish()
-            barrier = multiprocessing.Barrier(workers)
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker_shm,
-                initargs=(ref, token, barrier),
-            )
-            self._warm_up(workers)
-        else:
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(self.plan, token),
-            )
-
-    def _shm_enabled(self) -> bool:
-        if self.config.backend != "process":
-            return False
-        mode = self.config.shm
-        if mode == "never":
-            return False
-        supported = shm.shm_supported()
-        if mode == "always" and not supported:
-            raise RuntimeError(
-                "RuntimeConfig(shm='always') but shared memory is not "
-                "supported on this host"
-            )
-        return supported
-
-    def _publish(self):
-        """Acquire (or reuse) the shared publication for this plan."""
-        if self._plan_ref is None:
-            key = (self.name, self.plan.fingerprint(), 0)
-            with self.metrics.stage("publish"):
-                self._plan_ref = shm.SHARED_PLANS.acquire(
-                    key, lambda: self.plan)
-        return self._plan_ref
+        self._executor = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(self.plan, self._plan_token,
+                      multiprocessing.Barrier(workers)),
+        )
+        self._warm_up(workers)
 
     def _warm_up(self, workers: int) -> None:
-        """Run the cache-warm handshake: one barrier task per worker.
+        """Run the warm handshake: one barrier task per worker.
 
         Submitting ``workers`` blocking tasks forces the executor to
         spawn its full complement (a barrier-parked worker cannot take
         a second task), and the barrier releases only once all of them
-        have run their initializer — i.e. attached the segment.  A
-        degraded handshake (timeout, broken barrier) is recorded but
-        not fatal: workers still serve correctly, they just may attach
-        lazily.
+        have run their initializer.  A degraded handshake (timeout,
+        broken barrier) is counted as an error but is not fatal:
+        workers still serve correctly, they just may start lazily.
         """
         futures = [self._executor.submit(_worker_handshake)
                    for _ in range(workers)]
-        infos = []
         for future in futures:
             try:
-                infos.append(future.result(
-                    timeout=_HANDSHAKE_TIMEOUT_S + 10.0))
+                future.result(timeout=_HANDSHAKE_TIMEOUT_S + 10.0)
             except Exception:
                 self.metrics.add_counts(errors=1)
-        attached = [i for i in infos if "attach_seconds" in i]
-        self._warm_info = {
-            "workers": workers,
-            "attached": len(attached),
-            "broken": sum(1 for i in infos if i.get("barrier_broken")),
-            "attach_seconds": sum(i["attach_seconds"] for i in attached),
-        }
-
-    def shm_stats(self) -> dict:
-        """This pool's view of the shared publication (or fallback)."""
-        with self._executor_lock:
-            ref = self._plan_ref
-            warm = dict(self._warm_info or {})
-        if ref is None:
-            return {"enabled": False, "mode": self.config.shm}
-        return {
-            "enabled": True,
-            "mode": self.config.shm,
-            "segment": ref.segment,
-            "bytes": ref.total_bytes,
-            "weight_bytes": ref.weight_bytes,
-            "warm": warm,
-        }
 
 
 class _Request:

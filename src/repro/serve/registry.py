@@ -6,8 +6,8 @@ pay on the request path.  The registry compiles the configured warm set
 at startup (so the first request to each warm model is already fast),
 loads any other known zoo network on first use, and evicts the
 least-recently-used cold models beyond ``max_loaded`` (closing their
-runtimes, which drains their pools).  Warm models are
-pinned: they are never evicted.
+runtimes, which drains their pools and stops their workers).  Warm
+models are pinned: they are never evicted.
 
 Registry keys are the :data:`~repro.runtime.BENCH_NETWORKS` zoo names;
 each entry owns one :class:`~repro.runtime.InferenceRuntime` built from
@@ -22,7 +22,6 @@ from collections import OrderedDict
 
 from .. import obs
 from ..runtime import BENCH_NETWORKS, InferenceRuntime, RuntimeConfig
-from ..runtime import shm
 from ..simulator import SCConfig, SCNetwork
 
 __all__ = ["ModelRegistry"]
@@ -71,20 +70,14 @@ class ModelRegistry:
             self.get(name)
 
     def close(self) -> None:
-        """Close every loaded runtime; idempotent.
-
-        Closing a runtime releases its pool's reference on any
-        shared-memory plan publication (last reference unlinks the
-        segment); as a backstop, segments orphaned by crashed processes
-        are reclaimed afterwards.
-        """
+        """Close every loaded runtime, and with it its pool's worker
+        threads or processes; idempotent."""
         with self._lock:
             self._closed = True
             runtimes = list(self._loaded.values())
             self._loaded.clear()
         for runtime in runtimes:
             runtime.close()
-        shm.cleanup_orphan_segments()
 
     def __enter__(self):
         return self
@@ -120,17 +113,6 @@ class ModelRegistry:
             items = list(self._loaded.items())
         return {name: runtime.plan.specialization_summary()
                 for name, runtime in items}
-
-    def shm_info(self) -> dict:
-        """Shared-memory accounting: the process-wide publication
-        registry (segments, bytes, refcounts keyed by model /
-        fingerprint) plus each resident runtime's pool-level view."""
-        info = shm.SHARED_PLANS.stats()
-        with self._lock:
-            items = list(self._loaded.items())
-        info["models"] = {name: runtime.shm_stats()
-                          for name, runtime in items}
-        return info
 
     def resident(self, name: str):
         """The runtime for ``name`` if it is loaded, else ``None``.
@@ -205,11 +187,10 @@ class ModelRegistry:
                 SCConfig(phase_length=self.phase_length),
             )
             runtime = InferenceRuntime(
-                network, shape, config=dataclasses.replace(self._template),
-                name=name,
-            )
+                network, shape, config=dataclasses.replace(self._template))
             # The server's event loop submits requests: start the pool
-            # here, off the loop, not on the first request.
+            # here, off the loop, not on the first request (a process
+            # pool spawns and initializes every worker in start()).
             try:
                 runtime.pool.start()
             except BaseException:

@@ -376,5 +376,4 @@ class Server:
                    in sorted(self._kernel_scope.delta().items())}
         return {"ok": True, "server": server, "models": models,
                 "kernels": kernels,
-                "specialization": self.registry.specializations(),
-                "shm": self.registry.shm_info()}
+                "specialization": self.registry.specializations()}

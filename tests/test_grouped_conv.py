@@ -3,10 +3,10 @@
 The grouped-conv contract is a single sentence: **a grouped conv is the
 dense conv whose weight matrix is block-diagonal**, so every execution
 path — generic forward, specialized kernel plans, the jit inner loop,
-shm-attached plans, and progressive (resumable) evaluation — must
-produce bit-identical counters for a grouped layer and its expanded
-dense twin, for every accumulator and representation.  Efficiency comes
-afterwards, from the zero-lane skipping the specializer already does:
+pickled plans, and progressive (resumable) evaluation — must produce
+bit-identical counters for a grouped layer and its expanded dense twin,
+for every accumulator and representation.  Efficiency comes afterwards,
+from the zero-lane skipping the specializer already does:
 cross-group lanes are exactly zero, so group-aligned channel tiling
 skips at least ``1 - 1/groups`` of the product lanes.
 
@@ -14,6 +14,8 @@ Legality is centralized in :func:`repro.ir.passes.check_conv_groups`;
 the training and simulator lowerings both route through it, which the
 error-path tests pin.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -25,8 +27,7 @@ from repro.core.sng import quantize_probability
 from repro.ir import passes
 from repro.ir.spec import lower_to_spec
 from repro.networks import zoo
-from repro.runtime import ExecutionPlan, shm_supported
-from repro.runtime import shm
+from repro.runtime import ExecutionPlan
 from repro.simulator import SCConfig, SCNetwork
 from repro.simulator.config import SCConfig as _SCConfig
 from repro.simulator.engine import _group_channel_bounds
@@ -88,7 +89,7 @@ class TestGenericForwardBitIdentity:
 
 @pytest.mark.parametrize("accumulator", ["or", "apc", "mux"])
 class TestCompiledPathsBitIdentity:
-    """Specialized, jit-loop, progressive, and shm paths all agree."""
+    """Specialized, jit-loop, progressive, and pickled paths all agree."""
 
     def _plans(self, accumulator, rng):
         config = SCConfig(phase_length=32, accumulator=accumulator)
@@ -135,21 +136,14 @@ class TestCompiledPathsBitIdentity:
         assert np.array_equal(rg.logits, rd.logits)
         assert np.array_equal(rg.logits, ng.forward(x))
 
-    @pytest.mark.skipif(not shm_supported(),
-                        reason="no shared memory on this host")
-    def test_shm_attached(self, accumulator):
+    def test_pickled_plan(self, accumulator):
+        # A ``spawn`` or ``forkserver`` process worker runs the plan it
+        # unpickles from the pool initializer's arguments.
         rng = np.random.default_rng(4)
         pg, pd, _, _ = self._plans(accumulator, rng)
         x = rng.uniform(0, 1, size=(2,) + SHAPE)
-        want = pd.run(x)
-        ref = shm.publish_plan(("grouped", accumulator, 0), pg)
-        attached = shm.attach_plan(ref)
-        try:
-            assert np.array_equal(attached.run(x), want)
-        finally:
-            del attached
-            shm.detach_plan(ref.segment)
-            shm.unlink_segment(ref.segment)
+        clone = pickle.loads(pickle.dumps(pg))
+        assert np.array_equal(clone.run(x), pd.run(x))
 
 
 # --------------------------------------------------------------------------

@@ -306,9 +306,9 @@ class TestLayering:
         finally:
             sys.path.pop(0)
         for rel, text in [
-                ("simulator/engine.py", "from ..runtime import shm\n"),
+                ("simulator/engine.py", "from ..runtime import plan\n"),
                 ("simulator/layers.py", "import repro.runtime.workers\n"),
-                ("serve/registry.py", "from ..runtime import shm\n"),
+                ("serve/registry.py", "from ..runtime import plan\n"),
                 ("cli.py", "from .runtime import RuntimeConfig\n")]:
             path = tmp_path / rel
             path.parent.mkdir(exist_ok=True)

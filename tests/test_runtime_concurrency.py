@@ -6,6 +6,7 @@ in-flight waves, respawn racing traffic) actually occur rather than
 being timing lottery wins.
 """
 
+import multiprocessing
 import sys
 import threading
 
@@ -14,8 +15,7 @@ import pytest
 
 from repro.runtime import (BatcherClosedError, ExecutionPlan,
                            InferenceRuntime, RuntimeConfig, RuntimeMetrics,
-                           WorkerPool, shm_supported)
-from repro.runtime import shm
+                           WorkerPool)
 from repro.runtime.workers import _init_worker, _run_shard_in_worker
 from repro.serve import ModelRegistry
 from repro.serve import registry as registry_mod
@@ -50,17 +50,15 @@ class TestRespawn:
     """A respawned process pool must serve the *current* plan — never a
     stale module-global left in recycled worker state."""
 
-    @pytest.mark.parametrize("shm_mode", ["auto", "never"])
-    def test_respawn_after_close_serves_new_plan(self, shm_mode):
-        config = RuntimeConfig(workers=2, backend="process", shard_size=2,
-                               shm=shm_mode)
+    def test_respawn_after_close_serves_new_plan(self):
+        config = RuntimeConfig(workers=2, backend="process", shard_size=2)
         x = np.random.default_rng(0).uniform(0, 1, (4,) + SHAPE)
         old_plan = ExecutionPlan(tiny_network(seed=0), SHAPE)
         new_plan = ExecutionPlan(tiny_network(seed=7), SHAPE)
         with WorkerPool(new_plan, RuntimeConfig(shard_size=2),
                         RuntimeMetrics()) as reference:
             expected = reference.run_batch(x)
-        pool = WorkerPool(old_plan, config, RuntimeMetrics(), name="resp")
+        pool = WorkerPool(old_plan, config, RuntimeMetrics())
         try:
             old_logits = pool.run_batch(x)
             pool.close()
@@ -77,7 +75,7 @@ class TestRespawn:
         config = RuntimeConfig(workers=1, backend="process", shard_size=2)
         x = np.random.default_rng(1).uniform(0, 1, (2,) + SHAPE)
         pool = WorkerPool(ExecutionPlan(tiny_network(), SHAPE), config,
-                          RuntimeMetrics(), name="keep")
+                          RuntimeMetrics())
         try:
             before = pool.run_batch(x)
             pool.respawn()
@@ -91,13 +89,13 @@ class TestRespawn:
         computing with the wrong model."""
         plan = ExecutionPlan(tiny_network(), SHAPE)
         x = np.random.default_rng(2).uniform(0, 1, (1,) + SHAPE)
-        _init_worker(plan, token=1)
+        _init_worker(plan, 1, None)
         try:
             assert _run_shard_in_worker(x, 1)[0].shape == (1, 4)
             with pytest.raises(RuntimeError, match="generation"):
                 _run_shard_in_worker(x, 2)
         finally:
-            _init_worker(None, None)
+            _init_worker(None, None, None)
 
 
 class TestRegistryConcurrency:
@@ -105,11 +103,13 @@ class TestRegistryConcurrency:
 
     def test_simultaneous_warm_up_builds_once(self, fast_zoo):
         """N threads racing the first get() compile one runtime and
-        publish one segment, and every thread serves from it."""
+        start one pool, every thread serves from it, and its worker is
+        gone once the registry closes."""
         n_threads = 4
         x = np.random.default_rng(3).uniform(0, 1, (2,) + MLP_SHAPE)
         start = threading.Barrier(n_threads)
         results, errors = [None] * n_threads, []
+        before = set(multiprocessing.active_children())
 
         with ModelRegistry(warm=(), max_loaded=2, phase_length=4,
                            runtime_config=RuntimeConfig(**self.CONFIG),
@@ -131,13 +131,10 @@ class TestRegistryConcurrency:
             assert registry.loads == 1
             for out in results[1:]:
                 np.testing.assert_array_equal(out, results[0])
-            if shm_supported():
-                pubs = [p for p in shm.SHARED_PLANS.stats()["publications"]
-                        if p["model"] == "zoo_a"]
-                assert len(pubs) == 1
-        pubs = [p for p in shm.SHARED_PLANS.stats()["publications"]
-                if p["model"] == "zoo_a"]
-        assert not pubs    # close() released the publication
+            # One pool of one worker: a second build would start another.
+            workers = set(multiprocessing.active_children()) - before
+            assert len(workers) == 1
+        assert not any(p.is_alive() for p in workers)
 
     def test_eviction_during_inflight_waves(self, fast_zoo):
         """Evicting a model while another thread drives traffic through
@@ -219,14 +216,14 @@ class TestRegistryConcurrency:
     @pytest.mark.slow
     def test_stress_threads_and_process_pool(self, fast_zoo):
         """The full mix: threads hammering a shared registry whose
-        models run on shm-backed process pools, with max_loaded forcing
-        continuous eviction churn underneath the traffic."""
+        models run on process pools, with max_loaded forcing continuous
+        eviction churn underneath the traffic."""
         n_threads, iterations = 4, 5
         x = np.random.default_rng(5).uniform(0, 1, (2,) + MLP_SHAPE)
         start = threading.Barrier(n_threads)
         collected, errors = [], []
         lock = threading.Lock()
-        segments_before = set(shm.list_repro_segments())
+        before = set(multiprocessing.active_children())
 
         with ModelRegistry(warm=(), max_loaded=1, phase_length=4,
                            runtime_config=RuntimeConfig(**self.CONFIG),
@@ -260,8 +257,8 @@ class TestRegistryConcurrency:
             for name, out in collected:
                 np.testing.assert_array_equal(out, expected[name])
             assert registry.evictions > 0
-        # Registry close released every publication this test created.
-        assert set(shm.list_repro_segments()) <= segments_before
+        # Eviction and close stopped every worker this test started.
+        assert not set(multiprocessing.active_children()) - before
 
 
 class TestLayerPlanCacheConcurrency:

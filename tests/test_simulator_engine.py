@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.simulator.engine import (bipolar_mux_matmul_counts,
+from repro.simulator.engine import (ActivationEncodeCache,
+                                    bipolar_mux_matmul_counts,
                                     encode_bipolar_weight_stream,
                                     encode_packed,
                                     encode_split_weight_streams,
@@ -180,3 +181,62 @@ class TestPreEncodedWeightStreams:
                 weight_stream=encode_bipolar_weight_stream(
                     np.zeros((3, 4)), **kwargs),
                 **kwargs)
+
+
+class TestEncodeCacheEviction:
+    """REPRO_ENCODE_CACHE_MB byte-budget behaviour of the activation
+    encode cache."""
+
+    def _filler(self, cache, seed, lanes=4, length=32):
+        return cache.table("lfsr", 8, seed, lanes, length)
+
+    def test_huge_insert_evicts_lru(self):
+        probe = ActivationEncodeCache(max_bytes=1 << 30)
+        one = self._filler(probe, seed=1).nbytes
+        cache = ActivationEncodeCache(max_bytes=3 * one)
+        self._filler(cache, seed=1)
+        self._filler(cache, seed=2)
+        self._filler(cache, seed=3)
+        assert len(cache) == 3
+        # Touch seed=1 so seed=2 is now least recently used.
+        self._filler(cache, seed=1)
+        hits, misses = cache.counters()
+        assert (hits, misses) == (1, 3)
+        # A table bigger than a third of the budget forces eviction.
+        cache.table("lfsr", 8, 99, lanes=8, length=64)
+        assert cache.info()["bytes"] <= cache.max_bytes
+        self._filler(cache, seed=1)          # survived (recently used)
+        self._filler(cache, seed=2)          # evicted: rebuild misses
+        hits, misses = cache.counters()
+        assert hits == 2 and misses == 5
+
+    def test_single_over_budget_table_still_serves(self):
+        cache = ActivationEncodeCache(max_bytes=1)
+        table = self._filler(cache, seed=7)
+        assert table.nbytes > cache.max_bytes
+        assert len(cache) == 1
+        self._filler(cache, seed=7)
+        assert cache.counters() == (1, 1)
+
+    def test_offset_keys_do_not_alias(self):
+        cache = ActivationEncodeCache(max_bytes=1 << 30)
+        base = cache.table("lfsr", 8, 11, 4, 32, offset=0)
+        shifted = cache.table("lfsr", 8, 11, 4, 32, offset=7)
+        assert cache.counters() == (0, 2)          # two distinct keys
+        assert not np.array_equal(base, shifted)
+        assert cache.table("lfsr", 8, 11, 4, 32, offset=0) is base
+        assert cache.table("lfsr", 8, 11, 4, 32, offset=7) is shifted
+        assert cache.counters() == (2, 2)
+
+    def test_counters_and_info_stay_consistent(self):
+        cache = ActivationEncodeCache(max_bytes=1 << 30)
+        for seed in (1, 2, 1, 3, 2):
+            self._filler(cache, seed=seed)
+        info = cache.info()
+        assert (info["hits"], info["misses"]) == cache.counters() == (2, 3)
+        assert info["entries"] == 3
+        assert info["bytes"] > 0
+        cache.clear()
+        info = cache.info()
+        assert info["entries"] == info["bytes"] == 0
+        assert cache.counters() == (0, 0)
