@@ -4,10 +4,13 @@ A stochastic bitstream is a sequence of bits whose *density* (fraction of
 ones) encodes a number.  Internally streams are numpy ``uint8`` arrays of
 0/1 with time on the last axis; for bulk linear algebra the functional
 simulator packs time steps into machine words — eight per byte
-(``np.packbits``) for the encoded weight streams, and 64 per ``uint64``
-word (:func:`pack_words`) for the kernel — so AND/OR
-reductions run on a fraction of the memory and one ALU op covers many
-clocks.
+(``np.packbits``) for the encoded weight streams, and 8, 16, 32 or 64
+per kernel word (:func:`pack_words`) — so AND/OR reductions run on a
+fraction of the memory and one ALU op covers many clocks.  The kernel
+word is sized to the stream (:func:`word_type`): a stream of at most 32
+clocks fits one ``uint8``, ``uint16`` or ``uint32`` word, a longer one
+takes ``uint64`` words.  Every word type is a view of the same
+``np.packbits`` byte layout.
 
 This module is the single home of the popcount implementation: the
 ``np.bitwise_count`` fast path (numpy >= 2.0) and the 256-entry
@@ -24,6 +27,7 @@ __all__ = [
     "pack_stream",
     "unpack_stream",
     "pack_words",
+    "word_type",
     "words_from_bytes",
     "unpack_words",
     "popcount_bytes",
@@ -48,35 +52,48 @@ def unpack_stream(packed: np.ndarray, length: int) -> np.ndarray:
     return np.unpackbits(packed, axis=-1)[..., :length]
 
 
-def words_from_bytes(packed: np.ndarray) -> np.ndarray:
-    """Reinterpret byte-packed streams as ``uint64`` word-packed streams.
+def word_type(clocks: int) -> np.dtype:
+    """The kernel word type for a stream of ``clocks`` clocks.
 
-    Pads the last axis with zero bytes to a multiple of eight and views
-    the result as ``uint64`` (64 clocks per word).  The word layout is
-    *defined* as this view of the ``np.packbits`` byte layout, so the
-    byte and word forms of a stream always describe the same bit
-    sequence and pad bits are always zero.
+    The narrowest of ``uint8``, ``uint16`` and ``uint32`` when the
+    stream fits one such word, else ``uint64`` (as many words as the
+    stream needs).
+    """
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if clocks <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
+def words_from_bytes(packed: np.ndarray, dtype=np.uint64) -> np.ndarray:
+    """Reinterpret byte-packed streams as word-packed streams.
+
+    Pads the last axis with zero bytes to a whole number of ``dtype``
+    words and views the result as ``dtype`` (``8 * itemsize`` clocks per
+    word).  The word layout is *defined* as this view of the
+    ``np.packbits`` byte layout, so the byte and word forms of a stream
+    always describe the same bit sequence and pad bits are always zero.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint8)
     n_bytes = packed.shape[-1]
-    pad = (-n_bytes) % 8
+    pad = (-n_bytes) % np.dtype(dtype).itemsize
     if pad:
         packed = np.concatenate(
             [packed,
              np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)],
             axis=-1,
         )
-        packed = np.ascontiguousarray(packed)
-    return packed.view(np.uint64)
+    return packed.view(dtype)
 
 
-def pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 array along its last axis into uint64 words.
+def pack_words(bits: np.ndarray, dtype=np.uint64) -> np.ndarray:
+    """Pack a 0/1 array along its last axis into ``dtype`` words.
 
-    64 clocks per word; pad bits beyond the stream length are zero.
+    ``8 * itemsize`` clocks per word; pad bits beyond the stream length
+    are zero.
     """
     return words_from_bytes(np.packbits(bits.astype(np.uint8, copy=False),
-                                        axis=-1))
+                                        axis=-1), dtype)
 
 
 def unpack_words(words: np.ndarray, length: int) -> np.ndarray:
@@ -110,7 +127,7 @@ def popcount_words(words: np.ndarray, axis=-1) -> np.ndarray:
     else:  # numpy < 2.0: count the words one byte at a time.
         as_bytes = np.ascontiguousarray(words).view(np.uint8)
         per_word = _POPCOUNT_TABLE[as_bytes].reshape(
-            words.shape + (8,)
+            words.shape + (words.itemsize,)
         ).sum(axis=-1)
     return per_word.sum(axis=axis, dtype=np.int64)
 

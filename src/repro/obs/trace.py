@@ -29,6 +29,9 @@ import os
 import threading
 import time
 
+_perf_counter = time.perf_counter
+_get_ident = threading.get_ident
+
 __all__ = ["Span", "Tracer", "NULL_SPAN", "CounterStore", "CounterScope",
            "KERNEL_COUNTERS", "kernel_section", "merge_counters", "tracer",
            "enabled", "enable", "disable", "reset", "span", "current",
@@ -61,11 +64,13 @@ class Span:
     (bits processed, cache hits, samples, ...) attached via
     :meth:`add_counter`.  ``children`` holds completed sub-spans in
     completion order.  Use as a context manager; timing and tree
-    linkage happen on enter/exit.
+    linkage happen on enter/exit.  ``parent`` is the explicit parent
+    passed in, or, if none was, the thread's innermost open span at
+    enter.
     """
 
     __slots__ = ("name", "category", "start_s", "end_s", "counters",
-                 "children", "thread_id", "parent", "_tracer", "_explicit")
+                 "children", "thread_id", "parent", "_tracer", "_stack")
 
     def __init__(self, tracer: "Tracer", name: str, category: str,
                  parent: "Span" = None):
@@ -76,9 +81,8 @@ class Span:
         self.counters = {}
         self.children = []
         self.thread_id = None
-        self.parent = None
+        self.parent = parent
         self._tracer = tracer
-        self._explicit = parent
 
     @property
     def duration_s(self) -> float:
@@ -89,12 +93,38 @@ class Span:
     def add_counter(self, name: str, value=1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
 
+    # Enter and exit are the whole per-span cost every traced layer,
+    # shard and kernel section pays, so they touch the tracer's state
+    # directly instead of calling through it.  A span leaves the stack
+    # of the thread that entered it.
     def __enter__(self):
-        self._tracer._open(self)
+        local = self._tracer._local
+        try:
+            stack = local.stack
+        except AttributeError:
+            stack = local.stack = []
+        self._stack = stack
+        if self.parent is None and stack:
+            self.parent = stack[-1]
+        self.thread_id = _get_ident()
+        stack.append(self)
+        self.start_s = _perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._tracer._close(self)
+        self.end_s = _perf_counter()
+        stack = self._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:        # mismatched exits: drop inner spans
+            del stack[stack.index(self):]
+        parent = self.parent
+        if parent is not None:
+            # list.append is atomic, so a child needs no lock to join
+            # its parent, even across threads.
+            parent.children.append(self)
+        else:
+            self._tracer._add_root(self)
         return False
 
     def __repr__(self):
@@ -106,9 +136,10 @@ class Tracer:
     """Span factory and trace-tree collector.
 
     Thread safety: the open-span stack is thread-local, so same-thread
-    nesting is lock-free; attaching a finished span to its parent (which
-    may live on another thread) and collecting roots go through one
-    lock, taken once per span close.
+    nesting is lock-free.  A finished span joins its parent's
+    ``children`` (the parent may live on another thread) with one
+    atomic ``list.append``; finished roots, and the reads and resets of
+    the root list, go through one lock.
     """
 
     def __init__(self, enabled: bool = False):
@@ -133,34 +164,10 @@ class Tracer:
             return NULL_SPAN
         return Span(self, name, category, parent)
 
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _open(self, span: Span) -> None:
-        stack = self._stack()
-        if span._explicit is not None:
-            span.parent = span._explicit
-        elif stack:
-            span.parent = stack[-1]
-        span.thread_id = threading.get_ident()
-        stack.append(span)
-        span.start_s = time.perf_counter()
-
-    def _close(self, span: Span) -> None:
-        span.end_s = time.perf_counter()
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:        # mismatched exits: drop inner spans
-            del stack[stack.index(span):]
+    def _add_root(self, span: Span) -> None:
+        """Collect a finished span that has no parent."""
         with self._lock:
-            if span.parent is not None:
-                span.parent.children.append(span)
-            else:
-                self._roots.append(span)
+            self._roots.append(span)
 
     # -- context -----------------------------------------------------
 
@@ -191,18 +198,17 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        span = Span(self, name, category, parent)
-        span.thread_id = threading.get_ident()
-        span.end_s = time.perf_counter()
+        span = Span(self, name, category,
+                    parent if parent is not None else self.current())
+        span.thread_id = _get_ident()
+        span.end_s = _perf_counter()
         span.start_s = span.end_s - duration_s
-        span.parent = parent if parent is not None else self.current()
         if counters:
             span.counters.update(counters)
-        with self._lock:
-            if span.parent is not None:
-                span.parent.children.append(span)
-            else:
-                self._roots.append(span)
+        if span.parent is not None:
+            span.parent.children.append(span)
+        else:
+            self._add_root(span)
         return span
 
     # -- collection --------------------------------------------------

@@ -196,15 +196,29 @@ class RuntimeMetrics:
                 self.stage_seconds.get(stage, 0.0) + seconds
             )
 
+    def add_request(self, dispatch_s: float, merge_s: float = 0.0,
+                    in_flight: int = 0) -> None:
+        """Count one dispatched request (one batch) with its
+        ``dispatch`` and ``merge`` stage times, and ``in_flight``
+        requests into flight (see :meth:`add_queue_depth`), in one
+        update."""
+        with self._lock:
+            self.requests += 1
+            self.batches += 1
+            stages = self.stage_seconds
+            stages["dispatch"] = stages.get("dispatch", 0.0) + dispatch_s
+            stages["merge"] = stages.get("merge", 0.0) + merge_s
+            self.queue_depth += in_flight
+            self.max_queue_depth = max(self.max_queue_depth,
+                                       self.queue_depth)
+
     def stage(self, name: str) -> "StageTimer":
         """Context manager accumulating wall time into ``name``."""
         return StageTimer(self, name)
 
     def add_counts(self, *, requests: int = 0, batches: int = 0,
                    shards: int = 0, samples: int = 0, fallbacks: int = 0,
-                   errors: int = 0, bits_simulated: int = 0,
-                   act_cache_hits: int = 0, act_cache_misses: int = 0,
-                   progressive_requests: int = 0,
+                   errors: int = 0, progressive_requests: int = 0,
                    progressive_extensions: int = 0,
                    progressive_early_exits: int = 0,
                    progressive_final_length: int = 0) -> None:
@@ -215,13 +229,24 @@ class RuntimeMetrics:
             self.samples += samples
             self.fallbacks += fallbacks
             self.errors += errors
-            self.bits_simulated += bits_simulated
-            self.act_cache_hits += act_cache_hits
-            self.act_cache_misses += act_cache_misses
             self.progressive_requests += progressive_requests
             self.progressive_extensions += progressive_extensions
             self.progressive_early_exits += progressive_early_exits
             self.progressive_final_length += progressive_final_length
+
+    def add_shard(self, samples: int, bits_simulated: int,
+                  compute_s: float, act_cache_hits: int = 0,
+                  act_cache_misses: int = 0) -> None:
+        """Count one completed shard and its ``compute`` time in one
+        update."""
+        with self._lock:
+            self.shards += 1
+            self.samples += samples
+            self.bits_simulated += bits_simulated
+            self.act_cache_hits += act_cache_hits
+            self.act_cache_misses += act_cache_misses
+            self.stage_seconds["compute"] = (
+                self.stage_seconds.get("compute", 0.0) + compute_s)
 
     def add_queue_depth(self, delta: int) -> None:
         """Count requests in (``+1``) and out (``-1``) of flight."""
@@ -238,7 +263,7 @@ class RuntimeMetrics:
 
         ``kernel_seconds`` and ``act_cache_*`` carry the engine's
         per-kernel timings and activation-encode cache counters
-        (worker-reported deltas accumulated via :meth:`add_counts` are
+        (worker-reported deltas accumulated via :meth:`add_shard` are
         folded in on top — the parent's process-global cache never sees
         pool-process activity); ``layer_seconds`` the per-IR-layer span
         totals when tracing.

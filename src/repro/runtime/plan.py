@@ -130,6 +130,9 @@ class ExecutionPlan:
                 autotune_budget_s=autotune_budget_s)
             span.add_counter("layers", len(self.layer_plans))
             span.add_counter("weight_lanes", self.weight_lanes)
+        #: Product-lane bits simulated for one input sample.
+        self.bits_per_sample = sum(p.product_bits_per_sample
+                                   for p in self.layer_plans)
         self.output_shape = result.infos[-1].out_shape if result.infos \
             else self.input_shape
 
@@ -213,11 +216,6 @@ class ExecutionPlan:
         time.
         """
         return self._fingerprint
-
-    @property
-    def bits_per_sample(self) -> int:
-        """Product-lane bits simulated for one input sample."""
-        return sum(p.product_bits_per_sample for p in self.layer_plans)
 
     @property
     def weight_lanes(self) -> int:

@@ -107,9 +107,9 @@ def run_profile(network: str = "mnist_mlp", *, batch: int = 8,
                 while time.perf_counter() < deadline:
                     runtime.infer(x)
             with obs.span(f"profile:{network}", category="profile") as root:
-                root.add_counter("samples", batch * repeats)
                 for _ in range(repeats):
                     runtime.infer(x)
+            root.add_counter("samples", batch * repeats)
             snapshot = runtime.snapshot()
             plan_text = runtime.describe()
     finally:

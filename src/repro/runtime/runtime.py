@@ -86,7 +86,6 @@ class InferenceRuntime:
         :meth:`submit` and to serial execution.
         """
         self._check_input(x)
-        self.metrics.add_counts(requests=1, batches=1)
         return self.pool.run_batch(x)
 
     def submit(self, x: np.ndarray):
@@ -99,9 +98,7 @@ class InferenceRuntime:
         request counts as one batch in :meth:`snapshot`.
         """
         self._check_input(x)
-        future = self.pool.submit(x)
-        self.metrics.add_counts(requests=1, batches=1)
-        return future
+        return self.pool.submit(x)
 
     def infer_progressive(self, x: np.ndarray, policy=None):
         """Synchronous anytime inference with confidence-gated early

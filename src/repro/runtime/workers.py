@@ -132,16 +132,25 @@ class WorkerPool:
     def run_batch(self, x: np.ndarray) -> np.ndarray:
         """Shard, execute, and merge one ``(N, ...)`` batch, returning
         when its last shard is in (the serial backend computes it
-        inline, on the calling thread)."""
+        inline, on the calling thread).  The batch counts as one
+        request, recorded with its dispatch and merge times in one
+        metrics update, failed or not."""
         with obs.span("pool:wave", category="pool") as wave:
-            with self.metrics.stage("dispatch"):
-                shards = self._shards(x)
+            t0 = time.perf_counter()
+            shards = self._shards(x)
+            dispatch_s = time.perf_counter() - t0
+            merge_s = 0.0
             wave.add_counter("shards", len(shards))
-            futures = self._submit(shards)
-            outputs = [self._collect(future, shard)
-                       for future, shard in zip(futures, shards)]
-            with self.metrics.stage("merge"):
-                return self._merge(outputs)
+            try:
+                futures = self._submit(shards)
+                outputs = [self._collect(future, shard)
+                           for future, shard in zip(futures, shards)]
+                t0 = time.perf_counter()
+                logits = self._merge(outputs)
+                merge_s = time.perf_counter() - t0
+            finally:
+                self.metrics.add_request(dispatch_s, merge_s)
+            return logits
 
     def submit(self, x: np.ndarray) -> Future:
         """Dispatch one ``(N, ...)`` request now; returns a
@@ -152,7 +161,8 @@ class WorkerPool:
         executor at once, and the future resolves to the shard-ordered
         merge when the last shard lands.  The serial backend runs
         submitted shards on one pool thread, in arrival order, never on
-        the caller's thread.
+        the caller's thread.  An accepted request counts as one request
+        in the metrics.
 
         Cancelling the future before it resolves cancels the shards that
         have not started, which are then never computed; shards already
@@ -163,13 +173,14 @@ class WorkerPool:
         :meth:`close` has begun.
         """
         submitted_at = time.perf_counter()
-        with self.metrics.stage("dispatch"):
-            request = _Request(self._shards(x), submitted_at)
+        request = _Request(self._shards(x), submitted_at)
+        dispatch_s = time.perf_counter() - submitted_at
         if not request.shards:
+            self.metrics.add_request(dispatch_s)
             request.resolve(self._merge([]))
             return request.future
         request.shard_futures = self._submit(request.shards, request)
-        self.metrics.add_queue_depth(1)
+        self.metrics.add_request(dispatch_s, in_flight=1)
         request.future.add_done_callback(
             functools.partial(self._settle, request))
         for index, shard_future in enumerate(request.shard_futures):
@@ -234,12 +245,17 @@ class WorkerPool:
         """``x`` cut into contiguous slices of at most ``shard_size``."""
         x = np.asarray(x, dtype=np.float64)
         size = self.config.shard_size
+        if 0 < x.shape[0] <= size:
+            return [x]
         return [x[start:start + size] for start in range(0, x.shape[0], size)]
 
     def _merge(self, outputs) -> np.ndarray:
-        """Shard logits concatenated in shard order."""
+        """Shard logits concatenated in shard order (a lone shard's
+        logits as they are)."""
         if not outputs:
             return np.zeros((0,) + self.plan.output_shape)
+        if len(outputs) == 1:
+            return outputs[0]
         return np.concatenate(outputs, axis=0)
 
     def _submit(self, shards, request=None) -> list:
@@ -254,10 +270,10 @@ class WorkerPool:
         handed to thread-pool shards so their ``shard:compute`` spans
         attach under it; a submitted request's shards start root spans.
         """
-        parent = obs.current() if request is None else None
         if request is None and self.config.backend == "serial":
-            return [_Immediate(self._run_local, shard, parent)
-                    for shard in shards]
+            # Inline shards nest under the wave, this thread's open span.
+            return [_Immediate(self._run_local, shard) for shard in shards]
+        parent = obs.current() if request is None else None
         with self._executor_lock:
             executor = self._open_executor()
             try:
@@ -296,7 +312,8 @@ class WorkerPool:
 
     def _collect(self, future, shard: np.ndarray,
                  request: "_Request" = None) -> np.ndarray:
-        """Resolve one shard, applying the fallback policy on failure."""
+        """Resolve one shard, applying the fallback policy on failure,
+        and record it in the metrics with one update."""
         try:
             result = future.result()
         except Exception:
@@ -311,9 +328,6 @@ class WorkerPool:
                 # shard's start back from its landing by its compute.
                 request.start(self.metrics,
                               time.perf_counter() - compute_s)
-            self.metrics.add_stage_time("compute", compute_s)
-            self.metrics.add_counts(act_cache_hits=act_hits,
-                                    act_cache_misses=act_misses)
             # Spans cannot cross the process boundary; attach the
             # worker-reported compute time as a synthetic span so the
             # trace still attributes shard wall time (per-layer detail
@@ -325,25 +339,25 @@ class WorkerPool:
                           "act_cache_misses": act_misses},
             )
         else:
-            logits = result
-        self.metrics.add_counts(
-            shards=1, samples=shard.shape[0],
-            bits_simulated=shard.shape[0] * self.plan.bits_per_sample,
-        )
+            (logits, compute_s), act_hits, act_misses = result, 0, 0
+        self.metrics.add_shard(
+            shard.shape[0], shard.shape[0] * self.plan.bits_per_sample,
+            compute_s, act_cache_hits=act_hits, act_cache_misses=act_misses)
         return logits
 
     def _run_local(self, x: np.ndarray, parent=None,
-                   request: "_Request" = None) -> np.ndarray:
-        """Serial/thread execution against the shared plan."""
+                   request: "_Request" = None) -> tuple:
+        """Serial/thread execution against the shared plan; returns
+        ``(logits, compute seconds)`` for :meth:`_collect`."""
         if request is not None:
             request.start(self.metrics)
         with obs.span("shard:compute", category="shard",
                       parent=parent) as span:
             t0 = time.perf_counter()
             logits = self.plan.run(x)
-            self.metrics.add_stage_time("compute", time.perf_counter() - t0)
+            compute_s = time.perf_counter() - t0
             span.add_counter("samples", x.shape[0])
-            return logits
+            return logits, compute_s
 
     def _run_fallback(self, shard: np.ndarray) -> np.ndarray:
         """Degrade one failed shard to fixed-point reference execution.

@@ -47,10 +47,11 @@ class SCConfig:
     #: allocation study.
     layer_phase_lengths: dict = None
     #: Working-set budget (KiB) for one product tile of the word
-    #: kernel: ``rows x channels x words x lanes`` uint64 AND products,
-    #: tiled so each stays inside it; ~L2/L3-sized keeps the broadcast
-    #: AND/OR tiles cache-resident.  A compiled ExecutionPlan may
-    #: autotune a per-layer budget instead.
+    #: kernel: ``rows x channels x words x lanes`` AND products in the
+    #: plane's word type (8, 16, 32 or 64 bits, chosen by stream
+    #: length), tiled so each stays inside it; ~L2/L3-sized keeps the
+    #: broadcast AND/OR tiles cache-resident.  A compiled ExecutionPlan
+    #: may autotune a per-layer budget instead.
     block_kib: int = 4096
 
     def __post_init__(self):

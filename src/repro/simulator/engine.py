@@ -5,17 +5,21 @@ pairs, reduce across the fan-in, and count.  The paper notes "SC is
 extremely slow to accurately simulate in software"; everything here is
 built to make it merely slow:
 
-**Word packing.**  Streams are packed 64 clocks per ``uint64`` word
-(:func:`repro.core.bitstream.pack_words`), so one ALU op covers 64
-simulated clocks.  The tests check every count against the gate-level
-oracle of :mod:`repro.simulator.reference`, which keeps one boolean per
-gate output per clock.  A planned split-unipolar matmul whose phase
-length ``L`` leaves a word at most half full (``1 <= L mod 64 <= 32``)
-and whose two phases encode the same lanes lays both phases end to end
-in one stream of ``2L`` clocks (:class:`SplitMatmulPlan`): one
-AND/OR/popcount pass and one encode gather serve both, and the down
-phase's bits are counted negatively by flipping them before the
-popcount.
+**Word packing.**  Streams are packed into kernel words sized to the
+clocks a plane's streams carry
+(:func:`repro.core.bitstream.word_type`): one ``uint8``, ``uint16`` or
+``uint32`` word for at most 8, 16 or 32 clocks, else ``uint64`` words
+of 64 clocks each.  One ALU op covers a whole word, and a short stream
+(a pooled pass, a low-precision layer) moves no zero padding through
+the AND/OR/popcount passes.  The tests check every count against the
+gate-level oracle of :mod:`repro.simulator.reference`, which keeps one
+boolean per gate output per clock.  A planned split-unipolar matmul
+whose phase length ``L`` leaves a 64-bit word at most half full
+(``1 <= L mod 64 <= 32``) and whose two phases encode the same lanes
+lays both phases end to end in one stream of ``2L`` clocks
+(:class:`SplitMatmulPlan`): one AND/OR/popcount pass and one encode
+gather serve both, and the down phase's bits are counted negatively by
+flipping them before the popcount.
 
 **Shared-lane activation encoding.**  One SNG lane per fan-in element,
 time-multiplexed across the output positions of a chunk — exactly how
@@ -58,7 +62,7 @@ import numpy as np
 
 from .. import obs
 from ..core.bitstream import (packed_popcount, pack_words, popcount_words,
-                              words_from_bytes)
+                              word_type, words_from_bytes)
 from ..core.rng import NumpyRandomSource, make_source
 
 __all__ = ["popcount_packed", "encode_packed", "split_or_matmul_counts",
@@ -108,7 +112,8 @@ def _quantize_targets(values: np.ndarray, bits: int) -> np.ndarray:
 
 def _build_encode_table(scheme: str, bits: int, seed, lanes: int,
                         length: int, offset: int = 0) -> np.ndarray:
-    """Value -> word-packed stream table, ``(lanes, 2**bits + 1, W)``.
+    """Value -> word-packed stream table, ``(lanes, 2**bits + 1, W)``,
+    in the :func:`~repro.core.bitstream.word_type` of its clocks.
 
     Row ``[k, v]`` is the packed stream a comparator SNG on lane ``k``
     emits for target ``v`` — identical bits to encoding ``v / 2**bits``
@@ -130,8 +135,9 @@ def _build_encode_table(scheme: str, bits: int, seed, lanes: int,
                                      offset=offset)
         span = thresholds.shape[-1]
         levels = 1 << bits
-        n_words = (span + 63) // 64
-        table = np.zeros((lanes, levels + 1, n_words), dtype=np.uint64)
+        dtype = word_type(span)
+        n_words = -(-span // (8 * dtype.itemsize))
+        table = np.zeros((lanes, levels + 1, n_words), dtype=dtype)
         # The byte view is the np.packbits layout (pack_words): clock t
         # is bit 0x80 >> (t % 8) of byte t // 8.  Bit j of every byte
         # holds clocks j, j + 8, ...: one clock per (lane, byte), so no
@@ -388,7 +394,8 @@ def _encode_chunk_words(values: np.ndarray, length: int, bits: int,
             values = values[:, lane_subset]
         targets = _quantize_targets(values, bits)
         thr = thresholds[rotation]
-        return _time_major(pack_words(thr < targets[:, :, None]))
+        return _time_major(pack_words(thr < targets[:, :, None],
+                                      word_type(thr.shape[-1])))
 
 
 def _group_channel_bounds(n_chan: int, channel_groups: int) -> list:
@@ -612,7 +619,7 @@ def _lane_span(active, c0: int, c1: int, n_lanes: int) -> tuple:
     return int(used[0]), int(used[-1]) + 1
 
 
-def _plane_blocks(active, n_lanes: int, n_chan: int, n_words: int,
+def _plane_blocks(active, n_lanes: int, n_chan: int, lane_bytes: int,
                   block_bytes: int, channel_groups: int) -> list:
     """Cut one (channel, lane) weight plane into channel blocks.
 
@@ -622,10 +629,12 @@ def _plane_blocks(active, n_lanes: int, n_chan: int, n_words: int,
     stream, not silence).  Blocks are cut inside each of
     ``channel_groups`` equal channel groups, in equal widths no wider
     than one activation row times the group's lane span fits
-    ``block_bytes`` (``channels x W x lanes x 8``); the rows a call
-    carries are tiled at run time (:func:`_row_step`).  Each block ANDs
-    a view of the span from its first to its last active lane: the
-    whole union for a dense block, the group's span for a grouped conv.
+    ``block_bytes`` (``channels x lanes x lane_bytes``, ``lane_bytes``
+    being one lane's stream: ``W`` words of the plane's word type); the
+    rows a call carries are tiled at run time (:func:`_row_step`).  Each
+    block ANDs a view of the span from its first to its last active
+    lane: the whole union for a dense block, the group's span for a
+    grouped conv.
     Inactive lanes inside the span hold all-zero weight words, exact
     no-ops for the OR and APC reductions.
 
@@ -639,7 +648,7 @@ def _plane_blocks(active, n_lanes: int, n_chan: int, n_words: int,
         lo, hi = _lane_span(active, g0, g1, n_lanes)
         if g1 == g0 or hi == lo:
             continue
-        width = _balanced(g1 - g0, _row_fit(n_words * (hi - lo),
+        width = _balanced(g1 - g0, _row_fit(lane_bytes * (hi - lo),
                                             block_bytes))
         for c0 in range(g0, g1, width):
             c1 = min(c0 + width, g1)
@@ -649,10 +658,10 @@ def _plane_blocks(active, n_lanes: int, n_chan: int, n_words: int,
     return blocks
 
 
-def _row_fit(row_words: int, block_bytes: int) -> int:
-    """How many ``row_words``-word rows fit ``block_bytes`` (at least
+def _row_fit(row_bytes: int, block_bytes: int) -> int:
+    """How many ``row_bytes``-byte rows fit ``block_bytes`` (at least
     one)."""
-    return max(1, block_bytes // (8 * row_words))
+    return max(1, block_bytes // row_bytes)
 
 
 def _balanced(total: int, most: int) -> int:
@@ -662,10 +671,10 @@ def _balanced(total: int, most: int) -> int:
     return -(-total // parts)
 
 
-def _row_step(rows: int, row_words: int, block_bytes: int) -> int:
-    """Rows per tile of a block whose one-row product is ``row_words``
-    words: as many as fit the budget, balanced over ``rows``."""
-    return _balanced(rows, _row_fit(row_words, block_bytes))
+def _row_step(rows: int, row_bytes: int, block_bytes: int) -> int:
+    """Rows per tile of a block whose one-row product is ``row_bytes``
+    bytes: as many as fit the budget, balanced over ``rows``."""
+    return _balanced(rows, _row_fit(row_bytes, block_bytes))
 
 
 def _run_tiles(out, a_words, plane, *, op: str, block_bytes: int,
@@ -675,8 +684,9 @@ def _run_tiles(out, a_words, plane, *, op: str, block_bytes: int,
     ``a_words`` is the chunk's ``(R, W, lanes)`` time-major activation
     words for ``plane`` (a :class:`_Plane`).  Every block is tiled over
     the chunk's rows (:func:`_row_step`) and each tile's products are
-    formed in ``scratch`` (``out=``), so no tile allocates its
-    intermediate.  ``op`` is ``"or"`` (AND, OR over lanes, popcount),
+    formed in ``scratch`` (bytes, viewed as the plane's words;
+    ``out=``), so no tile allocates its intermediate.  ``op`` is
+    ``"or"`` (AND, OR over lanes, popcount),
     ``"apc"`` (AND, popcount over lanes and words) or ``"xnor"`` (the
     bipolar gated XNOR, formed as XOR against pre-inverted weights, then
     OR and popcount).  The counts enter ``out`` with the plane's
@@ -684,7 +694,8 @@ def _run_tiles(out, a_words, plane, *, op: str, block_bytes: int,
     inverted before the popcount instead, which then over-counts by
     ``bias`` per reduced word row (per lane for APC), subtracted per
     tile.  ``jit_or`` replaces the ``"or"`` reduction with a fused loop
-    that applies ``flip`` itself.  Returns the tiles run.
+    that applies ``flip`` itself (64-bit words only).  Returns the
+    tiles run.
     """
     rows = a_words.shape[0]
     combine = np.bitwise_xor if op == "xnor" else np.bitwise_and
@@ -692,15 +703,15 @@ def _run_tiles(out, a_words, plane, *, op: str, block_bytes: int,
     tiles = 0
     for c0, c1, lanes in plane.blocks:
         ww = plane.w_words[c0:c1, :, lanes]
-        step = _row_step(rows, ww.size, block_bytes)
+        step = _row_step(rows, ww.nbytes, block_bytes)
         for r0 in range(0, rows, step):
             r1 = min(r0 + step, rows)
             aw = a_words[r0:r1, :, lanes]
             if jit_or is not None:
                 counts = jit_or(aw, ww, flip)
             else:
-                prods = scratch[:(r1 - r0) * ww.size].reshape(
-                    (r1 - r0,) + ww.shape)
+                prods = scratch[:(r1 - r0) * ww.nbytes].view(
+                    ww.dtype).reshape((r1 - r0,) + ww.shape)
                 combine(aw[:, None], ww[None], out=prods)
                 if op == "apc":
                     if bias:
@@ -724,13 +735,15 @@ def _run_tiles(out, a_words, plane, *, op: str, block_bytes: int,
 def _window_words(packed: list, length: int) -> np.ndarray:
     """Word-pack byte-packed ``length``-clock streams laid end to end
     along time: stream ``i`` of ``packed`` fills clocks ``[i * length,
-    (i + 1) * length)``.  One stream, or streams of whole bytes,
-    concatenate byte-wise; others bit by bit."""
+    (i + 1) * length)``, in the word type of all ``len(packed) *
+    length`` clocks.  One stream, or streams of whole bytes, concatenate
+    byte-wise; others bit by bit."""
+    dtype = word_type(len(packed) * length)
     if len(packed) == 1 or length % 8 == 0:
-        return words_from_bytes(np.concatenate(packed, axis=-1))
+        return words_from_bytes(np.concatenate(packed, axis=-1), dtype)
     return pack_words(np.concatenate(
         [np.unpackbits(p, axis=-1, count=length) for p in packed],
-        axis=-1))
+        axis=-1), dtype)
 
 
 class _Plane:
@@ -745,6 +758,8 @@ class _Plane:
     ``flip`` (``(W,)`` words) marks the down-phase clocks, and with them
     inverted the popcount reads ``up - down + bias``, ``bias`` being the
     number of flipped clocks (``L``).  ``flip`` is all zero otherwise.
+    Every word of the plane is of the word type of its
+    ``len(windows) * L`` clocks.
     """
 
     __slots__ = ("windows", "active", "union", "w_words", "select_words",
@@ -759,8 +774,9 @@ class _Plane:
         self.select_words = select_words    # (W, lanes) MUX gate or None
         packed = len(windows) > 1
         self.sign = -1 if windows == (1,) else 1
-        self.flip = pack_words(np.repeat(
-            [packed and phase == 1 for phase in windows], length))
+        self.flip = pack_words(
+            np.repeat([packed and phase == 1 for phase in windows], length),
+            word_type(len(windows) * length))
         self.bias = length if packed else 0
         self.blocks = []
 
@@ -817,35 +833,37 @@ class _TiledMatmulPlan:
         """(Re)cut the channel blocks for the ``block_bytes`` budget.
 
         ``block_bytes`` bounds one tile's product intermediate
-        (``rows x channels x W x lanes x 8`` bytes; a single row of a
-        single channel may exceed it).  Tiling never changes an output
-        bit — popcounts are exact integers and channels independent —
-        so the autotuner is free to measure any budget.  Returns
-        ``self``.
+        (``rows x channels x W x lanes`` words of the planes' word type;
+        a single row of a single channel may exceed it).  Tiling never
+        changes an output bit — popcounts are exact integers and
+        channels independent — so the autotuner is free to measure any
+        budget.  Returns ``self``.
         """
         self.block_bytes = (block_bytes if block_bytes is not None
                             else DEFAULT_BLOCK_BYTES)
         for ph in self.phases:
             ph.blocks = _plane_blocks(
                 ph.active, ph.w_words.shape[-1], self.n_chan,
-                ph.w_words.shape[1], self.block_bytes, self.channel_groups)
+                ph.w_words.shape[1] * ph.w_words.itemsize, self.block_bytes,
+                self.channel_groups)
         # A packed plane ANDs each (channel, lane) pair for both phases.
         self.active_product_lanes = sum(
             len(ph.windows) * (c1 - c0) * (lanes.stop - lanes.start)
             for ph in self.phases for c0, c1, lanes in ph.blocks)
         return self
 
-    def _row_words(self) -> list:
-        """One activation row's product words in each block, all
+    def _row_bytes(self) -> list:
+        """One activation row's product bytes in each block, all
         planes."""
-        return [(c1 - c0) * ph.w_words.shape[1] * (lanes.stop - lanes.start)
+        return [(c1 - c0) * ph.w_words.shape[1] * ph.w_words.itemsize
+                * (lanes.stop - lanes.start)
                 for ph in self.phases for c0, c1, lanes in ph.blocks]
 
     def tile_count(self, rows: int) -> int:
         """Tiles a call of ``rows`` rows (one chunk) runs, all planes."""
-        return sum(len(range(0, rows, _row_step(rows, words,
+        return sum(len(range(0, rows, _row_step(rows, row_bytes,
                                                 self.block_bytes)))
-                   for words in self._row_words())
+                   for row_bytes in self._row_bytes())
 
     # -- skip accounting ----------------------------------------------
 
@@ -935,16 +953,21 @@ class _TiledMatmulPlan:
         return self._run(acts, chunks, self._jit(jit_or), record)
 
     def _jit(self, jit_or):
-        """The fused loop serves the OR reduction (OR and MUX plans)."""
-        return jit_or if self._op == "or" else None
+        """The fused loop serves the OR reduction (OR and MUX plans) of
+        64-bit words."""
+        if self._op != "or" or any(ph.w_words.itemsize != 8
+                                   for ph in self.phases):
+            return None
+        return jit_or
 
     def _scratch(self, rows: int) -> np.ndarray:
-        """Product scratch for one call: the largest tile any chunk of
-        at most ``rows`` rows runs.  Per call, never stored on the
-        plan, because thread workers share one plan object."""
-        need = max((words * min(rows, _row_fit(words, self.block_bytes))
-                    for words in self._row_words()), default=0)
-        return np.empty(need, dtype=np.uint64)
+        """Product scratch bytes for one call: the largest tile any
+        chunk of at most ``rows`` rows runs.  Per call, never stored on
+        the plan, because thread workers share one plan object."""
+        need = max((row_bytes * min(rows, _row_fit(row_bytes,
+                                                   self.block_bytes))
+                    for row_bytes in self._row_bytes()), default=0)
+        return np.empty(need, dtype=np.uint8)
 
     def _run(self, acts, chunks, jit_or, record) -> np.ndarray:
         """Encode and tile ``chunks`` (``(rows of acts, chunk start,
@@ -1115,8 +1138,8 @@ class BipolarMatmulPlan(_TiledMatmulPlan):
                 offset=bit_offset)
         select = _mux_select_matrix(self.fan_in, length, seed + 104_729,
                                     offset=bit_offset)
-        select_words = _time_major(words_from_bytes(select))
-        w_sel = (~_time_major(words_from_bytes(weight_stream))
+        select_words = _time_major(_window_words([select], length))
+        w_sel = (~_time_major(_window_words([weight_stream], length))
                  & select_words[None, :, :])
         # One plane, seeded like the split plan's up phase: the bipolar
         # chunk seed is the split up-phase formula.

@@ -23,6 +23,10 @@ broadcasts.  ``flip`` marks the down-phase clocks of a plane that
 packs both split-unipolar phases (all zero for any other plane; see
 :class:`~repro.simulator.engine.SplitMatmulPlan`), which the caller
 turns into a signed count by subtracting their number.
+
+The loop serves 64-bit planes only.  The engine sizes a plane's words
+to its clocks, and planes of 8-, 16- or 32-bit words (streams of at
+most 32 clocks) keep the numpy path.
 """
 
 from __future__ import annotations

@@ -16,12 +16,15 @@ from repro.core.bitstream import (
     scc_matrix,
     unpack_stream,
     unpack_words,
+    word_type,
     words_from_bytes,
 )
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=1, max_size=200).map(
     lambda bits: np.array(bits, dtype=np.uint8)
 )
+
+WORD_TYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
 
 
 class TestPacking:
@@ -128,7 +131,32 @@ class TestScc:
 
 
 class TestWordPacking:
-    """uint64 word layout: the view of the np.packbits byte layout."""
+    """Word layouts: views of the np.packbits byte layout."""
+
+    @pytest.mark.parametrize("clocks,dtype,n_words", [
+        (1, np.uint8, 1), (8, np.uint8, 1), (9, np.uint16, 1),
+        (16, np.uint16, 1), (17, np.uint32, 1), (32, np.uint32, 1),
+        (33, np.uint64, 1), (64, np.uint64, 1), (65, np.uint64, 2)])
+    def test_word_type_rule(self, clocks, dtype, n_words):
+        # One word of the narrowest type that holds a stream of at most
+        # 32 clocks; 64-bit words beyond.
+        assert word_type(clocks) == dtype
+        words = pack_words(np.ones(clocks, dtype=np.uint8),
+                           word_type(clocks))
+        assert words.dtype == dtype and words.shape == (n_words,)
+        assert popcount_words(words) == clocks
+
+    @given(bit_arrays, st.sampled_from(WORD_TYPES))
+    @settings(max_examples=60, deadline=None)
+    def test_word_types_round_trip(self, bits, dtype):
+        words = pack_words(bits, dtype)
+        per_word = 8 * np.dtype(dtype).itemsize
+        assert words.dtype == dtype
+        assert words.shape == (-(-bits.size // per_word),)
+        assert np.array_equal(unpack_words(words, bits.size), bits)
+        assert popcount_words(words) == bits.sum()
+        assert np.array_equal(words_from_bytes(pack_stream(bits), dtype),
+                              words)
 
     @pytest.mark.parametrize("length", [1, 7, 63, 64, 65, 100, 128, 200])
     def test_pack_unpack_words_roundtrip(self, length):
@@ -164,10 +192,13 @@ class TestWordPacking:
     def test_popcount_words_numpy_fallback(self, monkeypatch):
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, (5, 150), dtype=np.uint8)
-        words = pack_words(bits)
-        want = popcount_words(words)
+        want = bits.sum(axis=-1)
         monkeypatch.delattr(np, "bitwise_count", raising=False)
-        assert np.array_equal(popcount_words(words), want)
+        for dtype in WORD_TYPES:
+            words = pack_words(bits, dtype)
+            assert np.array_equal(popcount_words(words), want)
+            assert np.array_equal(popcount_words(words, axis=(-2, -1)),
+                                  want.sum())
 
 
 class TestSccMatrixVectorized:

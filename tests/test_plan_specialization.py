@@ -606,3 +606,32 @@ class TestJitLayer:
             assert np.array_equal(
                 plan.execute(acts),
                 plan.execute(acts, jit_or=scjit._reference_or_popcount))
+
+    @pytest.mark.parametrize("length,one_signed,fused", [
+        (4, False, False), (16, False, False), (32, True, False),
+        (32, False, True), (70, False, True)])
+    def test_fused_loop_sees_only_64_bit_words(self, length, one_signed,
+                                               fused):
+        # The fused loop is 64-bit only.  Every lane carrying both signs
+        # packs both phases: L=4 and L=16 into one 8- and one 32-bit
+        # word, which keep the numpy path, L=32 and L=70 into 64-bit
+        # words.  A one-signed lane keeps two 32-clock planes at L=32.
+        rng = np.random.default_rng(9)
+        acts = rng.random((5, 9))
+        weights = np.abs(rng.uniform(-1.0, 1.0, (4, 9)))
+        weights[1::2] *= -1.0
+        if one_signed:
+            weights[:, 0] = np.abs(weights[:, 0])
+        plan = SplitMatmulPlan(weights, length=length, bits=8,
+                               scheme="lfsr", seed=2)
+        assert len(plan.phases) == (2 if one_signed else 1)
+        seen = []
+
+        def loop(aw, ww, flip):
+            seen.append((aw.dtype, ww.dtype, flip.dtype))
+            return scjit._reference_or_popcount(aw, ww, flip)
+
+        assert np.array_equal(plan.execute(acts),
+                              plan.execute(acts, jit_or=loop))
+        assert bool(seen) == fused
+        assert all(d == np.uint64 for dtypes in seen for d in dtypes)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bitstream import word_type
 from repro.runtime import ExecutionPlan
 from repro.simulator import (SCConfig, SCConv2d, SCFlatten, SCLinear,
                              SCNetwork, SCReLU, SCResidual)
@@ -119,7 +120,7 @@ def _check_plan(acts, weights, variant, rows, **kwargs):
 
 
 class TestPlansMatchOracle:
-    @pytest.mark.parametrize("length", [7, 32, 33, 64, 65])
+    @pytest.mark.parametrize("length", [4, 7, 8, 16, 32, 33, 64, 65])
     @pytest.mark.parametrize("bit_offset", [0, 5, 64])
     @pytest.mark.parametrize("variant", ["or", "apc", "mux", "bipolar"])
     def test_grid(self, variant, bit_offset, length):
@@ -127,7 +128,10 @@ class TestPlansMatchOracle:
         the word and half-word edges, lfsr and vdc, and rows spread over
         chunks of 3 and 8.  Lanes carrying both signs let both split
         phases share one packed plane where the length allows it; a
-        one-signed lane keeps them apart."""
+        one-signed lane keeps them apart.  Each plane's words are of the
+        word type of its clocks: the packed planes of lengths 4, 8 and
+        16 take 8-, 16- and 32-bit words, the unpacked planes of lengths
+        16 and 32 take 16- and 32-bit words."""
         rng = np.random.default_rng(length * 100 + bit_offset)
         acts = rng.random((19, 6))
         rows = np.flatnonzero(rng.random(19) < 0.6)
@@ -148,13 +152,16 @@ class TestPlansMatchOracle:
                     if variant != "bipolar":
                         assert len(plan.phases) == (
                             1 if packs and weights is dense else 2)
+                    for ph in plan.phases:
+                        assert ph.w_words.dtype == word_type(
+                            len(ph.windows) * length)
 
     @given(seed=st.integers(0, 2**32 - 1),
            n_rows=st.integers(1, 19),
            n_chan=st.integers(1, 5),
            fan_in=st.integers(1, 9),
            zero_fraction=st.floats(0.0, 1.0),
-           length=st.sampled_from([1, 7, 32, 33, 64, 65, 100]),
+           length=st.sampled_from([1, 4, 7, 8, 16, 32, 33, 64, 65, 100]),
            bit_offset=st.sampled_from([0, 5, 64]),
            bits=st.sampled_from([6, 8, 10]),
            scheme=st.sampled_from(["lfsr", "vdc", "random"]),
@@ -218,7 +225,7 @@ class TestGeneratedGraphs:
     @given(stack=sc_stacks(),
            variant=st.sampled_from(["or", "apc", "mux", "bipolar"]),
            scheme=st.sampled_from(["lfsr", "vdc"]),
-           length=st.sampled_from([7, 32, 33, 64, 65]),
+           length=st.sampled_from([7, 16, 32, 33, 64, 65]),
            samples=st.integers(1, 3),
            seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)

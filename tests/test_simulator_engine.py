@@ -202,8 +202,11 @@ class TestEncodeCacheEviction:
         self._filler(cache, seed=1)
         hits, misses = cache.counters()
         assert (hits, misses) == (1, 3)
-        # A table bigger than a third of the budget forces eviction.
-        cache.table("lfsr", 8, 99, lanes=8, length=64)
+        # A table bigger than a third of the budget forces eviction:
+        # twice a filler's lanes at its length, so two fillers' bytes
+        # whatever word type the filler's clocks take.
+        huge = self._filler(cache, seed=99, lanes=8)
+        assert huge.nbytes == 2 * one
         assert cache.info()["bytes"] <= cache.max_bytes
         self._filler(cache, seed=1)          # survived (recently used)
         self._filler(cache, seed=2)          # evicted: rebuild misses
