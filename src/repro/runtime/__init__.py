@@ -7,8 +7,8 @@ engine plans; this package compiles those plans ahead of traffic and
 adds the serving machinery a production deployment needs:
 
 - :class:`ExecutionPlan` — compile once: shape validation, per-layer
-  engine plans built, autotuned and installed (or reused from the
-  fingerprint cache), per-layer cost metadata;
+  engine plans built (tiled at ``SCConfig.block_kib``) and installed,
+  or reused from the fingerprint cache, per-layer cost metadata;
 - :class:`WorkerPool` — serial / thread / process shard execution,
   bit-identical to serial at any worker count; a submitted request is
   dispatched on arrival, every shard at once, and resolves a future;

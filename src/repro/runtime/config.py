@@ -57,9 +57,11 @@ class RuntimeConfig:
         disabled fast path is a single boolean check per instrumented
         section, so serving throughput is unaffected.
     autotune_budget_s:
-        Compile-time budget for the per-layer block-schedule
-        measurement pass (``0`` disables measurement and keeps the
-        global ``SCConfig.block_kib``).
+        Validated (non-negative) and otherwise ignored: every engine
+        plan is tiled at ``SCConfig.block_kib``, with no compile-time
+        measurement.  The field stays only because the benchmark's
+        ``cnn_offline`` workload passes ``autotune_budget_s=0``; it goes
+        when that argument goes.
     shm:
         One of :data:`SHM_MODES`, validated and otherwise ignored: no
         backend publishes the plan to shared memory.  The field stays

@@ -5,12 +5,12 @@ fused SC-level :class:`~repro.ir.NetworkGraph` (one node per simulator
 layer) with a symbolic input shape.  The IR's shape inference validates
 layer compatibility up front; per layer the walk records a
 :class:`LayerPlan` row (stream lengths, weight lanes, the bitstream
-product-bits one sample simulates) and builds and autotunes the layer's
-engine plans and installs them in the layer's own plan cache
-(:mod:`repro.runtime.specialize`) — or installs them from the
-process-wide fingerprint cache without encoding a weight stream.  The
-graph the walk reads is derived from the network's live layers, so the
-compile sees the weights the layers hold now.
+product-bits one sample simulates) and gets or builds the layer's
+engine plans in the layer's own plan cache, each tiled once at the
+config's ``block_kib`` (:mod:`repro.runtime.specialize`) — or installs
+them from the process-wide fingerprint cache without encoding a weight
+stream.  The graph the walk reads is derived from the network's live
+layers, so the compile sees the weights the layers hold now.
 :meth:`ExecutionPlan.run` is then just
 :meth:`~repro.simulator.network.SCNetwork.forward`, the one network
 walker, finding every plan warm.
@@ -32,7 +32,7 @@ from ..ir import conv_output_hw
 from ..ir.passes import LEGALIZE_PASSES, group_facts, lower
 from ..simulator.config import SCConfig
 from ..simulator.network import SCNetwork
-from .specialize import (Specialization, TuningBudget, build_kernel_plan,
+from .specialize import (Specialization, build_kernel_plan,
                          lookup_kernel_plans, specialization_fingerprint,
                          store_kernel_plans)
 
@@ -78,15 +78,11 @@ class ExecutionPlan:
         Per-sample shape ``(C, H, W)`` (no batch dimension).
     config:
         Optional :class:`SCConfig` override; defaults to the network's.
-    autotune_budget_s:
-        Total compile-time budget for the per-layer block-schedule
-        measurement pass; ``0`` keeps the config's global ``block_kib``
-        everywhere.
+        Its ``block_kib`` is every engine plan's tile budget.
     """
 
     def __init__(self, network: SCNetwork, input_shape: tuple,
-                 config: SCConfig = None, *,
-                 autotune_budget_s: float = 0.25):
+                 config: SCConfig = None):
         config = config if config is not None else network.config
         # Share layer objects (and therefore plan caches) but pin the
         # plan to one config so runs cannot drift from what was compiled.
@@ -109,12 +105,11 @@ class ExecutionPlan:
                 self.network, self.input_shape, config)
             cached = lookup_kernel_plans(self._fingerprint)
             kernel_plans = {}
-            budget = TuningBudget(autotune_budget_s)
 
             def specialize(layer, info, fact, index):
                 plan = (cached[index] if cached is not None
                         else build_kernel_plan(layer, info, fact, index,
-                                               config, budget))
+                                               config))
                 layer.install(plan)
                 kernel_plans[index] = plan
 
@@ -126,8 +121,7 @@ class ExecutionPlan:
                 store_kernel_plans(self._fingerprint, kernel_plans)
             self.specialization = Specialization(
                 kernel_plans, from_cache=cached is not None,
-                build_seconds=time.perf_counter() - t0,
-                autotune_budget_s=autotune_budget_s)
+                build_seconds=time.perf_counter() - t0)
             span.add_counter("layers", len(self.layer_plans))
             span.add_counter("weight_lanes", self.weight_lanes)
         #: Product-lane bits simulated for one input sample.
@@ -227,8 +221,8 @@ class ExecutionPlan:
 
     def describe(self) -> str:
         """Per-layer plan table (shapes, stream lengths, simulated bits,
-        and the kernel variant, chosen block budget, and zero-lane skip
-        rate per conv/linear layer)."""
+        and the kernel variant, block budget, and zero-lane skip rate
+        per conv/linear layer)."""
         kernel_plans = self.specialization.plans
         rows = []
         for p in self.layer_plans:

@@ -61,9 +61,7 @@ class InferenceRuntime:
             obs.enable()
         self.metrics = RuntimeMetrics()
         with self.metrics.stage("plan"):
-            self.plan = ExecutionPlan(
-                network, input_shape, sc_config,
-                autotune_budget_s=self.config.autotune_budget_s)
+            self.plan = ExecutionPlan(network, input_shape, sc_config)
         if reference is not None and not isinstance(reference,
                                                     FixedPointNetwork):
             reference = FixedPointNetwork(reference)

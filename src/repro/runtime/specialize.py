@@ -16,13 +16,12 @@ walker, runs them:
   :class:`~repro.simulator.engine.SplitMatmulPlan` folds all-zero
   weight-lane masks into the plan: skipped lanes are never encoded,
   packed, ANDed, or popcounted (ACOUSTIC's or-unipolar *skipped* SC).
-- **Autotuned tile budgets** — each layer's tile working set
-  (``block_kib``, the budget the engine plans size their row x channel
-  tiles from) is picked by a small compile-time measurement pass under
-  :data:`AUTOTUNE_CANDIDATES_KIB` and a total time budget, replacing
-  the single global ``SCConfig.block_kib``.  Tiling is value-neutral,
-  so any choice is bit-identical, and a plan is tuned before it is
-  installed, so no thread ever runs a plan while it is retiled.
+- **Fixed tile budgets** — every engine plan cuts its row x channel
+  tiles once, when it is built, for the config's ``block_kib``; the
+  compile reads the plan the layer's own cache holds or builds (the
+  same get-or-build a first forward uses), so a compiled plan and a
+  first-use plan are one object.  Tiling is value-neutral, and the
+  schedule is a function of the network and config alone.
 
 Compiled kernel plans are cached process-wide, keyed by a fingerprint
 over the layer structure, the exact weight bytes, and the stream
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -45,11 +43,9 @@ from ..simulator import jit as scjit
 from ..simulator.layers import GatherPlan, SCConv2d, SCLinear, SCResidual
 
 __all__ = [
-    "AUTOTUNE_CANDIDATES_KIB",
     "GatherPlan",
     "KernelPlan",
     "Specialization",
-    "TuningBudget",
     "build_kernel_plan",
     "clear_specialization_cache",
     "lookup_kernel_plans",
@@ -57,12 +53,6 @@ __all__ = [
     "specialization_fingerprint",
     "store_kernel_plans",
 ]
-
-#: Working-set budgets (KiB) the compile-time measurement pass tries.
-AUTOTUNE_CANDIDATES_KIB = (256, 1024, 4096, 16384)
-
-#: Sample positions per autotune probe (one kernel chunk is 256).
-_PROBE_POSITIONS = 64
 
 
 @dataclass
@@ -78,7 +68,6 @@ class KernelPlan:
     gather: GatherPlan        # None for linear layers
     phase_length: int
     block_kib: int
-    autotuned: bool
     lanes_skipped_fraction: float
     encode_lanes_skipped: int
     zero_weight_lanes: int
@@ -92,11 +81,10 @@ class Specialization:
     """The kernel plans one compile installed, and what it decided."""
 
     def __init__(self, plans: dict, *, from_cache: bool,
-                 build_seconds: float, autotune_budget_s: float):
+                 build_seconds: float):
         self.plans = plans
         self.from_cache = from_cache
         self.build_seconds = build_seconds
-        self.autotune_budget_s = autotune_budget_s
 
     def summary(self) -> dict:
         """JSON-ready decision record for describe/metrics/bench."""
@@ -110,7 +98,6 @@ class Specialization:
                 "variant": plan.variant,
                 "phase_length": plan.phase_length,
                 "block_kib": plan.block_kib,
-                "autotuned": plan.autotuned,
                 "lanes_skipped_pct": round(
                     100.0 * plan.lanes_skipped_fraction, 2),
                 "encode_lanes_skipped": plan.encode_lanes_skipped,
@@ -125,7 +112,6 @@ class Specialization:
             "enabled": True,
             "from_cache": self.from_cache,
             "build_seconds": round(self.build_seconds, 6),
-            "autotune_budget_s": self.autotune_budget_s,
             "jit": scjit.status(),
             "layers": layers,
             "totals": {
@@ -224,86 +210,26 @@ def clear_specialization_cache() -> None:
 # Compilation
 # --------------------------------------------------------------------
 
-class TuningBudget:
-    """The measurement seconds one compile may still spend autotuning,
-    across all its layers (building plans and encoding weight streams
-    do not count)."""
-
-    def __init__(self, seconds: float):
-        self.left = max(0.0, seconds)
-
-
-def build_kernel_plan(layer, info, fact, index, config,
-                      budget: TuningBudget) -> KernelPlan:
+def build_kernel_plan(layer, info, fact, index, config) -> KernelPlan:
     """Specialize one conv/linear layer at compile time.
 
     ``info``/``fact`` are the layer's node shape info and
-    :class:`~repro.ir.passes.GroupFacts`.  The engine plan is the one
-    the layer already caches for this configuration, if any, or a new
-    one autotuned within ``budget`` *before* it is returned for
-    installing — a plan other threads may be running is never retiled.
+    :class:`~repro.ir.passes.GroupFacts`.  The engine plan and a conv's
+    gather come from the layer's own cache, built there on a miss
+    (:meth:`~repro.simulator.layers.SCLinear.matmul_plan`), so a plan a
+    forward already built is the one the compile records.
     """
     length = layer.stream_length(config, index)
     key = layer.plan_key(config, index, length)
-    gather, positions = None, 1
-    if info.node.kind == "conv":
-        gather = layer.gather_plan(info.in_shape)
-        positions = gather.positions
-    matmul = layer.plans.get(key)
-    autotuned = False
-    if matmul is None:
-        matmul = layer.build_plan(config, index, length)
-        t0 = time.perf_counter()
-        autotuned = _autotune(matmul, positions, config, t0 + budget.left)
-        budget.left -= time.perf_counter() - t0
+    gather = (layer.gather_plan(info.in_shape) if info.node.kind == "conv"
+              else None)
+    matmul = layer.matmul_plan(config, index, length)
     return KernelPlan(
         index=index, kind=info.node.kind, variant=key[0], key=key,
         matmul=matmul, gather=gather, phase_length=length,
-        block_kib=matmul.block_bytes // 1024, autotuned=autotuned,
+        block_kib=matmul.block_bytes // 1024,
         lanes_skipped_fraction=matmul.lanes_skipped_fraction,
         encode_lanes_skipped=matmul.encode_lanes_skipped,
         zero_weight_lanes=fact.zero_weight_lanes, sparsity=fact.sparsity,
         groups=layer.groups,
     )
-
-
-def _autotune(matmul, positions, config, deadline) -> bool:
-    """Retile ``matmul`` to the fastest candidate block budget; returns
-    whether more than one budget was measured.
-
-    Any tiling is bit-identical (tiles partition independent
-    popcounts), so this is purely a throughput decision.  Probes run
-    with ``record=False`` so they never pollute the kernel counters,
-    and the whole pass is bounded by the caller's deadline.  Layers
-    where every candidate cuts the probe into the same number of tiles
-    (all small layers) skip measurement outright.
-    """
-    default_kib = config.block_kib
-    if matmul.fan_in == 0 or matmul.n_chan == 0:
-        return False
-    rows = min(_PROBE_POSITIONS, max(1, positions))
-    # Fast path: if the tiling is insensitive to the budget range,
-    # there is nothing to tune.
-    tiles = {matmul.retile(kib * 1024).tile_count(rows)
-             for kib in (min(AUTOTUNE_CANDIDATES_KIB),
-                         max(AUTOTUNE_CANDIDATES_KIB))}
-    if len(tiles) == 1 or time.perf_counter() >= deadline:
-        matmul.retile(default_kib * 1024)
-        return False
-    rng = np.random.default_rng(0xB10C)
-    sample = rng.random((rows, matmul.fan_in))
-    candidates = [default_kib] + [k for k in AUTOTUNE_CANDIDATES_KIB
-                                  if k != default_kib]
-    matmul.retile(candidates[0] * 1024)
-    matmul.execute(sample, record=False)    # warm encode caches
-    timings = {}
-    for kib in candidates:
-        if timings and time.perf_counter() >= deadline:
-            break
-        matmul.retile(kib * 1024)
-        t0 = time.perf_counter()
-        matmul.execute(sample, record=False)
-        timings[kib] = time.perf_counter() - t0
-    best = min(timings, key=timings.get)
-    matmul.retile(best * 1024)
-    return len(timings) > 1

@@ -50,8 +50,9 @@ class SCConfig:
     #: kernel: ``rows x channels x words x lanes`` AND products in the
     #: plane's word type (8, 16, 32 or 64 bits, chosen by stream
     #: length), tiled so each stays inside it; ~L2/L3-sized keeps the
-    #: broadcast AND/OR tiles cache-resident.  A compiled ExecutionPlan
-    #: may autotune a per-layer budget instead.
+    #: broadcast AND/OR tiles cache-resident.  Every layer's engine plan
+    #: is tiled at this budget, once, when it is built — compiled by an
+    #: ExecutionPlan or on a layer's first forward alike.
     block_kib: int = 4096
 
     def __post_init__(self):

@@ -592,7 +592,10 @@ def _matmul_operands(acts, weights) -> tuple:
 
 
 class _NullSection:
-    """Timing-section stand-in for unrecorded (autotune probe) runs."""
+    """Timing-section stand-in for unrecorded runs: the generic
+    matmuls (:func:`split_or_matmul_counts`,
+    :func:`bipolar_mux_matmul_counts`), which time the call in their own
+    ``word:*`` section."""
 
     def __enter__(self):
         return self
@@ -829,15 +832,16 @@ class _TiledMatmulPlan:
 
     # -- tiling -------------------------------------------------------
 
-    def retile(self, block_bytes: int = None):
-        """(Re)cut the channel blocks for the ``block_bytes`` budget.
+    def _cut_blocks(self, block_bytes) -> None:
+        """Cut every plane's channel blocks, once, for the
+        ``block_bytes`` budget (default :data:`DEFAULT_BLOCK_BYTES`).
 
         ``block_bytes`` bounds one tile's product intermediate
         (``rows x channels x W x lanes`` words of the planes' word type;
         a single row of a single channel may exceed it).  Tiling never
         changes an output bit — popcounts are exact integers and
-        channels independent — so the autotuner is free to measure any
-        budget.  Returns ``self``.
+        channels independent.  The subclass constructors call this last;
+        the blocks are never re-cut, so threads share a plan freely.
         """
         self.block_bytes = (block_bytes if block_bytes is not None
                             else DEFAULT_BLOCK_BYTES)
@@ -850,7 +854,6 @@ class _TiledMatmulPlan:
         self.active_product_lanes = sum(
             len(ph.windows) * (c1 - c0) * (lanes.stop - lanes.start)
             for ph in self.phases for c0, c1, lanes in ph.blocks)
-        return self
 
     def _row_bytes(self) -> list:
         """One activation row's product bytes in each block, all
@@ -858,12 +861,6 @@ class _TiledMatmulPlan:
         return [(c1 - c0) * ph.w_words.shape[1] * ph.w_words.itemsize
                 * (lanes.stop - lanes.start)
                 for ph in self.phases for c0, c1, lanes in ph.blocks]
-
-    def tile_count(self, rows: int) -> int:
-        """Tiles a call of ``rows`` rows (one chunk) runs, all planes."""
-        return sum(len(range(0, rows, _row_step(rows, row_bytes,
-                                                self.block_bytes)))
-                   for row_bytes in self._row_bytes())
 
     # -- skip accounting ----------------------------------------------
 
@@ -882,8 +879,8 @@ class _TiledMatmulPlan:
     @property
     def lanes_skipped_fraction(self) -> float:
         """Share of the dense (channel, lane) pairs the tiles never AND
-        (``active_product_lanes``, set by :meth:`retile`, counts the
-        pairs they do)."""
+        (``active_product_lanes``, set when the blocks are cut, counts
+        the pairs they do)."""
         dense = self.dense_product_lanes
         if not dense:
             return 0.0
@@ -906,8 +903,8 @@ class _TiledMatmulPlan:
         inner loop for the OR and MUX accumulators (the popcount of the
         fan-in OR, ``flip`` XORed in; see :mod:`repro.simulator.jit`);
         APC and bipolar plans ignore it.  ``record=False`` skips the
-        kernel-counter accounting (autotune probes must not pollute the
-        serving metrics).
+        kernel-counter accounting (the generic matmuls time the call in
+        their own section).
         """
         acts = np.asarray(acts, dtype=np.float64)
         if acts.ndim != 2 or acts.shape[1] != self.fan_in:
@@ -1030,8 +1027,8 @@ class SplitMatmulPlan(_TiledMatmulPlan):
       (:func:`_plane_blocks`); the zero-weight words a span keeps are
       exact no-ops for the OR, APC and MUX reductions;
     - tiles are sized from the rows a call carries, within the
-      ``block_bytes`` budget, which :meth:`retile` lets a per-layer
-      autotuner pick from measurement;
+      ``block_bytes`` budget the blocks are cut for once, at
+      construction (a layer's plans use ``SCConfig.block_kib``);
     - when both phases encode the same lanes and the phase length
       leaves a word at most half full (``1 <= L mod 64 <= 32``, e.g. a
       pooled conv's 32-clock pass), the two phases share one plane:
@@ -1104,7 +1101,7 @@ class SplitMatmulPlan(_TiledMatmulPlan):
                         select_words[:, union])
             self.phases.append(_Plane(windows, active, union, w_words,
                                       select_words, length))
-        self.retile(block_bytes)
+        self._cut_blocks(block_bytes)
 
 
 class BipolarMatmulPlan(_TiledMatmulPlan):
@@ -1145,7 +1142,7 @@ class BipolarMatmulPlan(_TiledMatmulPlan):
         # chunk seed is the split up-phase formula.
         self.phases = [_Plane((0,), None, None, w_sel, select_words,
                               length)]
-        self.retile(block_bytes)
+        self._cut_blocks(block_bytes)
 
     def _values(self, acts: np.ndarray) -> np.ndarray:
         return (acts + 1.0) / 2.0

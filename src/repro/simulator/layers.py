@@ -96,11 +96,11 @@ class LayerPlanCache:
     :class:`GatherPlan` per input shape.  Fixed-length inference uses one
     matmul plan per layer; a progressive schedule adds one per clock
     window, hence the default room for a geometric schedule beside the
-    one-shot plan.  Installed plans are never modified, so concurrent
-    forwards share them; two threads missing the same key at worst
-    build the same plan twice.  The tile budget is not part of the key:
-    tiling never changes a bit, so a compiled plan's autotuned tiles
-    serve every forward with the layer's config.
+    one-shot plan.  A plan's tiles are cut once, when it is built, at
+    the ``block_kib`` its key carries, and nothing re-cuts them:
+    installed plans are never modified, so concurrent forwards share
+    them; two threads missing the same key at worst build the same plan
+    twice.
     """
 
     def __init__(self, max_entries: int = 16):
@@ -178,32 +178,30 @@ class _MatmulLayer:
     def plan_key(self, config: SCConfig, layer_index: int, length: int,
                  offset: int = 0) -> tuple:
         """Cache key of the plan counting clocks ``[offset, offset +
-        length)`` of layer ``layer_index`` under ``config``."""
+        length)`` of layer ``layer_index`` under ``config``, tiled at
+        its ``block_kib``."""
         variant = ("bipolar" if config.representation == "bipolar"
                    else f"split-{config.accumulator}")
         return (variant, length, config.bits, config.scheme,
-                config.layer_seed(layer_index, 0), offset)
-
-    def build_plan(self, config: SCConfig, layer_index: int, length: int,
-                   offset: int = 0):
-        """A new engine plan for :meth:`plan_key`'s window, tiled for
-        ``config.block_kib`` and not installed."""
-        common = dict(length=length, bits=config.bits, scheme=config.scheme,
-                      seed=config.layer_seed(layer_index, 0),
-                      block_bytes=config.block_kib * 1024,
-                      bit_offset=offset, channel_groups=self.groups)
-        if config.representation == "bipolar":
-            return BipolarMatmulPlan(self.weight_2d, **common)
-        return SplitMatmulPlan(self.weight_2d,
-                               accumulator=config.accumulator, **common)
+                config.layer_seed(layer_index, 0), offset, config.block_kib)
 
     def matmul_plan(self, config: SCConfig, layer_index: int, length: int,
                     offset: int = 0):
-        """The cached plan for :meth:`plan_key`'s window (built on a
-        miss)."""
+        """The cached engine plan for :meth:`plan_key`'s window; on a
+        miss, a new one tiled at ``config.block_kib`` is installed."""
+        def build():
+            common = dict(length=length, bits=config.bits,
+                          scheme=config.scheme,
+                          seed=config.layer_seed(layer_index, 0),
+                          block_bytes=config.block_kib * 1024,
+                          bit_offset=offset, channel_groups=self.groups)
+            if config.representation == "bipolar":
+                return BipolarMatmulPlan(self.weight_2d, **common)
+            return SplitMatmulPlan(self.weight_2d,
+                                   accumulator=config.accumulator, **common)
+
         return self.plans.get_or_build(
-            self.plan_key(config, layer_index, length, offset),
-            lambda: self.build_plan(config, layer_index, length, offset))
+            self.plan_key(config, layer_index, length, offset), build)
 
     def install(self, kernel_plan) -> None:
         """Install a compiled

@@ -100,7 +100,7 @@ def test_forward_matches_recorded_digest(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_plan_and_resumed_runs_match_recorded_digest(case):
     network, shape, x = _case(case)
-    plan = ExecutionPlan(network, shape, autotune_budget_s=0)
+    plan = ExecutionPlan(network, shape)
     assert _digest(plan.run(x)) == DIGESTS[case]
     length = network.config.phase_length
     resumed = network.forward_partial(x, length // 2).extend(length)

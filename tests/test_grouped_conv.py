@@ -183,9 +183,7 @@ class TestGroupAlignedTiling:
                 ir.conv(8, 8, 3, padding=1, groups=groups, weight=weight),
             ])
             config = SCConfig(phase_length=16, block_kib=block_kib)
-            # Autotune off: the block budget is the parameter under test.
-            return ExecutionPlan(SCNetwork.from_graph(graph, config), SHAPE,
-                                 autotune_budget_s=0)
+            return ExecutionPlan(SCNetwork.from_graph(graph, config), SHAPE)
 
         grouped, dense = plan(w, g), plan(dense_twin(w, g, SHAPE[0]), 1)
         x = rng.uniform(0, 1, (2,) + SHAPE)

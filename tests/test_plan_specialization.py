@@ -1,6 +1,6 @@
 """Bit-equivalence and behavior of the planned word kernel.
 
-The planned matmuls (gather plans, zero-lane skipping, retiled block
+The planned matmuls (gather plans, zero-lane skipping, block
 schedules, phase packing) are the only word kernel: every forward runs
 them, and the generic matmuls build one.  So the reference they are
 checked against is the gate-level oracle
@@ -65,11 +65,10 @@ class TestPlannedMatmuls:
         rng = np.random.default_rng(7)
         acts = rng.random((17, 23))
         weights = rng.uniform(-1.0, 1.0, (13, 23))
-        plan = SplitMatmulPlan(weights, length=100, bits=8, scheme="lfsr",
-                               seed=9)
-        baseline = plan.execute(acts)
-        assert np.array_equal(
-            baseline, plan.retile(block_bytes).execute(acts))
+        kwargs = dict(length=100, bits=8, scheme="lfsr", seed=9)
+        baseline = SplitMatmulPlan(weights, **kwargs).execute(acts)
+        plan = SplitMatmulPlan(weights, block_bytes=block_bytes, **kwargs)
+        assert np.array_equal(baseline, plan.execute(acts))
 
     @pytest.mark.parametrize("length", [7, 64, 100])
     def test_bipolar_plan_matches_generic(self, length):
@@ -83,7 +82,8 @@ class TestPlannedMatmuls:
                                **kwargs)
         plan = BipolarMatmulPlan(weights, **kwargs)
         assert np.array_equal(ref, plan.execute(acts))
-        assert np.array_equal(ref, plan.retile(256).execute(acts))
+        plan = BipolarMatmulPlan(weights, block_bytes=256, **kwargs)
+        assert np.array_equal(ref, plan.execute(acts))
 
     def test_all_zero_weights(self):
         acts = np.random.default_rng(0).random((6, 8))
@@ -153,8 +153,24 @@ def _zero_lanes(weights, pattern, groups, rng):
     return weights
 
 
-def _traced_counters(run) -> dict:
-    """Counters of the one ``kernel:plan:*`` span ``run()`` records."""
+def _matmul_layers(sc) -> dict:
+    """``{layer index: layer}`` of every conv/linear layer of ``sc``,
+    residual bodies included (under their sub-indices)."""
+    found = {}
+
+    def walk(indexed):
+        for index, layer in indexed:
+            if hasattr(layer, "indexed_body"):
+                walk(layer.indexed_body(index))
+            elif hasattr(layer, "plans"):
+                found[index] = layer
+
+    walk(enumerate(sc.layers))
+    return found
+
+
+def _plan_spans(run) -> list:
+    """The ``kernel:plan:*`` spans ``run()`` records."""
     was_enabled = obs.enabled()
     obs.reset()
     obs.enable()
@@ -165,8 +181,13 @@ def _traced_counters(run) -> dict:
         if not was_enabled:
             obs.disable()
         obs.reset()
-    spans = [sp for sp in obs.walk_spans([root])
-             if sp.name.startswith("kernel:plan:")]
+    return [sp for sp in obs.walk_spans([root])
+            if sp.name.startswith("kernel:plan:")]
+
+
+def _traced_counters(run) -> dict:
+    """Counters of the one ``kernel:plan:*`` span ``run()`` records."""
+    spans = _plan_spans(run)
     assert len(spans) == 1
     return spans[0].counters
 
@@ -217,7 +238,7 @@ class TestRowChannelTiler:
         # it in at most 4 tiles at the default budget (a full-chunk
         # schedule would cut each phase into 128 blocks).
         sc, shape = _network("mnist_mlp", phase_length=16)
-        plan = ExecutionPlan(sc, shape, autotune_budget_s=0)
+        plan = ExecutionPlan(sc, shape)
         kp = plan.specialization.plans[1]
         assert (kp.matmul.n_chan, kp.matmul.fan_in) == (256, 784)
         assert kp.block_kib == SCConfig().block_kib
@@ -226,7 +247,6 @@ class TestRowChannelTiler:
         planes = sum(1 for ph in kp.matmul.phases if ph.blocks)
         assert planes == 1
         assert 0 < counters["tiles"] <= 4 * planes
-        assert counters["tiles"] == kp.matmul.tile_count(2)
 
     def test_execute_rows_records_skipped_bits(self):
         weights = np.full((4, 10), 0.5)
@@ -261,7 +281,6 @@ class TestRowChannelTiler:
                       channel_groups=groups)
         for plan in (SplitMatmulPlan(weights, **kwargs),
                      BipolarMatmulPlan(weights, **kwargs)):
-            assert plan.tile_count(3) == 0
             assert plan.execute(acts).shape == (3, 0)
             assert plan.execute_rows(acts[:2], np.array([0, 5])).shape \
                 == (2, 0)
@@ -522,30 +541,63 @@ class TestSpecializationCache:
                    for i in k1)
 
     def test_cold_compile_installs_tuned_plans(self):
-        clear_specialization_cache()
-        sc, shape = _network("cifar10_cnn")
-        plan = ExecutionPlan(sc, shape, autotune_budget_s=2.0)
-        kernel_plans = plan.specialization.plans.values()
-        assert any(kp.autotuned for kp in kernel_plans)
-        for kp in kernel_plans:
-            assert sc.layers[kp.index].plans.get(kp.key) is kp.matmul
+        # Each plan is tuned to its layer's weights and to the config
+        # alone: two cold compiles agree layer for layer, every plan is
+        # cut at the default budget and is the one its layer runs.
+        layers = []
+        for _ in range(2):
+            clear_specialization_cache()
+            sc, shape = _network("tiny_resnet", phase_length=64)
+            plan = ExecutionPlan(sc, shape)
+            assert not plan.specialization.from_cache
+            layers.append(plan.specialization_summary()["layers"])
+        assert layers[0] == layers[1]
+        assert {row["block_kib"] for row in layers[0]} \
+            == {SCConfig().block_kib}
+        matmul_layers = _matmul_layers(sc)
+        for index, kp in plan.specialization.plans.items():
+            assert matmul_layers[index].plans.get(kp.key) is kp.matmul
             assert kp.matmul.block_bytes == kp.block_kib * 1024
+
+    def test_compile_tiles_every_plan_at_block_kib(self):
+        # Another budget cuts more, smaller tiles, never another bit —
+        # also on layers that already hold plans cut at the default.
+        clear_specialization_cache()
+        sc, shape = _network("tiny_resnet", phase_length=64)
+        plan = ExecutionPlan(sc, shape)
+        small = ExecutionPlan(sc, shape,
+                              SCConfig(phase_length=64, block_kib=1024))
+        assert {row["block_kib"] for row in
+                small.specialization_summary()["layers"]} == {1024}
+        x = np.random.default_rng(8).uniform(0, 1, (2,) + shape)
+        assert np.array_equal(small.run(x), plan.run(x))
+        tiles = [sum(sp.counters["tiles"]
+                     for sp in _plan_spans(lambda p=p: p.run(x)))
+                 for p in (plan, small)]
+        assert tiles[0] < tiles[1]
 
     def test_compile_never_retiles_an_installed_plan(self):
         # A forward leaves the layers' plans installed, where other
-        # threads may be running them: a later compile reuses them as
-        # they are instead of autotuning them in place.
+        # threads may be running them: a later compile installs those
+        # same objects, with the blocks that forward cut.
         clear_specialization_cache()
-        sc, shape = _network("cifar10_cnn")
+        sc, shape = _network("tiny_resnet", phase_length=64)
         sc.forward(np.random.default_rng(8).uniform(0, 1, (1,) + shape))
+        built = {index: layer.plans.values()
+                 for index, layer in _matmul_layers(sc).items()}
         blocks = {id(p): [ph.blocks for ph in p.phases]
-                  for layer in sc.layers if hasattr(layer, "plans")
-                  for p in layer.plans.values() if hasattr(p, "phases")}
-        plan = ExecutionPlan(sc, shape, autotune_budget_s=2.0)
-        for kp in plan.specialization.plans.values():
-            assert not kp.autotuned
-            assert all(a is b for a, b in zip(
-                blocks[id(kp.matmul)], [ph.blocks for ph in kp.matmul.phases]))
+                  for plans in built.values() for p in plans
+                  if hasattr(p, "phases")}
+        compiled = ExecutionPlan(sc, shape)
+        assert not compiled.specialization.from_cache
+        for index, layer in _matmul_layers(sc).items():
+            kp = compiled.specialization.plans[index]
+            assert kp.matmul is layer.plans.get(kp.key)
+            assert any(kp.matmul is p for p in built[index])
+            if hasattr(kp.matmul, "phases"):
+                assert all(a is b for a, b in zip(
+                    blocks[id(kp.matmul)],
+                    [ph.blocks for ph in kp.matmul.phases]))
 
     def test_group_facts_expose_sparsity(self):
         sc, shape = _network("lenet5")

@@ -185,8 +185,7 @@ class TestRegistryConcurrency:
         try:
             with ModelRegistry(warm=(), max_loaded=1, phase_length=4,
                                runtime_config=RuntimeConfig(
-                                   backend="serial", autotune_budget_s=0),
-                               ) as registry:
+                                   backend="serial")) as registry:
                 def hammer(i):
                     try:
                         start.wait(timeout=60)

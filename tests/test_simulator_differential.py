@@ -243,7 +243,7 @@ class TestGeneratedGraphs:
         x = np.random.default_rng(seed).random((samples,) + shape)
         want = sc.forward(x, counts=reference_step)
         assert np.array_equal(sc.forward(x), want)
-        plan = ExecutionPlan(sc, shape, autotune_budget_s=0)
+        plan = ExecutionPlan(sc, shape)
         assert np.array_equal(plan.run(x), want)
         resumed = sc.forward_partial(x, length // 2).extend(length)
         assert np.array_equal(resumed.logits, want)

@@ -404,8 +404,7 @@ class TestNaNInput:
         run = {
             "forward": lambda: sc.forward(x),
             "forward_partial": lambda: sc.forward_partial(x, 2),
-            "plan": lambda: ExecutionPlan(
-                sc, (1, 28, 28), autotune_budget_s=0).run(x),
+            "plan": lambda: ExecutionPlan(sc, (1, 28, 28)).run(x),
         }[path]
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             run()
