@@ -6,14 +6,16 @@ from dataclasses import dataclass
 
 __all__ = ["RuntimeConfig", "BACKENDS", "FALLBACKS", "SHM_MODES"]
 
-#: Worker-pool backends.  ``"serial"`` runs ``infer``'s shards in the
-#: calling thread (the reference execution order) and submitted requests'
-#: shards on one pool thread, ``"thread"`` shares the plan across a
-#: thread pool (numpy releases the GIL in the packed-bit kernels), and
-#: ``"process"`` forks/spawns workers that each receive the plan
-#: through the pool initializer (copy-on-write under ``fork``, unpickled
-#: under ``spawn``/``forkserver``) — the right choice for CPU-bound
-#: fan-out on multi-core hosts.
+#: Worker-pool backends; every request kind, progressive evaluations
+#: included, runs on the configured one.  ``"serial"`` runs ``infer``'s
+#: and ``infer_progressive``'s shards in the calling thread (the
+#: reference execution order) and submitted requests' shards on one pool
+#: thread, ``"thread"`` shares the plan across a thread pool (numpy
+#: releases the GIL in the packed-bit kernels), and ``"process"``
+#: forks/spawns workers that each receive the plan through the pool
+#: initializer (copy-on-write under ``fork``, unpickled under
+#: ``spawn``/``forkserver``) — the right choice for CPU-bound fan-out on
+#: multi-core hosts.
 #: Threads overlap only the kernels' native sections: each forward also
 #: holds the GIL for its Python-level work, so in probes of ``plan.run``
 #: on ``mnist_mlp`` at L=16 (1-2 rows per call, 2 vCPUs) two thread

@@ -216,29 +216,21 @@ class RuntimeMetrics:
         """Context manager accumulating wall time into ``name``."""
         return StageTimer(self, name)
 
-    def add_counts(self, *, requests: int = 0, batches: int = 0,
-                   shards: int = 0, samples: int = 0, fallbacks: int = 0,
-                   errors: int = 0, progressive_requests: int = 0,
-                   progressive_extensions: int = 0,
-                   progressive_early_exits: int = 0,
-                   progressive_final_length: int = 0) -> None:
+    def add_counts(self, *, shards: int = 0, samples: int = 0,
+                   fallbacks: int = 0, errors: int = 0) -> None:
         with self._lock:
-            self.requests += requests
-            self.batches += batches
             self.shards += shards
             self.samples += samples
             self.fallbacks += fallbacks
             self.errors += errors
-            self.progressive_requests += progressive_requests
-            self.progressive_extensions += progressive_extensions
-            self.progressive_early_exits += progressive_early_exits
-            self.progressive_final_length += progressive_final_length
 
     def add_shard(self, samples: int, bits_simulated: int,
                   compute_s: float, act_cache_hits: int = 0,
-                  act_cache_misses: int = 0) -> None:
+                  act_cache_misses: int = 0, progressive=None) -> None:
         """Count one completed shard and its ``compute`` time in one
-        update."""
+        update; ``progressive`` is a progressive shard's
+        :class:`~repro.runtime.progressive.ProgressiveOutcome`, whose
+        counters land in the same update."""
         with self._lock:
             self.shards += 1
             self.samples += samples
@@ -247,6 +239,11 @@ class RuntimeMetrics:
             self.act_cache_misses += act_cache_misses
             self.stage_seconds["compute"] = (
                 self.stage_seconds.get("compute", 0.0) + compute_s)
+            if progressive is not None:
+                self.progressive_requests += 1
+                self.progressive_extensions += progressive.extensions
+                self.progressive_early_exits += int(progressive.early_exit)
+                self.progressive_final_length += progressive.phase_length
 
     def add_queue_depth(self, delta: int) -> None:
         """Count requests in (``+1``) and out (``-1``) of flight."""

@@ -79,8 +79,9 @@ class ProgressivePolicy:
                      ) -> "ProgressivePolicy":
         """Normalize a wire-format policy: ``True`` means the default
         policy; a mapping overrides individual fields (unknown keys
-        rejected).  ``False``/``None`` returns ``None``."""
-        if spec is None or spec is False:
+        rejected).  An absent or empty spec (``None``, ``False``,
+        ``{}``) returns ``None``: a plain predict."""
+        if not spec:
             return None
         base = default if default is not None else cls()
         if spec is True:

@@ -5,12 +5,15 @@ exact functional simulator.  Construction compiles an
 :class:`~repro.runtime.plan.ExecutionPlan` (installing every layer's
 engine plans), then requests flow::
 
-    submit(x) -> WorkerPool.submit: shards -> executor -> merge -> Future
-    infer(x)  -> WorkerPool.run_batch: the same shards, caller waits
+    submit(x)  -> WorkerPool.submit: shards -> executor -> merge -> Future
+    infer(x)   -> WorkerPool.run_batch: the same shards, caller waits
+    infer_progressive(x, policy), submit(x, policy)
+               -> the same two entry points: one unsharded shard
 
 A submitted request is dispatched the moment it arrives: shards never
 span requests, so holding one back to coalesce it with others would
-buy no compute.
+buy no compute.  A progressive request is one more kind of pool work,
+under the same worker bound, metrics and cancellation as the others.
 
 Determinism: logits are a pure function of (request contents, SC
 config, shard_size) — independent of backend, worker count, concurrent
@@ -25,9 +28,11 @@ from .. import obs
 from ..simulator.config import SCConfig
 from ..simulator.fixedpoint import FixedPointNetwork
 from ..simulator.network import SCNetwork
+from ..simulator.progressive import check_resumable
 from .config import RuntimeConfig
 from .metrics import RuntimeMetrics
 from .plan import ExecutionPlan
+from .progressive import ProgressivePolicy
 from .workers import BatcherClosedError, WorkerPool
 
 __all__ = ["InferenceRuntime"]
@@ -86,17 +91,19 @@ class InferenceRuntime:
         self._check_input(x)
         return self.pool.run_batch(x)
 
-    def submit(self, x: np.ndarray):
+    def submit(self, x: np.ndarray, policy=None):
         """Asynchronous inference; returns a Future of the logits.
 
         The request goes straight to the worker pool
         (:meth:`WorkerPool.submit`): its shards start as soon as a
         worker is free, whatever other traffic is in flight.  Cancelling
         the future skips the shards that have not started.  Each
-        request counts as one batch in :meth:`snapshot`.
+        request counts as one batch in :meth:`snapshot`.  With a
+        progressive ``policy`` the request is :meth:`infer_progressive`'s
+        one shard, and the future resolves to its outcome.
         """
-        self._check_input(x)
-        return self.pool.submit(x)
+        self._check_input(x, policy)
+        return self.pool.submit(x, policy)
 
     def infer_progressive(self, x: np.ndarray, policy=None):
         """Synchronous anytime inference with confidence-gated early
@@ -106,24 +113,17 @@ class InferenceRuntime:
         (:meth:`ExecutionPlan.run_progressive`) under ``policy`` (a
         :class:`~repro.runtime.progressive.ProgressivePolicy`; default
         if ``None``) and returns the
-        :class:`~repro.runtime.progressive.ProgressiveOutcome`.
-        Bypasses the worker pool and its sharding — a progressive
-        request is one resumable evaluation whose state lives across
-        extension rounds.  Chosen-length and early-exit
-        counters land in :meth:`snapshot`.
+        :class:`~repro.runtime.progressive.ProgressiveOutcome`.  The
+        evaluation is one unsharded shard of :meth:`WorkerPool.run_batch`
+        on the configured backend — a progressive request is one
+        resumable evaluation whose state lives across extension rounds
+        — so its logits are the serial ones bit for bit.  Chosen-length
+        and early-exit counters land in :meth:`snapshot`.
         """
-        self._check_input(x)
-        x = np.asarray(x, dtype=np.float64)
-        with self.metrics.stage("compute"):
-            outcome = self.plan.run_progressive(x, policy)
-        self.metrics.add_counts(
-            requests=1, batches=1, samples=x.shape[0],
-            progressive_requests=1,
-            progressive_extensions=outcome.extensions,
-            progressive_early_exits=int(outcome.early_exit),
-            progressive_final_length=outcome.phase_length,
-        )
-        return outcome
+        if policy is None:
+            policy = ProgressivePolicy()
+        self._check_input(x, policy)
+        return self.pool.run_batch(x, policy)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Synchronous argmax over :meth:`infer` logits."""
@@ -186,12 +186,13 @@ class InferenceRuntime:
         self.close()
         return False
 
-    def _check_input(self, x) -> None:
+    def _check_input(self, x, policy=None) -> None:
         """Validate a request at the one boundary :meth:`infer`,
         :meth:`submit` and :meth:`infer_progressive` share: an open
         runtime, a batched array of the plan's per-sample shape, finite
-        values.  A bad array raises ``ValueError``, which serve answers
-        as ``bad_request``."""
+        values, and for a progressive ``policy`` a resumable plan.  A
+        bad request raises ``ValueError``, which serve answers as
+        ``bad_request``."""
         if self._closed:
             raise BatcherClosedError("runtime is closed")
         x = np.asarray(x)
@@ -211,3 +212,5 @@ class InferenceRuntime:
             if bad:
                 raise ValueError(
                     f"input holds {bad} non-finite value(s) (NaN or inf)")
+        if policy is not None:
+            check_resumable(self.plan.config)

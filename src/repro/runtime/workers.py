@@ -13,7 +13,9 @@ Two entry points share that sharding: :meth:`WorkerPool.run_batch`
 executes one batch for a waiting caller (the serial backend computes it
 inline), and :meth:`WorkerPool.submit` dispatches a request the moment
 it arrives — every shard goes to the executor at once — and returns a
-:class:`~concurrent.futures.Future` of the merged logits.
+:class:`~concurrent.futures.Future` of the merged logits.  Both take an
+optional progressive policy: the request is then one unsharded shard
+running the plan's resumable evaluation, on the same workers.
 
 On shard failure the pool can degrade gracefully: with
 ``fallback="fixedpoint"`` the failed shard is re-run on the 8-bit
@@ -28,7 +30,8 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor)
 
 import numpy as np
 
@@ -53,12 +56,9 @@ class BatcherClosedError(RuntimeError):
 
 # Per-process plan installed by the ProcessPoolExecutor initializer: a
 # copy-on-write copy of the parent's under ``fork``, an unpickled copy
-# under ``spawn`` and ``forkserver``.  The token identifies the executor
-# generation that installed it: shards carry the generation they were
-# compiled against, so a stale module-global plan (e.g. left behind by a
-# respawned pool) can never silently serve new traffic.
+# under ``spawn`` and ``forkserver``.  A pool's plan is fixed at
+# construction, and one executor's workers never take another's tasks.
 _WORKER_PLAN = None
-_WORKER_TOKEN = None
 _WORKER_BARRIER = None
 
 #: Workers wait at most this long for the warm-up barrier; a broken
@@ -66,10 +66,9 @@ _WORKER_BARRIER = None
 _HANDSHAKE_TIMEOUT_S = 30.0
 
 
-def _init_worker(plan: ExecutionPlan, token: int, barrier) -> None:
-    global _WORKER_PLAN, _WORKER_TOKEN, _WORKER_BARRIER
+def _init_worker(plan: ExecutionPlan, barrier) -> None:
+    global _WORKER_PLAN, _WORKER_BARRIER
     _WORKER_PLAN = plan
-    _WORKER_TOKEN = token
     _WORKER_BARRIER = barrier
 
 
@@ -85,24 +84,21 @@ def _worker_handshake() -> int:
     return os.getpid()
 
 
-def _run_shard_in_worker(x: np.ndarray, token: int) -> tuple:
+def _run_shard_in_worker(x: np.ndarray, policy=None) -> tuple:
     """Execute one shard in a pool process; returns stats for the parent.
 
     Worker processes have their own cache counters, so the
     activation-encode hit/miss deltas are measured here and folded into
-    the parent metrics with the result.  ``token`` must match the plan
-    generation installed by this process's initializer.
+    the parent metrics with the result.  Under a progressive ``policy``
+    the result is the evaluation's
+    :class:`~repro.runtime.progressive.ProgressiveOutcome`.
     """
-    if token != _WORKER_TOKEN:
-        raise RuntimeError(
-            f"worker holds plan generation {_WORKER_TOKEN}, shard wants "
-            f"{token}; the pool was respawned without reinstalling"
-        )
     t0 = time.perf_counter()
     a_h0, a_m0 = ENCODE_CACHE.counters()
-    logits = _WORKER_PLAN.run(x)
+    result = (_WORKER_PLAN.run(x) if policy is None
+              else _WORKER_PLAN.run_progressive(x, policy))
     a_h1, a_m1 = ENCODE_CACHE.counters()
-    return (logits, time.perf_counter() - t0, a_h1 - a_h0, a_m1 - a_m0)
+    return (result, time.perf_counter() - t0, a_h1 - a_h0, a_m1 - a_m0)
 
 
 class WorkerPool:
@@ -114,6 +110,14 @@ class WorkerPool:
     unpickled under ``spawn`` and ``forkserver``.  :meth:`run_batch`
     serves a waiting caller; :meth:`submit` dispatches a request on
     arrival and returns a future.
+
+    Given a :class:`~repro.runtime.progressive.ProgressivePolicy`, either
+    entry point runs :meth:`ExecutionPlan.run_progressive` as one
+    unsharded shard (a progressive request is one resumable evaluation)
+    and yields its :class:`~repro.runtime.progressive.ProgressiveOutcome`
+    instead of logits.  Such a shard clocks no ``bits_simulated``, gets
+    no fixed-point fallback, and records its ``progressive_*`` counters
+    in the shard's metrics update.
     """
 
     def __init__(self, plan: ExecutionPlan, config: RuntimeConfig,
@@ -125,11 +129,10 @@ class WorkerPool:
         self._executor = None
         self._executor_lock = threading.Lock()
         self._closed = False
-        self._plan_token = 0
 
     # -- public API --------------------------------------------------
 
-    def run_batch(self, x: np.ndarray) -> np.ndarray:
+    def run_batch(self, x: np.ndarray, policy=None):
         """Shard, execute, and merge one ``(N, ...)`` batch, returning
         when its last shard is in (the serial backend computes it
         inline, on the calling thread).  The batch counts as one
@@ -137,13 +140,13 @@ class WorkerPool:
         metrics update, failed or not."""
         with obs.span("pool:wave", category="pool") as wave:
             t0 = time.perf_counter()
-            shards = self._shards(x)
+            shards = self._shards(x, policy)
             dispatch_s = time.perf_counter() - t0
             merge_s = 0.0
             wave.add_counter("shards", len(shards))
             try:
-                futures = self._submit(shards)
-                outputs = [self._collect(future, shard)
+                futures = self._submit(shards, policy)
+                outputs = [self._collect(future, shard, policy)
                            for future, shard in zip(futures, shards)]
                 t0 = time.perf_counter()
                 logits = self._merge(outputs)
@@ -152,9 +155,10 @@ class WorkerPool:
                 self.metrics.add_request(dispatch_s, merge_s)
             return logits
 
-    def submit(self, x: np.ndarray) -> Future:
+    def submit(self, x: np.ndarray, policy=None) -> Future:
         """Dispatch one ``(N, ...)`` request now; returns a
-        :class:`~concurrent.futures.Future` of its logits.
+        :class:`~concurrent.futures.Future` of its logits (or, under a
+        progressive ``policy``, of its outcome).
 
         The request is sharded exactly as :meth:`run_batch` shards it
         (so its bits are :meth:`run_batch`'s), every shard goes to the
@@ -173,13 +177,13 @@ class WorkerPool:
         :meth:`close` has begun.
         """
         submitted_at = time.perf_counter()
-        request = _Request(self._shards(x), submitted_at)
+        request = _Request(self._shards(x, policy), policy, submitted_at)
         dispatch_s = time.perf_counter() - submitted_at
         if not request.shards:
             self.metrics.add_request(dispatch_s)
             request.resolve(self._merge([]))
             return request.future
-        request.shard_futures = self._submit(request.shards, request)
+        request.shard_futures = self._submit(request.shards, policy, request)
         self.metrics.add_request(dispatch_s, in_flight=1)
         request.future.add_done_callback(
             functools.partial(self._settle, request))
@@ -202,33 +206,13 @@ class WorkerPool:
         Concurrent closers all wait for in-flight shards to finish
         (``shutdown(wait=True)`` is itself reentrant), so every request
         :meth:`submit` accepted resolves; submits racing a close fail
-        with :class:`BatcherClosedError` instead of silently respawning
-        an executor after shutdown.  A process pool's workers have
+        with :class:`BatcherClosedError` instead of silently opening a
+        new executor after shutdown.  A process pool's workers have
         exited when this returns.
         """
         with self._executor_lock:
             self._closed = True
             executor = self._executor
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def respawn(self, plan: ExecutionPlan = None) -> None:
-        """Tear down the executor and reopen the pool, optionally with a
-        new plan.
-
-        A closed (or live) pool comes back serving the *current* plan:
-        the old executor's workers — whose module-global plan is now
-        stale — are shut down, and the next wave builds a fresh executor
-        whose initializer installs ``self.plan`` under a new generation
-        token.  Shards always carry their generation, so a worker that
-        somehow survived with the old plan fails loudly instead of
-        returning the old model's logits.
-        """
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-            self._closed = False
-            if plan is not None:
-                self.plan = plan
         if executor is not None:
             executor.shutdown(wait=True)
 
@@ -241,11 +225,12 @@ class WorkerPool:
 
     # -- execution backends ------------------------------------------
 
-    def _shards(self, x) -> list:
-        """``x`` cut into contiguous slices of at most ``shard_size``."""
+    def _shards(self, x, policy=None) -> list:
+        """``x`` cut into contiguous slices of at most ``shard_size``;
+        a progressive request is one shard, whatever its size."""
         x = np.asarray(x, dtype=np.float64)
         size = self.config.shard_size
-        if 0 < x.shape[0] <= size:
+        if policy is not None or 0 < x.shape[0] <= size:
             return [x]
         return [x[start:start + size] for start in range(0, x.shape[0], size)]
 
@@ -258,7 +243,7 @@ class WorkerPool:
             return outputs[0]
         return np.concatenate(outputs, axis=0)
 
-    def _submit(self, shards, request=None) -> list:
+    def _submit(self, shards, policy=None, request=None) -> list:
         """Dispatch shards; returns one future per shard, in order.
 
         :meth:`run_batch`'s shards (no ``request``) on the serial
@@ -269,24 +254,34 @@ class WorkerPool:
         wave's span is captured here, on the submitting thread, and
         handed to thread-pool shards so their ``shard:compute`` spans
         attach under it; a submitted request's shards start root spans.
+
+        An executor broken by a dead worker is replaced once and the
+        shards resubmitted: shards that were in flight on it fail with
+        its error, and the pool serves on.
         """
         if request is None and self.config.backend == "serial":
             # Inline shards nest under the wave, this thread's open span.
-            return [_Immediate(self._run_local, shard) for shard in shards]
+            return [_Immediate(self._run_local, shard, policy)
+                    for shard in shards]
         parent = obs.current() if request is None else None
         with self._executor_lock:
             executor = self._open_executor()
             try:
-                if self.config.backend == "process":
-                    token = self._plan_token
-                    return [executor.submit(_run_shard_in_worker, shard,
-                                            token) for shard in shards]
-                return [executor.submit(self._run_local, shard, parent,
-                                        request) for shard in shards]
-            except RuntimeError as exc:
-                # A broken process pool refuses new work; to the caller
-                # that is a closed pool, not an internal error.
-                raise BatcherClosedError("worker pool is closed") from exc
+                return self._enqueue(executor, shards, policy, parent,
+                                     request)
+            except BrokenExecutor:
+                executor.shutdown(wait=True)
+                self._executor = None
+                return self._enqueue(self._open_executor(), shards, policy,
+                                     parent, request)
+
+    def _enqueue(self, executor, shards, policy, parent, request) -> list:
+        """Hand each shard to ``executor`` (caller holds the lock)."""
+        if self.config.backend == "process":
+            return [executor.submit(_run_shard_in_worker, shard, policy)
+                    for shard in shards]
+        return [executor.submit(self._run_local, shard, policy, parent,
+                                request) for shard in shards]
 
     def _land(self, request: "_Request", index: int, future) -> None:
         """Done-callback of a submitted shard: collect it and resolve
@@ -294,7 +289,8 @@ class WorkerPool:
         if future.cancelled():
             return
         try:
-            logits = self._collect(future, request.shards[index], request)
+            logits = self._collect(future, request.shards[index],
+                                   request.policy, request)
         except Exception as exc:   # the request's error, not the pool's
             request.resolve(error=exc)
             return
@@ -310,14 +306,15 @@ class WorkerPool:
             shard_future.cancel()
         self.metrics.add_queue_depth(-1)
 
-    def _collect(self, future, shard: np.ndarray,
-                 request: "_Request" = None) -> np.ndarray:
+    def _collect(self, future, shard: np.ndarray, policy=None,
+                 request: "_Request" = None):
         """Resolve one shard, applying the fallback policy on failure,
         and record it in the metrics with one update."""
         try:
             result = future.result()
         except Exception:
-            if self.config.fallback != "fixedpoint" or self.reference is None:
+            if (policy is not None or self.config.fallback != "fixedpoint"
+                    or self.reference is None):
                 self.metrics.add_counts(errors=1)
                 raise
             return self._run_fallback(shard)
@@ -341,23 +338,27 @@ class WorkerPool:
         else:
             (logits, compute_s), act_hits, act_misses = result, 0, 0
         self.metrics.add_shard(
-            shard.shape[0], shard.shape[0] * self.plan.bits_per_sample,
-            compute_s, act_cache_hits=act_hits, act_cache_misses=act_misses)
+            shard.shape[0],
+            shard.shape[0] * self.plan.bits_per_sample if policy is None
+            else 0,
+            compute_s, act_cache_hits=act_hits, act_cache_misses=act_misses,
+            progressive=None if policy is None else logits)
         return logits
 
-    def _run_local(self, x: np.ndarray, parent=None,
+    def _run_local(self, x: np.ndarray, policy=None, parent=None,
                    request: "_Request" = None) -> tuple:
         """Serial/thread execution against the shared plan; returns
-        ``(logits, compute seconds)`` for :meth:`_collect`."""
+        ``(logits or outcome, compute seconds)`` for :meth:`_collect`."""
         if request is not None:
             request.start(self.metrics)
         with obs.span("shard:compute", category="shard",
                       parent=parent) as span:
             t0 = time.perf_counter()
-            logits = self.plan.run(x)
+            result = (self.plan.run(x) if policy is None
+                      else self.plan.run_progressive(x, policy))
             compute_s = time.perf_counter() - t0
             span.add_counter("samples", x.shape[0])
-            return logits, compute_s
+            return result, compute_s
 
     def _run_fallback(self, shard: np.ndarray) -> np.ndarray:
         """Degrade one failed shard to fixed-point reference execution.
@@ -394,17 +395,14 @@ class WorkerPool:
     def _spawn_process_pool(self) -> None:
         """Build the process executor (caller holds the lock).
 
-        Each executor generation gets a fresh token.  Every worker
-        receives the plan through the pool initializer, and the warm
-        protocol runs before the first shard.
+        Every worker receives the plan through the pool initializer, and
+        the warm protocol runs before the first shard.
         """
-        self._plan_token += 1
         workers = self.config.workers
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(self.plan, self._plan_token,
-                      multiprocessing.Barrier(workers)),
+            initargs=(self.plan, multiprocessing.Barrier(workers)),
         )
         self._warm_up(workers)
 
@@ -431,12 +429,13 @@ class _Request:
     """One submitted request in flight: its shards, their futures, and
     the future that resolves to the shard-ordered merge."""
 
-    __slots__ = ("shards", "outputs", "future", "shard_futures",
+    __slots__ = ("shards", "policy", "outputs", "future", "shard_futures",
                  "submitted_at", "_pending", "_started", "_resolved",
                  "_lock")
 
-    def __init__(self, shards: list, submitted_at: float):
+    def __init__(self, shards: list, policy, submitted_at: float):
         self.shards = shards
+        self.policy = policy
         self.outputs = [None] * len(shards)
         self.future = Future()
         self.shard_futures = []

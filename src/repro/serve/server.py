@@ -7,14 +7,15 @@ bound) and an ``asyncio.start_server`` front end speaking the
 length-prefixed JSON protocol.  Request flow::
 
     conn -> read_message -> admission (draining/quota/depth)
-         -> decode_array(x)                           [base64 float64]
+         -> decode_array(x), ProgressivePolicy.from_request(progressive)
          -> registry.resident(model)                  [on the loop]
             | to_thread(registry.get(model))          [miss: compile]
-         -> runtime.submit(x)           [WorkerPool: shards dispatched now]
+         -> runtime.submit(x, policy)   [WorkerPool: shards dispatched now]
          -> await Future (deadline => cancel)
-         -> write_message(encode_array(logits) | shed | error)
+         -> write_message(encode_array(logits) [+ progressive] | shed | error)
 
-Everything compute-bound stays on the runtime's worker threads, and a
+Everything compute-bound stays on the runtime's workers — a progressive
+request's resumable evaluation included, as one more shard — and a
 plan compile (a registry miss) on a helper thread.  The event loop only
 frames messages, converts base64 arrays, looks up resident models,
 hands requests to the pool and awaits futures, so thousands of idle
@@ -208,7 +209,9 @@ class Server:
                                  self.config.default_deadline_s)
         try:
             x = decode_array(message.get("x"))
-        except ProtocolError as exc:
+            policy = ProgressivePolicy.from_request(
+                message.get("progressive"), default=self.config.progressive)
+        except (ProtocolError, TypeError, ValueError) as exc:
             self.counters["bad_requests"] += 1
             return {"ok": False, "error": "bad_request", "id": rid,
                     "detail": str(exc)}
@@ -229,12 +232,8 @@ class Server:
                     "id": rid}
         if x.shape == tuple(runtime.plan.input_shape):
             x = x[None]   # single un-batched sample
-        spec = message.get("progressive")
-        if spec:
-            return await self._run_progressive(runtime, x, spec, model,
-                                               rid, deadline_s, t0)
         try:
-            future = runtime.submit(x)
+            future = runtime.submit(x, policy)
         except BatcherClosedError:
             self.counters["shed_draining"] += 1
             return {"ok": False, "error": "shed", "reason": "draining",
@@ -243,18 +242,15 @@ class Server:
             self.counters["bad_requests"] += 1
             return {"ok": False, "error": "bad_request", "id": rid,
                     "detail": str(exc)}
-        wrapped = asyncio.wrap_future(future)
+        remaining = (None if deadline_s is None
+                     else deadline_s - (time.perf_counter() - t0))
         try:
-            if deadline_s is not None:
-                remaining = deadline_s - (time.perf_counter() - t0)
-                if remaining <= 0:
-                    raise asyncio.TimeoutError
-                logits = await asyncio.wait_for(wrapped, timeout=remaining)
-            else:
-                logits = await wrapped
+            result = await asyncio.wait_for(asyncio.wrap_future(future),
+                                            timeout=remaining)
         except asyncio.TimeoutError:
-            # wait_for already cancelled the future, so the pool skips
-            # the request's shards that have not started.
+            # wait_for cancelled the future, an already expired deadline
+            # included, so the pool skips the request's shards that have
+            # not started.
             self.counters["deadline_expired"] += 1
             return {"ok": False, "error": "deadline", "id": rid,
                     "deadline_s": deadline_s}
@@ -269,89 +265,28 @@ class Server:
             return {"ok": False, "error": "internal", "id": rid,
                     "detail": f"{type(exc).__name__}: {exc}"}
         latency_s = time.perf_counter() - t0
-        obs.tracer().record_span(
-            f"request:{rid}", latency_s, category="request",
-            counters={"samples": int(x.shape[0])},
-        )
-        self.counters["completed"] += 1
-        return {
+        logits = result if policy is None else result.logits
+        counters = {"samples": int(x.shape[0])}
+        response = {
             "ok": True, "id": rid, "model": model,
             "logits": encode_array(logits),
             "argmax": np.argmax(logits, axis=-1).tolist(),
             "latency_s": latency_s,
         }
-
-    async def _run_progressive(self, runtime, x, spec, model, rid,
-                               deadline_s, t0: float) -> dict:
-        """Anytime-inference branch of ``predict``.
-
-        Runs the runtime's confidence-gated extension loop on a helper
-        thread (a progressive request is one resumable evaluation, so
-        it bypasses the worker pool).  The deadline is best-effort:
-        an expiry answers ``error: deadline`` but cannot interrupt the
-        extension round already computing on its thread.
-        """
-        try:
-            policy = ProgressivePolicy.from_request(
-                spec, default=self.config.progressive)
-        except (TypeError, ValueError) as exc:
-            self.counters["bad_requests"] += 1
-            return {"ok": False, "error": "bad_request", "id": rid,
-                    "detail": str(exc)}
-        task = asyncio.ensure_future(asyncio.to_thread(
-            runtime.infer_progressive, x, policy))
-        try:
-            if deadline_s is not None:
-                remaining = deadline_s - (time.perf_counter() - t0)
-                if remaining <= 0:
-                    raise asyncio.TimeoutError
-                outcome = await asyncio.wait_for(
-                    asyncio.shield(task), timeout=remaining)
-            else:
-                outcome = await task
-        except asyncio.TimeoutError:
-            self.counters["deadline_expired"] += 1
-            task.add_done_callback(lambda t: t.exception())
-            return {"ok": False, "error": "deadline", "id": rid,
-                    "deadline_s": deadline_s}
-        except BatcherClosedError:
-            self.counters["shed_draining"] += 1
-            return {"ok": False, "error": "shed", "reason": "draining",
-                    "id": rid}
-        except asyncio.CancelledError:
-            raise
-        except ValueError as exc:
-            # Non-resumable config (non-prefix-stable scheme) or bad
-            # input — the client's request cannot be served
-            # progressively on this model.
-            self.counters["bad_requests"] += 1
-            return {"ok": False, "error": "bad_request", "id": rid,
-                    "detail": str(exc)}
-        except Exception as exc:
-            self.counters["errors"] += 1
-            return {"ok": False, "error": "internal", "id": rid,
-                    "detail": f"{type(exc).__name__}: {exc}"}
-        latency_s = time.perf_counter() - t0
-        obs.tracer().record_span(
-            f"request:{rid}", latency_s, category="request",
-            counters={"samples": int(x.shape[0]),
-                      "phase_length": int(outcome.phase_length)},
-        )
+        if policy is not None:
+            counters["phase_length"] = int(result.phase_length)
+            response["progressive"] = {
+                "phase_length": int(result.phase_length),
+                "extensions": int(result.extensions),
+                "early_exit": bool(result.early_exit),
+                "margin": float(result.margin),
+                "margin_bound": float(result.margin_bound),
+                "history": [int(l) for l in result.history],
+            }
+        obs.tracer().record_span(f"request:{rid}", latency_s,
+                                 category="request", counters=counters)
         self.counters["completed"] += 1
-        return {
-            "ok": True, "id": rid, "model": model,
-            "logits": encode_array(outcome.logits),
-            "argmax": np.argmax(outcome.logits, axis=-1).tolist(),
-            "latency_s": latency_s,
-            "progressive": {
-                "phase_length": int(outcome.phase_length),
-                "extensions": int(outcome.extensions),
-                "early_exit": bool(outcome.early_exit),
-                "margin": float(outcome.margin),
-                "margin_bound": float(outcome.margin_bound),
-                "history": [int(l) for l in outcome.history],
-            },
-        }
+        return response
 
     # -- metrics ------------------------------------------------------
 

@@ -46,7 +46,20 @@ import numpy as np
 from ..core.rng import prefix_stable_scheme
 from .config import SCConfig
 
-__all__ = ["ProgressiveExecutor", "ProgressiveResult"]
+__all__ = ["ProgressiveExecutor", "ProgressiveResult", "check_resumable"]
+
+
+def check_resumable(config: SCConfig) -> None:
+    """Raise ``ValueError`` unless ``config`` can be evaluated
+    progressively: its RNG scheme must be prefix-stable (``"random"``
+    draws its thresholds statefully, so a longer window rewrites the
+    prefix and nothing can be resumed)."""
+    if not prefix_stable_scheme(config.scheme):
+        raise ValueError(
+            f"progressive evaluation needs a prefix-stable RNG "
+            f"scheme; {config.scheme!r} regenerates its prefix "
+            "at every length — use 'lfsr' or 'vdc'"
+        )
 
 
 class ProgressiveResult:
@@ -114,20 +127,13 @@ class ProgressiveExecutor:
     Raises
     ------
     ValueError
-        If the config's RNG scheme is not prefix-stable (``"random"``
-        draws its thresholds statefully, so a longer window rewrites
-        the prefix and nothing can be resumed).
+        If the config is not resumable (:func:`check_resumable`).
     """
 
     def __init__(self, network, config: SCConfig = None):
         self.network = network
         self.config = config if config is not None else network.config
-        if not prefix_stable_scheme(self.config.scheme):
-            raise ValueError(
-                f"progressive evaluation needs a prefix-stable RNG "
-                f"scheme; {self.config.scheme!r} regenerates its prefix "
-                "at every length — use 'lfsr' or 'vdc'"
-            )
+        check_resumable(self.config)
 
     def start(self, x: np.ndarray,
               phase_length: int = None) -> ProgressiveResult:

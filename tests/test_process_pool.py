@@ -7,22 +7,25 @@ must run bit for bit like the one it was pickled from, for every zoo
 graph, accumulator and representation.  Either way a worker's logits are
 the serial shards' bit for bit, it builds its own activation encode
 tables, and it is alive once :meth:`WorkerPool.start` returns and gone
-once :meth:`WorkerPool.close` does.
+once :meth:`WorkerPool.close` does.  A pool whose worker died serves on
+from a fresh executor.
 """
 
 import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import textwrap
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
 
-from repro.runtime import (BENCH_NETWORKS, ExecutionPlan, RuntimeConfig,
-                           RuntimeMetrics, WorkerPool)
+from repro.runtime import (BENCH_NETWORKS, ExecutionPlan, InferenceRuntime,
+                           RuntimeConfig, RuntimeMetrics, WorkerPool)
 from repro.simulator import SCConfig, SCNetwork
 from repro.simulator.engine import ENCODE_CACHE
 from repro.training import (Flatten, ReLU, Sequential, SplitOrConv2d,
@@ -116,6 +119,31 @@ def test_start_spawns_every_worker():
     finally:
         pool.close()
     assert not any(p.is_alive() for p in workers)
+
+
+def test_pool_recovers_from_a_killed_worker():
+    """SIGKILL one of two workers: the executor marks itself broken and
+    stops the other, yet later ``infer`` and ``submit`` calls get the
+    serial logits from a fresh executor, and ``close()`` leaves no child
+    process behind."""
+    sc = tiny_network()
+    x = np.random.default_rng(4).uniform(0, 1, (5,) + SHAPE)
+    expected = serial_shards(sc, x)
+    before = set(multiprocessing.active_children())
+    with InferenceRuntime(sc, SHAPE, config=PROCESS) as runtime:
+        runtime.pool.start()
+        workers = set(multiprocessing.active_children()) - before
+        assert len(workers) == 2
+        os.kill(next(iter(workers)).pid, signal.SIGKILL)
+        # Every worker has exited once the executor has seen the death
+        # (it is marked broken before the survivor is stopped).
+        for worker in workers:
+            assert wait([worker.sentinel], timeout=30)
+        assert np.array_equal(runtime.infer(x), expected)
+        assert np.array_equal(runtime.submit(x).result(timeout=60),
+                              expected)
+        assert len(set(multiprocessing.active_children()) - before) == 2
+    assert not set(multiprocessing.active_children()) - before
 
 
 def test_process_pool_under_spawn():

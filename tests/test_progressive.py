@@ -10,7 +10,8 @@ Three levels, matching the refactor's layering:
   representations and every accumulator (golden cases + a Hypothesis
   sweep), and the non-resumable configurations are rejected loudly.
 - **Runtime**: the confidence-gated policy loop, its outcome metadata,
-  and the runtime metrics counters.
+  the runtime metrics counters, and the worker pool running each
+  progressive request as one shard on every backend.
 """
 
 import numpy as np
@@ -369,6 +370,29 @@ class TestRunProgressive:
 
 
 class TestRuntimeProgressive:
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", 1), ("thread", 2), ("process", 2)])
+    def test_every_backend_matches_the_serial_evaluation(self, backend,
+                                                        workers):
+        # The pool runs a progressive request as one shard wherever it
+        # runs; the outcome is the plan's own caller-thread evaluation.
+        sc = _network("lenet5", phase_length=64)
+        x = _x("lenet5")
+        policy = ProgressivePolicy(start_phase_length=8, max_phase_length=64)
+        config = RuntimeConfig(workers=workers, backend=backend,
+                               shard_size=1)
+        with InferenceRuntime(sc, SHAPES["lenet5"], config=config) as rt:
+            expected = rt.plan.run_progressive(x, policy)
+            outcomes = [rt.infer_progressive(x, policy),
+                        rt.submit(x, policy).result(timeout=120)]
+            snapshot = rt.snapshot()
+        for outcome in outcomes:
+            np.testing.assert_array_equal(outcome.logits, expected.logits)
+            assert outcome.phase_length == expected.phase_length
+            assert outcome.history == expected.history
+        # Never cut into shards, whatever shard_size says.
+        assert snapshot.shards == 2 and snapshot.samples == 2 * len(x)
+
     def test_gate_off_matches_fixed_inference(self):
         sc = _network("lenet5", phase_length=16)
         x = _x("lenet5")
@@ -381,26 +405,39 @@ class TestRuntimeProgressive:
         assert not outcome.early_exit
 
     def test_metrics_counters(self):
+        # A submitted progressive request is queued and counted like a
+        # predict, and clocks no product bits.
         sc = _network("mnist_mlp", phase_length=8)
         x = _x("mnist_mlp")
+        policy = ProgressivePolicy(start_phase_length=2, margin_z=None)
         with InferenceRuntime(sc, SHAPES["mnist_mlp"]) as rt:
-            rt.infer_progressive(
-                x, ProgressivePolicy(start_phase_length=2, margin_z=None))
+            rt.infer_progressive(x, policy)
+            rt.submit(x, policy).result(timeout=60)
             snapshot = rt.snapshot()
-        assert snapshot.progressive_requests == 1
-        assert snapshot.progressive_extensions == 2
+        assert snapshot.progressive_requests == 2
+        assert snapshot.progressive_extensions == 4
         assert snapshot.progressive_early_exits == 0
         assert snapshot.progressive_mean_final_length == 8.0
         assert snapshot.progressive_early_exit_rate == 0.0
         assert "progressive" in snapshot.render()
+        assert snapshot.requests == 2 and snapshot.samples == 2 * len(x)
+        assert snapshot.bits_simulated == 0
+        assert snapshot.queue_depth == 0 and snapshot.max_queue_depth == 1
+        assert 0 <= snapshot.stage_seconds["queue"] < snapshot.elapsed_s
 
     def test_non_resumable_config_raises(self):
+        # Raised at the call, before the pool does any work: no request
+        # is counted and no executor starts.
         sc = SCNetwork.from_trained(
             mnist_mlp(seed=0), SCConfig(phase_length=8, scheme="random"))
         x = _x("mnist_mlp")
         with InferenceRuntime(sc, SHAPES["mnist_mlp"]) as rt:
             with pytest.raises(ValueError, match="prefix-stable"):
                 rt.infer_progressive(x)
+            with pytest.raises(ValueError, match="prefix-stable"):
+                rt.submit(x, ProgressivePolicy())
+            assert rt.snapshot().requests == 0
+            assert rt.pool._executor is None
 
 
 @pytest.mark.slow

@@ -19,8 +19,8 @@ import pytest
 
 from repro.networks import mnist_mlp
 from repro.runtime import (BatcherClosedError, ExecutionPlan,
-                           InferenceRuntime, RuntimeConfig, RuntimeMetrics,
-                           WorkerPool)
+                           InferenceRuntime, ProgressivePolicy, RuntimeConfig,
+                           RuntimeMetrics, WorkerPool)
 from repro.simulator import SCConfig, SCNetwork
 
 SHAPE = (1, 28, 28)
@@ -143,18 +143,24 @@ class TestCloseSemantics:
 
 class TestCancellation:
     def test_cancelled_queued_request_is_never_computed(self, compute_gate):
+        # A queued predict and a queued progressive request alike.
         with _pool() as pool:
             gate = compute_gate(pool.plan)
             first = pool.submit(_x(1, 0.25))
             assert gate.wait_for(1)   # the only worker is held
-            second = pool.submit(_x(1, 0.5))
-            assert second.cancel()
+            queued = [pool.submit(_x(1, 0.5)),
+                      pool.submit(_x(1, 0.75),
+                                  ProgressivePolicy(start_phase_length=2))]
+            for future in queued:
+                assert future.cancel()
             gate.open()
             first.result(timeout=10.0)
-        assert second.cancelled()
-        # The cancelled request's samples were never computed.
+        assert all(future.cancelled() for future in queued)
+        # The cancelled requests' samples were never computed.
         assert [float(s[0, 0, 0, 0]) for s in gate.shards] == [0.25]
-        assert pool.metrics.snapshot().queue_depth == 0
+        snap = pool.metrics.snapshot()
+        assert snap.queue_depth == 0 and snap.max_queue_depth == 3
+        assert snap.shards == 1 and snap.progressive_requests == 0
 
     def test_cancel_losing_the_race_still_gets_a_result(self):
         # A deadline expiring after the request resolved: cancel() must

@@ -1,9 +1,9 @@
-"""Concurrency stress: shared registry, pool respawn, plan generations.
+"""Concurrency stress: shared registry and shared layer plan caches.
 
 Everything here synchronizes on barriers/events — never sleeps — so the
 interleavings under test (simultaneous warm-up, eviction during
-in-flight waves, respawn racing traffic) actually occur rather than
-being timing lottery wins.
+in-flight waves, cold forwards racing plan-cache eviction) actually
+occur rather than being timing lottery wins.
 """
 
 import multiprocessing
@@ -13,10 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.runtime import (BatcherClosedError, ExecutionPlan,
-                           InferenceRuntime, RuntimeConfig, RuntimeMetrics,
-                           WorkerPool)
-from repro.runtime.workers import _init_worker, _run_shard_in_worker
+from repro.runtime import BatcherClosedError, RuntimeConfig
 from repro.serve import ModelRegistry
 from repro.serve import registry as registry_mod
 from repro.simulator import SCConfig, SCNetwork
@@ -44,58 +41,6 @@ def fast_zoo(monkeypatch):
     for alias in ("zoo_a", "zoo_b"):
         monkeypatch.setitem(registry_mod.BENCH_NETWORKS, alias, mlp)
     return ("zoo_a", "zoo_b")
-
-
-class TestRespawn:
-    """A respawned process pool must serve the *current* plan — never a
-    stale module-global left in recycled worker state."""
-
-    def test_respawn_after_close_serves_new_plan(self):
-        config = RuntimeConfig(workers=2, backend="process", shard_size=2)
-        x = np.random.default_rng(0).uniform(0, 1, (4,) + SHAPE)
-        old_plan = ExecutionPlan(tiny_network(seed=0), SHAPE)
-        new_plan = ExecutionPlan(tiny_network(seed=7), SHAPE)
-        with WorkerPool(new_plan, RuntimeConfig(shard_size=2),
-                        RuntimeMetrics()) as reference:
-            expected = reference.run_batch(x)
-        pool = WorkerPool(old_plan, config, RuntimeMetrics())
-        try:
-            old_logits = pool.run_batch(x)
-            pool.close()
-            with pytest.raises(BatcherClosedError):
-                pool.run_batch(x)
-            pool.respawn(new_plan)
-            fresh = pool.run_batch(x)
-            assert np.array_equal(fresh, expected)
-            assert not np.array_equal(fresh, old_logits)
-        finally:
-            pool.close()
-
-    def test_respawn_without_new_plan_keeps_current(self):
-        config = RuntimeConfig(workers=1, backend="process", shard_size=2)
-        x = np.random.default_rng(1).uniform(0, 1, (2,) + SHAPE)
-        pool = WorkerPool(ExecutionPlan(tiny_network(), SHAPE), config,
-                          RuntimeMetrics())
-        try:
-            before = pool.run_batch(x)
-            pool.respawn()
-            assert np.array_equal(pool.run_batch(x), before)
-        finally:
-            pool.close()
-
-    def test_stale_generation_fails_loudly(self):
-        """The in-worker guard itself: a shard carrying a different
-        generation than the installed plan raises instead of silently
-        computing with the wrong model."""
-        plan = ExecutionPlan(tiny_network(), SHAPE)
-        x = np.random.default_rng(2).uniform(0, 1, (1,) + SHAPE)
-        _init_worker(plan, 1, None)
-        try:
-            assert _run_shard_in_worker(x, 1)[0].shape == (1, 4)
-            with pytest.raises(RuntimeError, match="generation"):
-                _run_shard_in_worker(x, 2)
-        finally:
-            _init_worker(None, None, None)
 
 
 class TestRegistryConcurrency:

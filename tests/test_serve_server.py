@@ -292,7 +292,9 @@ class TestAdmission:
 
     def test_deadline_expiry_answers_deadline_error(self, compute_gate):
         # Compute held past the deadline: the request is still in
-        # flight when the deadline cancels it.
+        # flight when the deadline cancels it.  A second request whose
+        # deadline has already passed when it reaches the pool queues
+        # behind the held one and is cancelled there, never computed.
         config = _config(
             runtime=RuntimeConfig(workers=1, backend="thread",
                                   shard_size=2),
@@ -304,13 +306,23 @@ class TestAdmission:
                 async with Client("127.0.0.1", server.port) as client:
                     response = await client.predict_raw(
                         "mnist_mlp", _x(1), deadline_s=0.02)
-                gate.open()
-                return response
+                    expired = await client.predict_raw(
+                        "mnist_mlp", _x(1, seed=1), deadline_s=0.0)
+                    gate.open()
+                    after = await client.predict_raw("mnist_mlp",
+                                                     _x(1, seed=2))
+                return response, expired, after, gate.shards
 
-        response = asyncio.run(run())
+        response, expired, after, shards = asyncio.run(run())
         assert response["ok"] is False
         assert response["error"] == "deadline"
         assert response["deadline_s"] == 0.02
+        assert expired["error"] == "deadline"
+        assert after["ok"]
+        # FIFO executor: the expired request would have run before the
+        # last one had it not been cancelled.
+        assert len(shards) == 2
+        np.testing.assert_array_equal(shards[1], _x(1, seed=2))
 
 
 class TestMetricsEndpoint:
